@@ -17,17 +17,27 @@ and exits with status 2.  `validate` exits 1 when a metric is flagged.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 
 from . import ctmc, gf, qbd
 from .errors import InvalidConfigError, QueueModelError
 from .measures import full_report
-from .model import _COST_KEYS, CostParams, QueueParams, params_to_dict, read_config
+from .model import (
+    COST_KEYS,
+    PARAM_KEYS,
+    CostParams,
+    QueueParams,
+    params_to_dict,
+    read_config,
+    resolve_params,
+)
 from .sim import SimConfig, simulate, validate_against
 from .sweeps import (
+    ANALYTIC_METHODS,
     SweepSpec,
+    _report_gap,
     crossover_finder,
     csv_text,
     run_sweep,
@@ -37,9 +47,11 @@ from .sweeps import (
 
 __all__ = ["main", "entry"]
 
+CONFIG_KEYS = PARAM_KEYS | COST_KEYS.keys()
+
 
 def _add_model_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--lambda", dest="lam", type=float, help="arrival rate")
+    ap.add_argument("--lambda", dest="lambda", type=float, help="arrival rate")
     ap.add_argument("--rho", type=float, help="traffic intensity (alternative to --lambda)")
     ap.add_argument("--mu", type=float, help="service rate (default 1)")
     ap.add_argument("--alpha", type=float, help="setup rate")
@@ -52,54 +64,16 @@ def _add_model_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args, need_alpha: bool = True) -> tuple[QueueParams, CostParams]:
-    raw = read_config(args.config) if args.config else {}
-    if args.lam is not None and args.rho is not None:
+    """Flags merged over the config file; model.resolve_params does the rest."""
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in CONFIG_KEYS}
+    if "lambda" in flags and "rho" in flags:
         raise InvalidConfigError("--lambda and --rho are mutually exclusive")
-
-    mu = args.mu if args.mu is not None else raw.get("mu", 1.0)
-    c = args.c if args.c is not None else raw.get("c")
-    if c is None:
-        raise InvalidConfigError("--c is required (flag or config file)")
-    c = int(c)
-    alpha = args.alpha if args.alpha is not None else raw.get("alpha")
-    if alpha is None:
-        if not need_alpha:
-            alpha = 1.0  # placeholder, the caller sweeps or solves for it
-        else:
-            raise InvalidConfigError("--alpha is required (flag or config file)")
-    # a config rho stays a rho: flags overriding c or mu rescale lambda
-    if args.rho is not None:
-        lam = args.rho * c * mu
-    elif args.lam is not None:
-        lam = args.lam
-    elif "rho" in raw:
-        lam = raw["rho"] * c * mu
-    elif "lambda" in raw:
-        lam = raw["lambda"]
-    else:
-        raise InvalidConfigError("one of --lambda / --rho is required (flag or config file)")
-    params = QueueParams(lam=lam, mu=mu, alpha=alpha, c=c)
-
-    cost_kwargs = {attr: raw[k] for k, attr in _COST_KEYS.items() if k in raw}
-    costs = CostParams(**cost_kwargs)
-    override = {}
-    for flag, field in (("ca", "c_active"), ("cs", "c_setup"),
-                        ("ci", "c_idle"), ("csw", "c_switch")):
-        val = getattr(args, flag)
-        if val is not None:
-            override[field] = val
-    if override:
-        costs = replace(costs, **override)
-    return params, costs
-
-
-def _costs_dict(costs: CostParams) -> dict:
-    return {
-        "c_active": costs.c_active,
-        "c_setup": costs.c_setup,
-        "c_idle": costs.c_idle,
-        "c_switch": costs.c_switch,
-    }
+    raw = read_config(args.config) if args.config else {}
+    if "lambda" in flags or "rho" in flags:
+        # a flag lambda or rho replaces whichever of the two the file gave
+        raw.pop("lambda", None)
+        raw.pop("rho", None)
+    return resolve_params({**raw, **flags}, need_alpha)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -127,30 +101,23 @@ def _solve_full(params: QueueParams, method: str):
 
 def _cmd_solve(args) -> int:
     params, costs = _build_params(args)
-    method = args.method
-    if method == "all":
-        dists = {m: solve_distribution(params, m) for m in ("gf", "qbd", "ctmc")}
-        reports = {m: full_report(d, params, costs) for m, d in dists.items()}
-        report = reports["gf"]
-        vals = np.array(
-            [[0.0 if v == "" else float(v) for v in r.csv_row()] for r in reports.values()]
-        )
-        gap = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
-        _, solution = _solve_full(params, "gf")
+    methods = ANALYTIC_METHODS if args.method == "all" else (args.method,)
+    dist, solution = _solve_full(params, methods[0])
+    dists = {methods[0]: dist, **{m: solve_distribution(params, m) for m in methods[1:]}}
+    reports = {m: full_report(d, params, costs) for m, d in dists.items()}
+    report = reports[methods[0]]
+    extra = {}
+    if args.method == "all":
         extra = {
-            "methods": ["gf", "qbd", "ctmc"],
-            "method_max_gap": gap,
+            "methods": list(methods),
+            "method_max_gap": _report_gap(list(reports.values())),
             "e_jobs_by_method": {m: r.e_jobs for m, r in reports.items()},
         }
-    else:
-        dist, solution = _solve_full(params, method)
-        report = full_report(dist, params, costs)
-        extra = {}
 
     payload = {
         "params": params_to_dict(params),
-        "costs": _costs_dict(costs),
-        "method": method,
+        "costs": asdict(costs),
+        "method": args.method,
         "report": report.to_dict(),
         **extra,
     }
@@ -216,7 +183,7 @@ def _cmd_crossover(args) -> int:
     res = crossover_finder(params, costs, lo=args.lo, hi=args.hi, rel_tol=args.rel_tol)
     payload = {
         "params": params_to_dict(params),
-        "costs": _costs_dict(costs),
+        "costs": asdict(costs),
         **res.to_dict(),
     }
     _emit(payload, args.out)

@@ -16,69 +16,64 @@ distribution.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
+import mpmath as mp
 import numpy as np
 
 from .errors import InternalInconsistencyError
 from .model import QueueParams, params_to_dict
 
 
+def pole_sums(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k A[i, k] w[k] for every row i of the lower-triangular A, in A's
+    number type: one float64 matrix-vector product, or for mpmath numbers a
+    once-rounded sum over k <= i per row (at the working precision)."""
+    if A.dtype != object:
+        return A @ w
+    out = np.empty(len(A), dtype=object)
+    for i in range(len(A)):
+        out[i] = mp.fdot(A[i, : i + 1], w[: i + 1])
+    return out
+
+
 class PoleTail:
     """pi_{i, c+m} = sum_k A[i, k] * zhat_k ** -(m + 1).
 
-    When the coefficients A are large and alternating (clustered poles) the
-    float64 evaluation of that sum is pure cancellation noise, so the solver
-    hands over a materialized block of accurately computed levels plus the
-    exact mp coefficients; levels past the block are then extended lazily at
-    the same precision instead of being evaluated in float64.
+    A and zhat are float64 arrays, or object arrays of mpmath numbers
+    together with the precision dps they were computed at.  The solver
+    hands over the latter when the coefficients are large and alternating
+    (clustered poles), because any float64 evaluation of the sum is then
+    pure cancellation noise: every level, sum and row tail is evaluated at
+    that precision and rounded once, and levels are computed lazily from
+    level 0 and cached.
     """
 
     kind = "pole"
 
-    def __init__(
-        self,
-        A: np.ndarray,
-        zhat: np.ndarray,
-        head: np.ndarray | None = None,
-        mp_state: tuple | None = None,
-        sums: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        self.A = A
-        self.zhat = zhat
-        self._inv = 1.0 / zhat
-        self._den = zhat - 1.0  # > 0 under stability
-        self._head = head
-        self._mp = mp_state  # (A_mp, zh_mp, dps)
-        if sums is not None:
-            self._s0, self._s1 = sums
-        else:
-            self._s0 = A @ (1.0 / self._den)
-            self._s1 = A @ (1.0 / self._den**2)
+    def __init__(self, A: np.ndarray, zhat: np.ndarray, dps: int | None = None):
+        self.A = A.astype(float)
+        self.zhat = zhat.astype(float)
+        self._inv = 1.0 / self.zhat
+        self._mp = None if dps is None else (A, zhat, dps)  # (A_mp, zh_mp, dps)
+        self._levels: list[np.ndarray] = []  # extended-precision levels so far
+        with self._precision():
+            self._pow = 1 / zhat  # zhat^-(m+1) for m = len(self._levels)
+            # zhat - 1 > 0 under stability
+            self._s0 = pole_sums(A, 1 / (zhat - 1)).astype(float)
+            self._s1 = pole_sums(A, 1 / (zhat - 1) ** 2).astype(float)
 
-    def _extend_head(self, m: int) -> None:
-        import mpmath as mp
-
-        A_mp, zh_mp, dps = self._mp
-        n_have = len(self._head)
-        n_want = max(m + 1, 2 * n_have)
-        with mp.workdps(dps):
-            cur = [zh_mp[k] ** -(n_have + 1) for k in range(len(zh_mp))]
-            block = np.zeros((n_want - n_have, len(zh_mp)))
-            for row in range(n_want - n_have):
-                for i in range(len(zh_mp)):
-                    block[row, i] = float(
-                        mp.fsum(A_mp[i][k] * cur[k] for k in range(i + 1))
-                    )
-                for k in range(len(zh_mp)):
-                    cur[k] /= zh_mp[k]
-        self._head = np.vstack([self._head, block])
+    def _precision(self):
+        return mp.workdps(self._mp[2]) if self._mp is not None else nullcontext()
 
     def level(self, m: int) -> np.ndarray:
-        if self._head is not None:
-            if m >= len(self._head) and self._mp is not None:
-                self._extend_head(m)
-            if m < len(self._head):
-                return self._head[m]
-        return self.A @ (self._inv ** (m + 1))
+        if self._mp is None:
+            return self.A @ (self._inv ** (m + 1))
+        with self._precision():
+            while len(self._levels) <= m:
+                self._levels.append(pole_sums(self._mp[0], self._pow).astype(float))
+                self._pow = self._pow / self._mp[1]
+        return self._levels[m]
 
     def sum0(self) -> np.ndarray:
         return self._s0
@@ -88,24 +83,18 @@ class PoleTail:
 
     def row_tail(self, i: int, m: int) -> float:
         """sum_{j >= c+m} pi_{i,j}, via sum_k A[i,k] zhat_k^-m / (zhat_k - 1)."""
-        if self._mp is not None:
-            import mpmath as mp
-
-            A_mp, zh_mp, dps = self._mp
-            with mp.workdps(dps):
-                return float(
-                    mp.fsum(
-                        A_mp[i][k] / (zh_mp[k] ** m * (zh_mp[k] - 1))
-                        for k in range(i + 1)
-                    )
-                )
-        return float(self.A[i] @ (self._inv**m / self._den))
+        if self._mp is None:
+            return float(self.A[i] @ (self._inv**m / (self.zhat - 1)))
+        A, zhat, _ = self._mp
+        with self._precision():
+            zhat = zhat[: i + 1]
+            return float(mp.fdot(A[i, : i + 1], (1 / zhat) ** m / (zhat - 1)))
 
     def to_dict(self) -> dict:
         out = {"type": self.kind, "A": self.A.tolist(), "zhat": self.zhat.tolist()}
         if self._mp is not None:
             out["precision_digits"] = self._mp[2]
-            out["materialized_levels"] = len(self._head)
+            out["materialized_levels"] = len(self._levels)
         return out
 
 

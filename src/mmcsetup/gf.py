@@ -17,10 +17,12 @@ c+1 poles live between min(zhat_0, zhat_c) and max of them) and near the
 degenerate surface c*alpha = c*mu - lambda where every pole coincides.
 The solver first runs a cheap float64 pass that tracks coefficient
 magnitudes in log space; if the predicted cancellation error is not
-comfortably below 1e-12 it reruns the whole pipeline in mpmath with just
-enough digits, and materializes the tail levels it cannot evaluate
-stably in float64.  Exactly coincident poles have no partial-fraction
-form at all and raise DegeneratePolesError.
+comfortably below 1e-12 it reruns the same pipeline in mpmath with just
+enough digits and hands the exact coefficients to the tail, which then
+evaluates its levels at that precision.  Every stage is written once over
+the number type: numpy float64 arrays in the probe, object arrays of
+mpmath numbers in the extended-precision passes.  Exactly coincident
+poles have no partial-fraction form at all and raise DegeneratePolesError.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import logsumexp
 
-from .distribution import JointDistribution, PoleTail
+from .distribution import JointDistribution, PoleTail, pole_sums
 from .errors import DegeneratePolesError, InternalInconsistencyError
-from .model import QueueParams, validate
+from .model import QueueParams, params_to_dict, validate
 
 # pairwise relative pole gap below which the partial-fraction form is refused
 GAP_TOL = 1e-9
@@ -46,6 +48,8 @@ DPS_CAP = 1200
 MOMENT_CERT_DOUBLE = 1e-11
 # same certificate inside the mp escalation loop
 MOMENT_CERT_MP = 1e-12
+# highest factorial moment order computed (and cross-checked) per row
+N_MOMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,15 @@ def quadratic_roots(params: QueueParams) -> RootTable:
     return RootTable(z=zf, zhat=zhf)
 
 
+def _closest_pair(zhat: np.ndarray) -> tuple[float, DegeneratePolesError]:
+    """Smallest relative gap between two outer roots, and the error naming them."""
+    order = np.argsort(zhat)
+    gaps = np.diff(zhat[order]) / zhat[order][1:]
+    k = int(np.argmin(gaps))
+    a, b = int(order[k]), int(order[k + 1])
+    return float(gaps[k]), DegeneratePolesError(a, b, zhat[a], zhat[b])
+
+
 def characteristic_roots(params: QueueParams) -> RootTable:
     """Root table for the partial-fraction tail form.
 
@@ -100,29 +113,23 @@ def characteristic_roots(params: QueueParams) -> RootTable:
     surface c alpha = c mu - lambda where the tail closed form degenerates.
     """
     table = quadratic_roots(params)
-    zhf = table.zhat
-    order = np.argsort(zhf)
-    gaps = np.diff(zhf[order]) / zhf[order][1:]
-    if len(gaps) and gaps.min() < GAP_TOL:
-        k = int(np.argmin(gaps))
-        a, b = int(order[k]), int(order[k + 1])
-        raise DegeneratePolesError(a, b, zhf[a], zhf[b])
+    gap, degenerate = _closest_pair(table.zhat)
+    if gap < GAP_TOL:
+        raise degenerate
     return table
 
 
-def _closest_pair(zhat: np.ndarray) -> tuple[int, int]:
-    order = np.argsort(zhat)
-    gaps = np.diff(zhat[order]) / zhat[order][1:]
-    k = int(np.argmin(gaps))
-    return int(order[k]), int(order[k + 1])
-
-
-def pochhammer(phi: float, n: int) -> float:
-    """Rising product phi (phi+1) ... (phi+n-1); 1 when n = 0."""
-    out = 1.0
-    for t in range(n):
-        out *= phi + t
-    return out
+def _mp_outer_roots(params: QueueParams) -> np.ndarray:
+    """Outer roots zhat_i as mpmath numbers at the working precision."""
+    c = params.c
+    lam, mu, alpha = mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(params.alpha)
+    zh = np.empty(c + 1, dtype=object)
+    for i in range(c + 1):
+        s = lam + i * mu + (c - i) * alpha
+        zh[i] = (s + mp.sqrt(s * s - 4 * i * lam * mu)) / (2 * lam)
+    zh[0] = (lam + c * alpha) / lam
+    zh[c] = c * mu / lam
+    return zh
 
 
 def _falling(p: int, n: int) -> float:
@@ -134,272 +141,194 @@ def _falling(p: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# float64 pipeline with log-magnitude tracking
+# arithmetic shared by the float64 probe and the mpmath passes
 
 
-def _solve_double(params: QueueParams, roots: RootTable):
-    """One pass of the full scheme in float64.
-
-    Returns (boundary, A, log10_max_coeff).  The log-magnitude estimate is
-    computed alongside in log space with absolute-value sums, so it stays
-    order-correct even when the float64 values themselves have cancelled
-    into noise.
-    """
-    lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
-    zh = roots.zhat
-
-    def f(i: int, x: np.ndarray | float):
-        return (lam + i * mu + (c - i) * alpha) * x - lam * x * x - i * mu
-
-    pi = np.zeros((c + 1, c + 1))
-    A = np.zeros((c + 1, c + 1))
-    logA = np.full((c + 1, c + 1), -np.inf)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pi[0, 0] = 1.0
-        for j in range(1, c):
-            pi[0, j] = pi[0, j - 1] * lam / (lam + j * alpha)
-        A[0, 0] = pi[0, c - 1] if c >= 1 else 1.0
-        logA[0, 0] = math.log(A[0, 0]) if A[0, 0] > 0 else -np.inf
-
-        s0 = np.zeros(c + 1)  # row tail masses sum_{j>=c} pi_{i,j}
-        s0[0] = A[0, 0] / (zh[0] - 1.0)
-
-        for i in range(1, c):
-            grow = (c - i + 1) * alpha * zh[:i] / f(i, zh[:i])
-            A[i, :i] = grow * A[i - 1, :i]
-            logA[i, :i] = logA[i - 1, :i] + np.log(np.abs(grow))
-
-            b = np.zeros(c + 1)
-            a = np.zeros(c + 1)
-            b[c] = 1.0 / zh[i]
-            a[c] = float(A[i, :i] @ (1.0 / zh[:i] - 1.0 / zh[i]))
-            for j in range(c - 1, i, -1):
-                D = lam + i * mu + (j - i) * alpha - i * mu * b[j + 1]
-                if not D > 0.0:
-                    raise InternalInconsistencyError(
-                        f"boundary recursion pivot D_{j} = {D} <= 0 at row {i}"
-                    )
-                b[j] = lam / D
-                a[j] = (i * mu * a[j + 1] + (j - i + 1) * alpha * pi[i - 1, j]) / D
-            up = (np.arange(i, c) - i + 1) @ pi[i - 1, i:c] + (c - i + 1) * s0[i - 1]
-            pi[i, i] = alpha * up / (i * mu)
-            for j in range(i + 1, c + 1):
-                pi[i, j] = a[j] + b[j] * pi[i, j - 1]
-            A[i, i] = pi[i, c - 1] - A[i, :i].sum()
-            logA[i, i] = _closing_magnitude(A[i, i], logA[i, :i])
-            s0[i] = float(A[i, : i + 1] @ (1.0 / (zh[: i + 1] - 1.0)))
-
-        grow = alpha * zh[:c] / f(c, zh[:c])
-        A[c, :c] = grow * A[c - 1, :c]
-        logA[c, :c] = logA[c - 1, :c] + np.log(np.abs(grow))
-        A[c, c] = -A[c, :c].sum()
-        logA[c, c] = _closing_magnitude(A[c, c], logA[c, :c])
-        pi[c, c] = float(A[c] @ (1.0 / zh))
-        s0[c] = float(A[c] @ (1.0 / (zh - 1.0)))
-
-        total = float(pi.sum() - pi[:, c].sum() + s0.sum())
-        # columns i..c-1 of each row plus the tail mass; column c of pi is
-        # pi_{i,c} which already belongs to the tail, hence the subtraction
-        pi /= total
-        A /= total
-
-    log_max = float(np.nanmax(logA)) / math.log(10.0) - _safe_log10(abs(total))
-    return pi, A, log_max
+def _fsum(x: np.ndarray):
+    """Sum of a float64 array, or the once-rounded sum of an mpmath one."""
+    return mp.fsum(x) if x.dtype == object else x.sum()
 
 
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0 and math.isfinite(x) else -np.inf
+def _fdot(x: np.ndarray, y: np.ndarray):
+    """Dot product; once-rounded when x holds mpmath numbers."""
+    return mp.fdot(x, y) if x.dtype == object else x @ y
 
 
-def _closing_magnitude(value: float, log_row: np.ndarray) -> float:
+def _log_abs(x) -> float:
+    """log|x| as a float; -inf where |x| is zero or not finite."""
+    x = abs(x)
+    if isinstance(x, mp.mpf):
+        return float(mp.log(x)) if x and mp.isfinite(x) else -math.inf
+    return math.log(x) if 0.0 < x < math.inf else -math.inf
+
+
+def _closing_magnitude(value, log_row: np.ndarray) -> float:
     """log|closing coefficient| for the magnitude estimate.
 
     The float64 closing value is noise-floored at row-max * eps but never
     exceeds the no-cancellation bound, so it is the sharper estimate when it
-    is finite; the bound covers overflow (row magnitudes past 1e308).
+    is finite; the bound covers overflow (row magnitudes past 1e308).  An
+    mpmath closing value is exact.
     """
-    mag = abs(value)
-    if mag > 0.0 and math.isfinite(mag):
-        return math.log(mag)
-    if len(log_row) == 0:
-        return -np.inf
+    log_value = _log_abs(value)
+    if log_value > -math.inf or len(log_row) == 0:
+        return log_value
     return float(logsumexp(log_row))
 
 
-def _safe_log10(x: float) -> float:
-    return math.log10(x) if x > 0 and math.isfinite(x) else 0.0
+def _boundary_pass(params: QueueParams, zh: np.ndarray):
+    """The full scheme in the number type of the outer roots zh.
 
-
-# ---------------------------------------------------------------------------
-# mpmath pipeline
-
-
-def _solve_mp(params: QueueParams, dps: int, n_head: int):
-    """The same scheme in mpmath with dps digits.
-
-    Returns a dict with float64 views (boundary, A, head levels, tail sums)
-    plus the exact mp coefficients for lazy tail extension, and the relative
-    gap between the two independent computations of pi_{c,c} used as the
-    adequate-precision certificate.
+    Returns (pi, A, log10_max_coeff, cc_gap): the boundary pi_{i,j} for
+    j <= c, the tail coefficients A[i, k] and two diagnostics.  Alongside the
+    coefficients, log|A[i, k]| is tracked in float64 from the root ratios,
+    so the probe's magnitude estimate stays order-correct even when its
+    float64 values have cancelled into noise; in mpmath it is the measured
+    magnitude.  cc_gap is the relative gap between two independent
+    computations of pi_{c,c} (cut equation vs tail law), the certificate of
+    adequate precision.
     """
     c = params.c
-    with mp.workdps(dps):
-        lam, mu, alpha = mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(params.alpha)
+    zero = 0 * zh[0]
+    num = type(zero)
+    lam, mu, alpha = num(params.lam), num(params.mu), num(params.alpha)
+    pi = np.full((c + 1, c + 1), zero)
+    A = np.full((c + 1, c + 1), zero)
+    s0 = np.full(c + 1, zero)
+    logA = np.full((c + 1, c + 1), -np.inf)
+    inv = 1 / zh
+    den = 1 / (zh - 1)
+    steps = np.arange(1, c + 1) * (zero + 1)  # 1..c in the pass's number type
 
-        z = [mp.mpf(0)] * (c + 1)
-        zh = [mp.mpf(0)] * (c + 1)
-        for i in range(c + 1):
-            s = lam + i * mu + (c - i) * alpha
-            sq = mp.sqrt(s * s - 4 * i * lam * mu)
-            zh[i] = (s + sq) / (2 * lam)
-            z[i] = 2 * i * mu / (s + sq)
-        zh[0] = (lam + c * alpha) / lam
-        zh[c] = c * mu / lam
-        z[c] = mp.mpf(1)
+    def grow(i, rate):
+        # A[i, k] = rate zhat_k / f_i(zhat_k) * A[i-1, k] for the poles k < i
+        z = zh[:i]
+        # arrays lead: an mpmath number on the left would first try, and
+        # expensively fail, to convert the whole array
+        g = z * rate / (z * (lam + i * mu + (c - i) * alpha) - z * lam * z - i * mu)
+        A[i, :i] = g * A[i - 1, :i]
+        logA[i, :i] = logA[i - 1, :i] + np.log(np.abs(g.astype(float)))
 
-        def f(i, x):
-            return (lam + i * mu + (c - i) * alpha) * x - lam * x * x - i * mu
+    def close(i, value):
+        A[i, i] = value
+        logA[i, i] = _closing_magnitude(value, logA[i, :i])
 
-        pi = [[mp.mpf(0)] * (c + 1) for _ in range(c + 1)]
-        A = [[mp.mpf(0)] * (c + 1) for _ in range(c + 1)]
-        pi[0][0] = mp.mpf(1)
-        for j in range(1, c):
-            pi[0][j] = pi[0][j - 1] * lam / (lam + j * alpha)
-        A[0][0] = pi[0][c - 1]
+    pi[0, 0] = 1
+    for j in range(1, c):
+        pi[0, j] = pi[0, j - 1] * lam / (lam + j * alpha)
+    close(0, pi[0, c - 1])
+    s0[0] = A[0, 0] / (zh[0] - 1)
 
-        def s0_row(i):
-            return mp.fsum(A[i][k] / (zh[k] - 1) for k in range(i + 1))
+    for i in range(1, c):
+        grow(i, (c - i + 1) * alpha)
+        b = np.full(c + 1, zero)
+        a = np.full(c + 1, zero)
+        b[c] = inv[i]
+        a[c] = _fdot(A[i, :i], inv[:i] - inv[i])
+        for j in range(c - 1, i, -1):
+            D = lam + i * mu + (j - i) * alpha - i * mu * b[j + 1]
+            if not D > 0:
+                raise InternalInconsistencyError(
+                    f"boundary recursion pivot D_{j} = {D} <= 0 at row {i}"
+                )
+            b[j] = lam / D
+            a[j] = (i * mu * a[j + 1] + (j - i + 1) * alpha * pi[i - 1, j]) / D
+        up = _fdot(pi[i - 1, i:c], steps[: c - i]) + (c - i + 1) * s0[i - 1]
+        pi[i, i] = alpha * up / (i * mu)
+        for j in range(i + 1, c + 1):
+            pi[i, j] = a[j] + b[j] * pi[i, j - 1]
+        close(i, pi[i, c - 1] - _fsum(A[i, :i]))
+        s0[i] = _fdot(A[i, : i + 1], den[: i + 1])
 
-        for i in range(1, c):
-            for k in range(i):
-                A[i][k] = (c - i + 1) * alpha * A[i - 1][k] * zh[k] / f(i, zh[k])
-            b = [mp.mpf(0)] * (c + 1)
-            a = [mp.mpf(0)] * (c + 1)
-            b[c] = 1 / zh[i]
-            a[c] = mp.fsum(A[i][k] * (1 / zh[k] - 1 / zh[i]) for k in range(i))
-            for j in range(c - 1, i, -1):
-                D = lam + i * mu + (j - i) * alpha - i * mu * b[j + 1]
-                if not D > 0:
-                    raise InternalInconsistencyError(
-                        f"boundary recursion pivot D_{j} <= 0 at row {i}"
-                    )
-                b[j] = lam / D
-                a[j] = (i * mu * a[j + 1] + (j - i + 1) * alpha * pi[i - 1][j]) / D
-            up = mp.fsum((j - i + 1) * pi[i - 1][j] for j in range(i, c)) + (
-                c - i + 1
-            ) * s0_row(i - 1)
-            pi[i][i] = alpha * up / (i * mu)
-            for j in range(i + 1, c + 1):
-                pi[i][j] = a[j] + b[j] * pi[i][j - 1]
-            A[i][i] = pi[i][c - 1] - mp.fsum(A[i][k] for k in range(i))
+    grow(c, alpha)
+    close(c, -_fsum(A[c, :c]))
+    cut = alpha * s0[c - 1] / (c * mu)
+    pi[c, c] = _fdot(A[c], inv)
+    s0[c] = _fdot(A[c], den)
+    cc_gap = float(abs(cut - pi[c, c]) / max(abs(pi[c, c]), 1e-300))
 
-        for k in range(c):
-            A[c][k] = alpha * A[c - 1][k] * zh[k] / f(c, zh[k])
-        A[c][c] = -mp.fsum(A[c][k] for k in range(c))
-
-        # independent recomputations of pi_{c,c}: cut equation vs tail law
-        cut = alpha * s0_row(c - 1) / (c * mu) if c >= 1 else mp.mpf(0)
-        tail = mp.fsum(A[c][k] / zh[k] for k in range(c + 1))
-        pi[c][c] = tail
-        cc_gap = float(abs(cut - tail) / max(abs(tail), mp.mpf("1e-300")))
-
-        total = mp.fsum(
-            mp.fsum(pi[i][j] for j in range(i, c)) + s0_row(i) for i in range(c + 1)
-        )
-        for i in range(c + 1):
-            for jj in range(c + 1):
-                pi[i][jj] /= total
-                A[i][jj] /= total
-
-        head = np.zeros((n_head + 1, c + 1))
-        cur = [1 / zh[k] for k in range(c + 1)]
-        for m in range(n_head + 1):
-            for i in range(c + 1):
-                head[m, i] = float(mp.fsum(A[i][k] * cur[k] for k in range(i + 1)))
-            for k in range(c + 1):
-                cur[k] /= zh[k]
-        s0v = np.array([float(s0_row(i)) for i in range(c + 1)])
-        s1v = np.array(
-            [
-                float(mp.fsum(A[i][k] / (zh[k] - 1) ** 2 for k in range(i + 1)))
-                for i in range(c + 1)
-            ]
-        )
-        max_coeff = max(abs(A[i][k]) for i in range(c + 1) for k in range(i + 1))
-
-        boundary = np.array([[float(pi[i][j]) for j in range(c + 1)] for i in range(c + 1)])
-        A_float = np.array([[float(A[i][k]) for k in range(c + 1)] for i in range(c + 1)])
-        return {
-            "boundary": boundary,
-            "A_float": A_float,
-            "A_mp": A,
-            "zh_mp": zh,
-            "pi_mp": pi,
-            "head": head,
-            "s0": s0v,
-            "s1": s1v,
-            "cc_gap": cc_gap,
-            "log10_max_coeff": float(mp.log10(max_coeff)) if max_coeff > 0 else 0.0,
-        }
+    # columns i..c-1 of each row plus the tail mass; column c of pi is
+    # pi_{i,c}, which already belongs to the tail, hence the subtraction
+    total = _fsum(pi.ravel()) - _fsum(pi[:, c]) + _fsum(s0)
+    pi /= total
+    A /= total
+    log_total = _log_abs(total)
+    log_max = float(np.nanmax(logA)) - (log_total if log_total > -math.inf else 0.0)
+    return pi, A, log_max / math.log(10.0), cc_gap
 
 
 # ---------------------------------------------------------------------------
 # factorial moments
 
 
-def _moments_direct_double(params, boundary, A, zhat, n_max):
-    """Full moments by differentiating the closed form, float64.
+def _head_moments(pi: np.ndarray, n_max: int) -> np.ndarray:
+    """head[i, n] = sum_{i <= j < c} pi_{i,j} (j-i)_n, the boundary part of
+    row i's n-th factorial moment (zero in row c)."""
+    c = pi.shape[0] - 1
+    zero = 0 * pi[0, 0]
+    head = np.full((c + 1, n_max + 1), zero)
+    for n in range(n_max + 1):
+        # in pi's number type, so that mpmath converts each weight once
+        weights = np.array([_falling(d, n) for d in range(c)]) * (zero + 1)
+        for i in range(c):
+            head[i, n] = sum(pi[i, i:c] * weights[: c - i])
+    return head
+
+
+def _moments(params: QueueParams, pi: np.ndarray, s0: np.ndarray, head: np.ndarray):
+    """Full and hat factorial moments at z = 1 from the recursions."""
+    c, n_max = params.c, head.shape[1] - 1
+    zero = 0 * pi[0, 0]
+    num = type(zero)
+    lam, mu, alpha = num(params.lam), num(params.mu), num(params.alpha)
+    top = n_max + 1  # interior rows carry one extra order for row c
+    hat = np.full((c + 1, top + 1), zero)
+    hat[:c, 0] = s0[:c]
+    for n in range(1, top + 1):
+        hat[0, n] = (
+            n * lam * hat[0, n - 1] + lam * pi[0, c - 1] * _falling(c, n)
+        ) / (c * alpha)
+    for i in range(1, c):
+        for n in range(1, top + 1):
+            term2 = hat[i, n - 2] if n >= 2 else zero
+            hat[i, n] = (
+                (c - i + 1) * alpha * hat[i - 1, n]
+                + n * (lam - i * mu - (c - i) * alpha) * hat[i, n - 1]
+                + n * (n - 1) * lam * term2
+                + lam * pi[i, c - 1] * _falling(c - i + 1, n)
+                - i * mu * pi[i, c] * _falling(c - i, n)
+            ) / ((c - i) * alpha)
+    for n in range(0, n_max + 1):
+        prev = hat[c, n - 1] if n >= 1 else zero
+        hat[c, n] = (alpha * hat[c - 1, n + 1] + (n + 1) * n * lam * prev) / (
+            (n + 1) * (c * mu - lam)
+        )
+
+    return head + hat[:, : n_max + 1], hat
+
+
+def _moments_direct(params: QueueParams, A, zh, head: np.ndarray) -> np.ndarray:
+    """Full moments by differentiating the closed form.
 
     Row i's generating function is a boundary polynomial plus
     z^(c-i) * sum_k A[i, k] / (zhat_k - z); the n-th derivative at 1 is a
-    plain binomial sum.  Serves as the certificate partner for the
-    recursion-based moments (the two share no error mechanism).
+    plain binomial sum.  The polynomial part is the shared ``head``; the
+    tail part is the certificate partner of the recursion's hat moments
+    (the two share no error mechanism).
     """
-    c = params.c
-    full = np.zeros((c + 1, n_max + 1))
+    c, n_max = params.c, head.shape[1] - 1
+    one = 0 * zh[0] + 1
+    inv_den = [(1 / (zh - 1)) ** p for p in range(n_max + 2)]
+    full = head.copy()
     for i in range(c + 1):
         for n in range(n_max + 1):
-            head = sum(boundary[i, j] * _falling(j - i, n) for j in range(i, c))
-            tail = 0.0
-            for k in range(i + 1):
-                den = zhat[k] - 1.0
-                s = 0.0
-                for m in range(min(n, c - i) + 1):
-                    s += (
-                        math.comb(n, m)
-                        * _falling(c - i, m)
-                        * math.factorial(n - m)
-                        / den ** (n - m + 1)
-                    )
-                tail += A[i, k] * s
-            full[i, n] = head + tail
-    return full
-
-
-def _moments_direct_mp(params, pi_mp, A_mp, zh_mp, dps, n_max):
-    """Same direct differentiation on the mp pipeline's exact values."""
-    c = params.c
-    full = np.zeros((c + 1, n_max + 1))
-    with mp.workdps(dps):
-        for i in range(c + 1):
-            for n in range(n_max + 1):
-                head = mp.fsum(
-                    pi_mp[i][j] * _falling(j - i, n) for j in range(i, c)
-                )
-                tail = mp.mpf(0)
-                for k in range(i + 1):
-                    den = zh_mp[k] - 1
-                    s = mp.mpf(0)
-                    for m in range(min(n, c - i) + 1):
-                        s += (
-                            math.comb(n, m)
-                            * _falling(c - i, m)
-                            * math.factorial(n - m)
-                            / den ** (n - m + 1)
-                        )
-                    tail += A_mp[i][k] * s
-                full[i, n] = float(head + tail)
+            # d^n/dz^n z^(c-i) / (zhat_k - z) at z = 1, for every pole k <= i
+            deriv = sum(
+                inv_den[n - m + 1][: i + 1]
+                * (one * (math.comb(n, m) * _falling(c - i, m) * math.factorial(n - m)))
+                for m in range(min(n, c - i) + 1)
+            )
+            full[i, n] += _fdot(A[i, : i + 1], deriv)
     return full
 
 
@@ -409,98 +338,12 @@ MOMENT_FLOOR = 1e-250
 
 
 def _moment_gap(rec: np.ndarray, direct: np.ndarray) -> float:
-    """Worst relative disagreement between the two moment evaluations."""
-    gap = 0.0
-    for a, b in zip(rec.ravel(), direct.ravel()):
-        scale = max(abs(a), abs(b))
-        if scale < MOMENT_FLOOR:
-            continue
-        gap = max(gap, abs(a - b) / scale)
-    return gap
-
-
-def _moments_double(params, boundary, s0, n_max):
-    """Hat and full factorial moments at z = 1 from the recursions, float64."""
-    lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
-    top = n_max + 1  # interior rows carry one extra order for row c
-    hat = np.zeros((c + 1, top + 1))
-    hat[:c, 0] = s0[:c]
-    for n in range(1, top + 1):
-        hat[0, n] = (
-            n * lam * hat[0, n - 1] + lam * boundary[0, c - 1] * _falling(c, n)
-        ) / (c * alpha)
-    for i in range(1, c):
-        for n in range(1, top + 1):
-            term2 = hat[i, n - 2] if n >= 2 else 0.0
-            hat[i, n] = (
-                (c - i + 1) * alpha * hat[i - 1, n]
-                + n * (lam - i * mu - (c - i) * alpha) * hat[i, n - 1]
-                + n * (n - 1) * lam * term2
-                + lam * boundary[i, c - 1] * _falling(c - i + 1, n)
-                - i * mu * boundary[i, c] * _falling(c - i, n)
-            ) / ((c - i) * alpha)
-    for n in range(0, n_max + 1):
-        prev = hat[c, n - 1] if n >= 1 else 0.0
-        hat[c, n] = (alpha * hat[c - 1, n + 1] + (n + 1) * n * lam * prev) / (
-            (n + 1) * (c * mu - lam)
-        )
-
-    full = np.zeros((c + 1, n_max + 1))
-    for i in range(c):
-        for n in range(n_max + 1):
-            full[i, n] = (
-                sum(boundary[i, j] * _falling(j - i, n) for j in range(i, c)) + hat[i, n]
-            )
-    full[c, : n_max + 1] = hat[c, : n_max + 1]
-    return full, hat
-
-
-def _moments_mp(params, pi_mp, A_mp, zh_mp, dps, n_max):
-    """Same recursions in mpmath; inputs are the mp pipeline's exact values."""
-    c = params.c
-    with mp.workdps(dps):
-        lam, mu, alpha = mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(params.alpha)
-
-        def s0_row(i):
-            return mp.fsum(A_mp[i][k] / (zh_mp[k] - 1) for k in range(i + 1))
-
-        top = n_max + 1
-        hat = [[mp.mpf(0)] * (top + 1) for _ in range(c + 1)]
-        for i in range(c):
-            hat[i][0] = s0_row(i)
-        for n in range(1, top + 1):
-            hat[0][n] = (
-                n * lam * hat[0][n - 1] + lam * pi_mp[0][c - 1] * _falling(c, n)
-            ) / (c * alpha)
-        for i in range(1, c):
-            for n in range(1, top + 1):
-                term2 = hat[i][n - 2] if n >= 2 else mp.mpf(0)
-                hat[i][n] = (
-                    (c - i + 1) * alpha * hat[i - 1][n]
-                    + n * (lam - i * mu - (c - i) * alpha) * hat[i][n - 1]
-                    + n * (n - 1) * lam * term2
-                    + lam * pi_mp[i][c - 1] * _falling(c - i + 1, n)
-                    - i * mu * pi_mp[i][c] * _falling(c - i, n)
-                ) / ((c - i) * alpha)
-        for n in range(0, n_max + 1):
-            prev = hat[c][n - 1] if n >= 1 else mp.mpf(0)
-            hat[c][n] = (alpha * hat[c - 1][n + 1] + (n + 1) * n * lam * prev) / (
-                (n + 1) * (c * mu - lam)
-            )
-
-        full = np.zeros((c + 1, n_max + 1))
-        hatf = np.zeros((c + 1, top + 1))
-        for i in range(c + 1):
-            for n in range(top + 1):
-                hatf[i, n] = float(hat[i][n])
-        for i in range(c):
-            for n in range(n_max + 1):
-                head = mp.fsum(
-                    pi_mp[i][j] * _falling(j - i, n) for j in range(i, c)
-                )
-                full[i, n] = float(head + hat[i][n])
-        full[c] = hatf[c, : n_max + 1]
-        return full, hatf
+    """Worst relative disagreement between the two moment evaluations of
+    order >= 1; a nan or inf moment yields nan, which no tolerance accepts."""
+    a, b = rec[:, 1:].astype(float), direct[:, 1:].astype(float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    keep = ~(scale < MOMENT_FLOOR)
+    return float(np.max(np.abs(a - b)[keep] / scale[keep], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +368,6 @@ class GfSolution:
     info: dict = field(default_factory=dict)
     _tail: PoleTail | None = None
 
-    @property
-    def pi00(self) -> float:
-        return float(self.boundary[0, 0])
-
     def mp_tail(self) -> tuple | None:
         """(A_mp, zhat_mp, dps) when extended precision produced the tail."""
         return self._tail._mp if self._tail is not None else None
@@ -547,12 +386,6 @@ class GfSolution:
     def to_dict(self) -> dict:
         """JSON-ready dump of the closed form: roots, boundary block, tail
         coefficients, factorial moments."""
-        from .model import params_to_dict
-
-        info = {
-            k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
-            for k, v in self.info.items()
-        }
         return {
             "method": "gf",
             "params": params_to_dict(self.params),
@@ -561,114 +394,74 @@ class GfSolution:
             "boundary": self.boundary.tolist(),
             "tail_coefficients": self.A.tolist(),
             "factorial_moments": self.moments_full.tolist(),
-            "info": info,
+            "info": dict(self.info),
         }
 
 
-def solve(
-    params: QueueParams,
-    n_moments: int = 4,
-    head_levels: int = 60,
-    dps: int | None = None,
-) -> GfSolution:
+def solve(params: QueueParams, dps: int | None = None) -> GfSolution:
     """Solve the queue by the generating-function method.
 
-    n_moments: highest factorial moment order to compute (>= 1).
-    head_levels: tail levels materialized eagerly when extended precision is
-        in play (the tail object extends itself lazily past this).
-    dps: force a specific mpmath precision; None picks float64 when safe and
-        otherwise just enough digits for ~1e-16 relative accuracy.
+    dps: run one mpmath pass at this precision and report its certificates
+        as they are; None starts with the float64 probe and, when that cannot
+        certify itself, escalates to just enough digits for ~1e-16 relative
+        accuracy.
     """
     validate(params)
-    if n_moments < 1:
-        raise ValueError("n_moments must be >= 1")
     c = params.c
     roots = characteristic_roots(params)
 
-    boundary, A, log_max = _solve_double(params, roots)
-    info: dict = {"pf_log10_max_coeff": log_max}
-
-    if dps is None and log_max <= math.log10(DOUBLE_COEFF_LIMIT):
-        tail = PoleTail(A, roots.zhat)
-        s0 = tail.sum0()
-        moments_full, moments_hat = _moments_double(params, boundary, s0, n_moments)
-        mgap = _moment_gap(
-            moments_full[:, 1:],
-            _moments_direct_double(params, boundary, A, roots.zhat, n_moments)[:, 1:],
-        )
-        if mgap < MOMENT_CERT_DOUBLE:
-            info["precision_digits"] = None
-            info["moment_certificate_gap"] = mgap
-            sol = GfSolution(
-                params, roots, boundary, A, moments_full, moments_hat, info
-            )
-            sol._tail = tail
-            return sol
-        # the two float64 moment evaluations drifted apart (the forward
-        # recursion amplifies roundoff when (c-i) alpha divisors are small,
-        # the direct sum cancels when coefficients alternate): redo in mp
-
-    if dps is not None:
-        # caller pinned the precision: one pass, certificates reported as-is
-        out = _solve_mp(params, dps, head_levels)
-        need = dps
-        moments_full, moments_hat = _moments_mp(
-            params, out["pi_mp"], out["A_mp"], out["zh_mp"], need, n_moments
-        )
-        mgap = _moment_gap(
-            moments_full[:, 1:],
-            _moments_direct_mp(
-                params, out["pi_mp"], out["A_mp"], out["zh_mp"], need, n_moments
-            )[:, 1:],
-        )
-    else:
-        # The float64 magnitude estimate is only a hint (cancellation noise
-        # corrupts it in both directions), so the real control is the loop:
-        # a pass is accepted only when its own measured max coefficient fits
-        # inside the mantissa with ~26 digits to spare AND the independent
-        # pi_{c,c} cut-vs-tail certificate agrees.  Coefficient magnitudes
-        # grow roughly like 10^(0.4 c) when the poles pack with growing c,
-        # hence the structural seed term.
-        envelope = 0.42 * c + 30.0
-        hint = min(max(log_max, 0.0), envelope)
-        need = max(30, 26 + int(math.ceil(hint)), 26 + int(math.ceil(0.42 * c)))
-        for _ in range(6):
-            if need > DPS_CAP:
-                a, b = _closest_pair(roots.zhat)
-                raise DegeneratePolesError(a, b, roots.zhat[a], roots.zhat[b])
-            out = _solve_mp(params, need, head_levels)
-            refreshed = 26 + int(math.ceil(max(out["log10_max_coeff"], 0.0)))
-            moments_full, moments_hat = _moments_mp(
-                params, out["pi_mp"], out["A_mp"], out["zh_mp"], need, n_moments
-            )
-            mgap = _moment_gap(
-                moments_full[:, 1:],
-                _moments_direct_mp(
-                    params, out["pi_mp"], out["A_mp"], out["zh_mp"], need, n_moments
-                )[:, 1:],
-            )
-            if out["cc_gap"] < 1e-14 and mgap < MOMENT_CERT_MP and need >= refreshed:
+    digits = dps  # None: the float64 probe
+    for _ in range(7):  # the probe plus at most six mpmath passes
+        if dps is None and digits is not None and digits > DPS_CAP:
+            raise _closest_pair(roots.zhat)[1]
+        # float64 keeps IEEE semantics (overflow gives inf or nan, never an
+        # exception: the probe only estimates); mpmath runs at `digits`
+        with np.errstate(all="ignore") if digits is None else mp.workdps(digits):
+            zh = roots.zhat if digits is None else _mp_outer_roots(params)
+            pi, A, log_max, cc_gap = _boundary_pass(params, zh)
+            # a probe whose coefficients alternate past DOUBLE_COEFF_LIMIT has
+            # cancelled into noise: its moments are not worth certifying
+            mgap = math.inf
+            if digits is not None or log_max <= math.log10(DOUBLE_COEFF_LIMIT):
+                head = _head_moments(pi, N_MOMENTS)
+                s0 = pole_sums(A, 1 / (zh - 1))  # row tail masses
+                moments_full, moments_hat = _moments(params, pi, s0, head)
+                direct = _moments_direct(params, A, zh, head)
+                mgap = _moment_gap(moments_full, direct)
+        if digits is None:
+            if mgap < MOMENT_CERT_DOUBLE:
                 break
-            need = max(refreshed, int(math.ceil(1.6 * need)))
-        else:
-            raise InternalInconsistencyError(
-                f"precision escalation failed to converge (last dps {need}, "
-                f"certificate gaps {out['cc_gap']:.3g} / {mgap:.3g})"
-            )
+            # The float64 magnitude estimate is only a hint (cancellation
+            # noise corrupts it in both directions), so the real control is
+            # the escalation: a pass is accepted only when its own measured
+            # max coefficient fits inside the mantissa with ~26 digits to
+            # spare AND the independent pi_{c,c} cut-vs-tail certificate
+            # agrees.  Coefficient magnitudes grow roughly like 10^(0.4 c)
+            # when the poles pack with growing c, hence the structural seed.
+            # A probe that fails its moment certificate (the forward
+            # recursion amplifies roundoff when (c-i) alpha divisors are
+            # small, the direct sum cancels when coefficients alternate)
+            # escalates the same way.
+            hint = min(max(log_max, 0.0), 0.42 * c + 30.0)
+            digits = max(30, 26 + int(math.ceil(hint)), 26 + int(math.ceil(0.42 * c)))
+            continue
+        refreshed = 26 + int(math.ceil(max(log_max, 0.0)))
+        if dps is not None or (
+            cc_gap < 1e-14 and mgap < MOMENT_CERT_MP and digits >= refreshed
+        ):
+            break
+        digits = max(refreshed, int(math.ceil(1.6 * digits)))
+    else:
+        raise InternalInconsistencyError(
+            f"precision escalation failed to converge (last dps {digits}, "
+            f"certificate gaps {cc_gap:.3g} / {mgap:.3g})"
+        )
 
-    info["precision_digits"] = need
-    info["pf_log10_max_coeff"] = out["log10_max_coeff"]
-    info["pi_cc_certificate_gap"] = out["cc_gap"]
-    info["moment_certificate_gap"] = mgap
-    tail = PoleTail(
-        out["A_float"],
-        roots.zhat,
-        head=out["head"],
-        mp_state=(out["A_mp"], out["zh_mp"], need),
-        sums=(out["s0"], out["s1"]),
-    )
-    sol = GfSolution(
-        params, roots, out["boundary"], out["A_float"], moments_full, moments_hat, info
-    )
-    sol._tail = tail
-    return sol
+    info = {
+        "pf_log10_max_coeff": log_max,
+        "precision_digits": digits,
+        "pi_cc_certificate_gap": cc_gap,
+        "moment_certificate_gap": mgap,
+    }
+    floats = (x.astype(float) for x in (pi, A, moments_full, moments_hat))
+    return GfSolution(params, roots, *floats, info, PoleTail(A, zh, digits))

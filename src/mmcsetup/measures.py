@@ -18,7 +18,6 @@ __all__ = [
     "PerformanceReport",
     "DecompositionReport",
     "performance",
-    "switching_rate",
     "costs",
     "full_report",
     "decomposition",
@@ -110,17 +109,6 @@ def _switch_sides(dist, params: QueueParams, e_setup: float):
     side_mu = float((i * params.mu * diag).sum())
     side_mu += c * params.mu * float(dist.tail.level(0)[c])
     return side_alpha, side_mu
-
-
-def switching_rate(dist, params: QueueParams) -> float:
-    """Rate of OFF->ON transitions, validated against the ON->OFF side."""
-    side_alpha, side_mu = _switch_sides(dist, params, _setup_expectation(dist, params))
-    if abs(side_alpha - side_mu) > 1e-10 * max(1.0, abs(side_mu)):
-        raise InternalInconsistencyError(
-            f"switching balance violated: alpha side {side_alpha!r}, "
-            f"mu side {side_mu!r}"
-        )
-    return side_mu
 
 
 def performance(dist, params: QueueParams, brute_levels: int | None = None) -> PerformanceReport:

@@ -10,7 +10,6 @@ the only way a server powers down.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -117,8 +116,8 @@ def iter_states(params: QueueParams, j_max: int) -> Iterator[State]:
 # config file I/O
 
 
-_PARAM_KEYS = {"lambda", "mu", "c", "alpha", "rho"}
-_COST_KEYS = {"ca": "c_active", "cs": "c_setup", "ci": "c_idle", "csw": "c_switch"}
+PARAM_KEYS = {"lambda", "mu", "c", "alpha", "rho"}
+COST_KEYS = {"ca": "c_active", "cs": "c_setup", "ci": "c_idle", "csw": "c_switch"}
 
 
 def read_config(path: str) -> dict[str, float]:
@@ -138,7 +137,7 @@ def read_config(path: str) -> dict[str, float]:
                 raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().lower()
-            if key not in _PARAM_KEYS and key not in _COST_KEYS:
+            if key not in PARAM_KEYS and key not in COST_KEYS:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise InvalidConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -153,31 +152,34 @@ def read_config(path: str) -> dict[str, float]:
     return raw
 
 
-def params_from_config(path: str) -> tuple[QueueParams, CostParams]:
-    """Read a config file into parameter objects.
+def resolve_params(raw: dict, need_alpha: bool = True) -> tuple[QueueParams, CostParams]:
+    """Parameter objects from a dict keyed like a config file.
 
-    Accepts either ``lambda`` or ``rho`` (converted as lambda = rho * c * mu)
-    but not both.
+    mu defaults to 1 and the costs to CostParams().  A ``rho`` is turned into
+    lambda = rho * c * mu only here, so a caller that merged overrides of c
+    or mu into ``raw`` keeps the stated traffic intensity.  With
+    need_alpha=False a missing alpha becomes a placeholder 1, for callers
+    that sweep or solve for it.
     """
-    raw = read_config(path)
-
-    mu = raw.get("mu", 1.0)
-    c = raw.get("c")
-    if c is None:
-        raise InvalidConfigError(f"{path}: missing required key 'c'")
-    c = int(c)
+    if "c" not in raw:
+        raise InvalidConfigError("c is required (config key c or flag --c)")
+    c, mu = int(raw["c"]), raw.get("mu", 1.0)
     if "rho" in raw:
         lam = raw["rho"] * c * mu
     elif "lambda" in raw:
         lam = raw["lambda"]
     else:
-        raise InvalidConfigError(f"{path}: missing 'lambda' (or 'rho')")
-    if "alpha" not in raw:
-        raise InvalidConfigError(f"{path}: missing required key 'alpha'")
-    params = QueueParams(lam=lam, mu=mu, c=c, alpha=raw["alpha"])
+        raise InvalidConfigError("lambda or rho is required (config key or flag)")
+    if need_alpha and "alpha" not in raw:
+        raise InvalidConfigError("alpha is required (config key alpha or flag --alpha)")
+    params = QueueParams(lam=lam, mu=mu, c=c, alpha=raw.get("alpha", 1.0))
+    costs = CostParams(**{attr: raw[k] for k, attr in COST_KEYS.items() if k in raw})
+    return params, costs
 
-    cost_kwargs = {attr: raw[k] for k, attr in _COST_KEYS.items() if k in raw}
-    return params, CostParams(**cost_kwargs)
+
+def params_from_config(path: str) -> tuple[QueueParams, CostParams]:
+    """Read a config file into parameter objects (see resolve_params)."""
+    return resolve_params(read_config(path))
 
 
 def params_to_dict(params: QueueParams) -> dict:
@@ -190,6 +192,3 @@ def params_to_dict(params: QueueParams) -> dict:
         "rho": params.rho,
     }
 
-
-def dump_params(params: QueueParams) -> str:
-    return json.dumps(params_to_dict(params), indent=2)

@@ -323,10 +323,6 @@ class QbdSolution:
     info: dict
     _dist: object = field(default=None, repr=False)
 
-    @property
-    def pi00(self) -> float:
-        return float(self.levels[0][0])
-
     def distribution(self) -> JointDistribution:
         if self._dist is None:
             c = self.params.c

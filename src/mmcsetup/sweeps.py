@@ -2,9 +2,11 @@
 
 Each grid point is solved independently and emitted as one CSV row with the
 full performance report plus always-on baseline columns, so the output feeds
-plotting scripts and golden-file diffs directly.  Per-point solver failures
-land in an ``error`` column and the sweep keeps going.  Output is
-deterministic: fixed column order, points in grid order, floats via repr.
+plotting scripts and golden-file diffs directly.  A gf point on the
+confluent line is solved by qbd instead and flagged in the ``fallback``
+column; other per-point solver failures land in an ``error`` column and the
+sweep keeps going.  Output is deterministic: fixed column order, points in
+grid order, floats via repr.
 """
 
 from dataclasses import dataclass, replace
@@ -92,9 +94,20 @@ def validate_spec(spec: SweepSpec) -> None:
 
 
 def solve_distribution(params: QueueParams, method: str):
-    """Joint stationary distribution by the requested method."""
+    """Joint stationary distribution by the requested method.
+
+    On the confluent line alpha = mu (1 - rho) the closed form has no
+    partial-fraction tail and gf raises DegeneratePolesError; the matrix
+    recursions do not care, so gf falls back to qbd there and the
+    distribution's info["fallback"] records it as "gf->qbd".
+    """
     if method == "gf":
-        return gf.solve(params).distribution()
+        try:
+            return gf.solve(params).distribution()
+        except DegeneratePolesError:
+            dist = solve_distribution(params, "qbd")
+            dist.info["fallback"] = "gf->qbd"
+            return dist
     if method == "qbd":
         return qbd.solve(params, with_g=False).distribution()
     if method == "ctmc":
@@ -103,7 +116,7 @@ def solve_distribution(params: QueueParams, method: str):
 
 
 _PARAM_COLS = ["index", "var", "value", "lambda", "mu", "alpha", "c", "rho"]
-_BASE_COLS = ["onidle_e_jobs", "onidle_e_busy", "method_gap", "error"]
+_BASE_COLS = ["onidle_e_jobs", "onidle_e_busy", "method_gap", "fallback", "error"]
 _SIM_COLS = ["sim_e_jobs", "sim_hw_jobs"]
 
 
@@ -145,9 +158,11 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[dict]:
             "error": "",
         }
         try:
-            reports = [
-                full_report(solve_distribution(p, m), p, costs) for m in analytic
-            ]
+            dists = [solve_distribution(p, m) for m in analytic]
+            reports = [full_report(d, p, costs) for d in dists]
+            row["fallback"] = " ".join(
+                d.info["fallback"] for d in dists if "fallback" in d.info
+            )
             gap = _report_gap(reports)
             if reports:
                 rep = reports[0]
@@ -248,13 +263,7 @@ def crossover_finder(
 
     def gap(a: float) -> float:
         p = replace(params, alpha=a)
-        try:
-            dist = solve_distribution(p, method)
-        except DegeneratePolesError:
-            # bisection can land on a confluent-root alpha; the matrix
-            # recursions do not care
-            dist = solve_distribution(p, "qbd")
-        rep = performance(dist, p)
+        rep = performance(solve_distribution(p, method), p)
         return costs.c_active * rep.e_active + costs.c_setup * rep.e_setup - baseline
 
     g_lo, g_hi = gap(lo), gap(hi)

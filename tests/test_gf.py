@@ -12,13 +12,6 @@ P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
 SQRT5 = math.sqrt(5.0)
 
 
-def test_pochhammer():
-    assert gf.pochhammer(5.0, 0) == 1.0
-    assert gf.pochhammer(2, 3) == 24.0
-    assert gf.pochhammer(0, 2) == 0.0
-    assert gf.pochhammer(1, 4) == 24.0  # plain factorial
-
-
 def test_root_closed_forms():
     r = gf.characteristic_roots(P112)
     assert r.z[1] == pytest.approx((3.0 - SQRT5) / 2.0, abs=1e-14)
@@ -226,3 +219,23 @@ def test_adaptive_precision_reports_certificate():
     sol = gf_solution(p)
     assert sol.info["pi_cc_certificate_gap"] < 1e-9
     assert sol.distribution().total_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_float64_and_pinned_precision_passes_agree():
+    # float64 certifies this point, so the one pipeline run in float64 and
+    # in mpmath at a pinned 40 digits must give the same closed form
+    p = QueueParams(lam=10.0, mu=1.0, alpha=50.0, c=20)
+    fast, slow = gf.solve(p), gf.solve(p, dps=40)
+    assert fast.info["precision_digits"] is None
+    assert slow.info["precision_digits"] == 40
+    for name in ("boundary", "A", "moments_full"):
+        np.testing.assert_allclose(
+            getattr(fast, name), getattr(slow, name), rtol=1e-12, atol=0.0, err_msg=name
+        )
+    # the extended-precision tail starts empty and computes its levels
+    # lazily from level 0, one at a time as they are asked for
+    tail, ref = slow.distribution().tail, fast.distribution().tail
+    assert tail.to_dict()["materialized_levels"] == 0
+    for m in range(131):
+        np.testing.assert_allclose(tail.level(m), ref.level(m), rtol=1e-12, atol=0.0)
+    assert tail.to_dict()["materialized_levels"] == 131

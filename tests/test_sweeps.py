@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from mmcsetup import mmc, sweeps
+from mmcsetup import mmc, qbd, sweeps
 from mmcsetup.errors import InvalidConfigError, NoCrossingError, UnstableError
+from mmcsetup.measures import full_report
 from mmcsetup.model import CostParams, QueueParams
 
 
@@ -68,13 +71,15 @@ def test_ratio_sweep_moves_costs_only():
 
 
 def test_confluent_point_lands_in_error_column():
-    # middle point sits exactly on alpha = mu (1 - rho): gf must report,
-    # not crash, and the sweep continues past it
+    # middle point sits exactly on alpha = mu (1 - rho): gf has no closed
+    # form there, so the row is solved by qbd and flagged, not failed
     sp = spec(grid=(0.3, 0.5, 0.8), methods=("gf",))
     rows = sweeps.run_sweep(sp)
-    assert rows[1]["error"] == "DegeneratePoles"
-    assert "e_jobs" not in rows[1]
-    assert rows[0]["error"] == "" and rows[2]["error"] == ""
+    assert [row["error"] for row in rows] == ["", "", ""]
+    assert [row["fallback"] for row in rows] == ["", "gf->qbd", ""]
+    p = replace(sp.params, alpha=0.5)
+    want = full_report(qbd.solve(p, with_g=False).distribution(), p).e_jobs
+    assert rows[1]["e_jobs"] == want
 
 
 def test_csv_deterministic(tmp_path):
