@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import ctmc, gf, qbd
 from .errors import InvalidConfigError, QueueModelError
 from .measures import full_report
 from .model import (
@@ -85,25 +84,10 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _solve_full(params: QueueParams, method: str):
-    """Distribution plus a JSON-ready solution dump for one method."""
-    if method == "gf":
-        sol = gf.solve(params)
-        return sol.distribution(), sol.to_dict()
-    if method == "qbd":
-        sol = qbd.solve(params)
-        return sol.distribution(), sol.to_dict()
-    if method == "ctmc":
-        dist = ctmc.solve_adaptive(params)
-        return dist, dist.to_dict()
-    raise InvalidConfigError(f"unknown method {method!r}")
-
-
 def _cmd_solve(args) -> int:
     params, costs = _build_params(args)
     methods = ANALYTIC_METHODS if args.method == "all" else (args.method,)
-    dist, solution = _solve_full(params, methods[0])
-    dists = {methods[0]: dist, **{m: solve_distribution(params, m) for m in methods[1:]}}
+    dists = {m: solve_distribution(params, m) for m in methods}
     reports = {m: full_report(d, params, costs) for m, d in dists.items()}
     report = reports[methods[0]]
     extra = {}
@@ -121,6 +105,7 @@ def _cmd_solve(args) -> int:
         "report": report.to_dict(),
         **extra,
     }
+    solution = dists[methods[0]].to_dict()
     if args.out:
         with open(args.out + ".report.json", "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -36,7 +36,7 @@ from scipy.special import logsumexp
 
 from .distribution import JointDistribution, PoleTail, pole_sums
 from .errors import DegeneratePolesError, InternalInconsistencyError
-from .model import QueueParams, params_to_dict, validate
+from .model import QueueParams, validate
 
 # pairwise relative pole gap below which the partial-fraction form is refused
 GAP_TOL = 1e-9
@@ -382,20 +382,6 @@ class GfSolution:
         return JointDistribution(
             self.params, self.boundary[:, :c].copy(), self._tail, "gf", dict(self.info)
         )
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump of the closed form: roots, boundary block, tail
-        coefficients, factorial moments."""
-        return {
-            "method": "gf",
-            "params": params_to_dict(self.params),
-            "roots_inner": self.roots.z.tolist(),
-            "roots_outer": self.roots.zhat.tolist(),
-            "boundary": self.boundary.tolist(),
-            "tail_coefficients": self.A.tolist(),
-            "factorial_moments": self.moments_full.tolist(),
-            "info": dict(self.info),
-        }
 
 
 def solve(params: QueueParams, dps: int | None = None) -> GfSolution:

@@ -11,7 +11,9 @@ when the zhat_i collide and the partial-fraction solver has to give up.
 The first-passage matrix G is built the same way (g_{i,i} = z_i, and
 g_{c,c} = 1 because from phase c the level process is a stable M/M/1 whose
 descent is certain).  Boundary levels get their own rectangular R^{(i)} and
-G^{(n)} via backward sweeps of small triangular solves.
+G^{(n)} via backward sweeps of small triangular solves, subtraction-free
+as well: each diagonal comes from the known row sums (see
+level_rate_matrices).
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
@@ -21,7 +23,6 @@ pi_{c+k} = pi_c R^k with the normalization summed exactly through
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp
 from scipy.linalg import solve_triangular
 
 from .distribution import GeometricTail, JointDistribution
@@ -175,6 +176,12 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) with
     A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, one triangular solve
     per level.  Index 0 is None (level 0 has no predecessor).
+
+    The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
+    Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
+    -(r*mu + its row's off-diagonal sum), a sum of nonnegative terms
+    (Grassmann-Taksar-Heyman), and the triangular solve on this M-matrix
+    with a same-signed right-hand side never subtracts either.
     """
     p = blocks.params
     lam, mu, c = p.lam, p.mu, p.c
@@ -188,6 +195,8 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
             # Qm1^(i+1) is diagonal plus one subdiagonal corner entry
             a += r_next[:, : i + 1] * (mu * np.arange(i + 1))[None, :]
             a[:, i] += r_next[:, i + 1] * (mu * (i + 1))
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -(mu * np.arange(i + 1) + a.sum(axis=1)))
         diag = np.diagonal(a)
         if np.any(np.abs(diag) < 1e-14):
             raise InternalInconsistencyError(
@@ -204,30 +213,22 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
 def g_levels(blocks: QbdBlocks, g_hom: np.ndarray) -> list:
     """Boundary matrices G^(1)..G^(c); each is (n+1) x n and row-stochastic.
 
-    The backward sweep amplifies roundoff when alpha << lam (the system
-    matrix approaches lam*(I - G), nearly singular), so the row-sum defect
-    is checked and the whole sweep redone in arbitrary precision when the
-    double-precision pass cannot certify 1e-11.  The rerun costs O(c^4)
-    software-float operations, so it is attempted only up to c = 64; past
-    that the double-precision result is returned as computed.
+    G^(n) = M^{-1} Qm1^(n) with M = -Q0^(n) - Q1^(n)*G^(n+1), whose rows
+    sum to r*mu because G^(n+1) is row-stochastic.  Each diagonal entry is
+    r*mu minus the row's nonpositive off-diagonal sum, so, as in
+    level_rate_matrices, the sweep never subtracts.
     """
-    out, defect = _g_sweep(blocks, g_hom)
-    if defect > 1e-11 and blocks.params.c <= 64:
-        out = _g_sweep_mp(blocks)
-    return out
-
-
-def _g_sweep(blocks: QbdBlocks, g_hom: np.ndarray):
     p = blocks.params
     c = p.c
     out: list = [None] * (c + 1)
     g_next = g_hom
-    defect = 0.0
     for n in range(c, 0, -1):
         m = -blocks.level_q0(n)
         # Q1^(n) * G^(n+1) is lam times the first n+1 rows; the dropped row
         # is the corner one, so m stays exactly upper triangular
         m -= p.lam * g_next[: n + 1, :]
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, p.mu * np.arange(n + 1) - m.sum(axis=1))
         if np.any(np.abs(np.diagonal(m)) < 1e-14):
             raise InternalInconsistencyError(
                 f"singular diagonal in passage solve at level {n}"
@@ -235,72 +236,7 @@ def _g_sweep(blocks: QbdBlocks, g_hom: np.ndarray):
         gn = solve_triangular(m, blocks.level_qm1(n), lower=False)
         out[n] = gn
         g_next = gn
-        defect = max(defect, float(np.abs(gn.sum(axis=1) - 1.0).max()))
-    return out, defect
-
-
-def _g_sweep_mp(blocks: QbdBlocks, dps: int = 50) -> list:
-    """Extended-precision rerun of the G-level sweep, float64 results."""
-    p = blocks.params
-    c = p.c
-    for use_dps in (dps, 4 * dps):
-        with mp.workdps(use_dps):
-            lam, mu, alpha = mp.mpf(p.lam), mp.mpf(p.mu), mp.mpf(p.alpha)
-            z = []
-            for i in range(c + 1):
-                s = lam + i * mu + (c - i) * alpha
-                z.append(2 * i * mu / (s + mp.sqrt(s * s - 4 * i * lam * mu)))
-            g = [[mp.mpf(0)] * (c + 1) for _ in range(c + 1)]
-            for i in range(c):
-                g[i][i] = z[i]
-            g[c][c] = mp.mpf(1)
-            for h in range(1, c + 1):
-                for i in range(0, c + 1 - h):
-                    k = i + h
-                    num = (c - i) * alpha * g[i + 1][k] + lam * mp.fsum(
-                        g[i][t] * g[t][k] for t in range(i + 1, k)
-                    )
-                    den = (lam + i * mu + (c - i) * alpha) - lam * (
-                        g[i][i] + g[k][k]
-                    )
-                    g[i][k] = num / den
-
-            out: list = [None] * (c + 1)
-            g_next = g
-            defect = mp.mpf(0)
-            for n in range(c, 0, -1):
-                m = [
-                    [-lam * g_next[r][s] for s in range(n + 1)]
-                    for r in range(n + 1)
-                ]
-                for r in range(n + 1):
-                    m[r][r] += lam + r * mu + (n - r) * alpha
-                    if r < n:
-                        m[r][r + 1] -= (n - r) * alpha
-                x = [[mp.mpf(0)] * n for _ in range(n + 1)]
-                for r in range(n, -1, -1):
-                    for s in range(n):
-                        b = mp.mpf(0)
-                        if r == s and 1 <= r <= n - 1:
-                            b = r * mu
-                        elif r == n and s == n - 1:
-                            b = n * mu
-                        acc = b - mp.fsum(
-                            m[r][t] * x[t][s] for t in range(r + 1, n + 1)
-                        )
-                        x[r][s] = acc / m[r][r]
-                for r in range(n + 1):
-                    defect = max(defect, abs(mp.fsum(x[r]) - 1))
-                out[n] = x
-                g_next = x
-            if defect < mp.mpf("1e-13"):
-                return [
-                    None if rows is None else np.array(rows, dtype=float)
-                    for rows in out
-                ]
-    raise InternalInconsistencyError(
-        "passage-probability sweep failed to certify row sums"
-    )
+    return out
 
 
 def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
@@ -420,12 +356,14 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     r_hom = rate_matrix(params)
     rlev = level_rate_matrices(blocks, r_hom)
 
-    # level-0 balance is a 1x1 system that vanishes identically in exact
-    # arithmetic.  The backward sweep has one subtractive step per diagonal
-    # entry, so the computed gap grows with c; it measures the RELATIVE
-    # noise on boundary levels whose mass is exponentially small, and the
-    # distribution stays accurate in absolute terms.  Reported, not raised.
+    # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
+    # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
+    # roundoffs at any c; anything larger (or nan/inf) means the sweep broke
     gap = abs(-params.lam + params.mu * rlev[1][0, 1]) / params.lam
+    if not gap <= 1e-12:
+        raise InternalInconsistencyError(
+            f"level-0 balance gap {gap!r} after the boundary sweep"
+        )
 
     pi = [np.ones(1)]
     for i in range(1, c + 1):

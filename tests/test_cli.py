@@ -23,8 +23,19 @@ def test_solve_single_method(capsys):
     assert code == 0
     assert d["method"] == "gf"
     assert d["report"]["e_jobs"] == pytest.approx(2.0913719988157773, abs=1e-9)
-    assert d["solution"]["method"] == "gf"
+    assert d["solution"]["source"] == "gf"
     assert d["params"]["c"] == 2
+
+
+def test_solve_confluent_point_falls_back(capsys):
+    # alpha = mu (1 - rho): the closed form has no tail, so gf hands over to qbd
+    point = ("--lambda", "1", "--mu", "1", "--alpha", "0.5", "--c", "2")
+    code, d = run_json(capsys, "solve", *point)
+    assert code == 0
+    assert d["solution"]["info"]["fallback"] == "gf->qbd"
+    code, q = run_json(capsys, "solve", *point, "--method", "qbd")
+    assert code == 0
+    assert d["report"]["e_jobs"] == q["report"]["e_jobs"]
 
 
 def test_solve_all_methods_agree(capsys):
@@ -59,7 +70,7 @@ def test_solve_out_prefix(capsys, tmp_path):
     rep = json.loads((tmp_path / "run1.report.json").read_text())
     sol = json.loads((tmp_path / "run1.solution.json").read_text())
     assert rep["report"]["e_jobs"] == pytest.approx(2.0913719988157773, abs=1e-9)
-    assert sol["method"] == "gf"
+    assert sol["source"] == "gf"
 
 
 def test_unstable_is_a_clean_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import qbd
+from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.gf import quadratic_roots
 from mmcsetup.model import QueueParams, State, iter_states, transition_rates
 
@@ -104,9 +105,16 @@ def test_r_from_g_identity():
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
-def test_level_rate_matrices_structure():
-    sol = qbd_solution(QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3))
-    for i in range(1, 4):
+P3 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3)
+# where a subtractive boundary sweep breaks down: negative R^(i) entries,
+# G-level rows off by 1
+P100 = QueueParams(lam=50.0, mu=1.0, alpha=0.7, c=100)
+
+
+@pytest.mark.parametrize("p", [P3, P100], ids=["c3", "c100"])
+def test_level_rate_matrices_structure(p):
+    sol = qbd_solution(p)
+    for i in range(1, p.c + 1):
         ri = sol.rlevels[i]
         assert ri.shape == (i, i + 1)
         assert np.all(ri >= 0)
@@ -116,12 +124,13 @@ def test_level_rate_matrices_structure():
                 assert ri[a, b] == 0.0
 
 
-def test_level_g_matrices():
-    sol = qbd_solution(QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3))
-    for n in range(1, 4):
+@pytest.mark.parametrize("p, row_tol", [(P3, 1e-10), (P100, 1e-12)], ids=["c3", "c100"])
+def test_level_g_matrices(p, row_tol):
+    sol = qbd_solution(p)
+    for n in range(1, p.c + 1):
         gn = sol.glevels[n]
         assert gn.shape == (n + 1, n)
-        assert np.max(np.abs(gn.sum(axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(gn.sum(axis=1) - 1.0)) < row_tol
     # from level 1 the chain reaches level 0 with certainty
     assert np.max(np.abs(sol.glevels[1] - 1.0)) < 1e-12
 
@@ -181,6 +190,20 @@ def test_solve_works_at_confluent_point():
         for i in range(min(j, 2) + 1)
     )
     assert worst < 1e-10
+
+
+def test_boundary_gap_is_checked(monkeypatch):
+    # a boundary sweep that breaks the level-0 balance must raise
+    sweep = qbd.level_rate_matrices
+
+    def broken(blocks, r_hom):
+        out = sweep(blocks, r_hom)
+        out[1][0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(qbd, "level_rate_matrices", broken)
+    with pytest.raises(InternalInconsistencyError):
+        qbd.solve(P112)
 
 
 def test_solution_serializes():
