@@ -2,28 +2,31 @@
 
 The chain is a quasi-birth-and-death process that is level-independent from
 level c upward and level-dependent below.  The homogeneous rate matrix R is
-upper triangular with known diagonal r_{i,i} = 1/zhat_i, and every
-off-diagonal entry follows from a recursion whose terms are all nonnegative
-and whose denominator is strictly positive under stability.  No iteration,
-no cancellation: the construction stays accurate in double precision even
-when the zhat_i collide and the partial-fraction solver has to give up.
+upper triangular with known diagonal r_{i,i} = 1/zhat_i.  Each column above
+the diagonal solves one small upper-triangular system in terms of the
+columns before it, with positive pivots, nonpositive off-diagonals and a
+nonnegative right-hand side.  No iteration, no cancellation: the
+construction stays accurate in double precision even when the zhat_i
+collide and the partial-fraction solver has to give up.
 
 The first-passage matrix G is built the same way (g_{i,i} = z_i, and
 g_{c,c} = 1 because from phase c the level process is a stable M/M/1 whose
-descent is certain).  Boundary levels get their own rectangular R^{(i)} and
-G^{(n)} via backward sweeps of small triangular solves, subtraction-free
-as well: each diagonal comes from the known row sums (see
-level_rate_matrices).
+descent is certain).  Boundary levels get their own rectangular R^{(i)}
+from a backward sweep with one triangular inverse per level,
+subtraction-free as well: each diagonal comes from the known row sums (see
+level_rate_matrices).  The boundary G^{(n)} take no solve of their own:
+each is a column scaling of R^{(n)} (see g_levels).
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
-(I - R)^{-1}.
+(I - R)^{-1}, one more triangular solve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .distribution import GeometricTail, JointDistribution
 from .errors import InternalInconsistencyError
@@ -88,6 +91,16 @@ class QbdBlocks:
         out[n, n - 1] = n * p.mu
         return out
 
+    def times_qm1(self, r: np.ndarray, n: int) -> np.ndarray:
+        """r @ level_qm1(n) without forming the block: a column scaling by
+        the service rates, plus, below level c, the corner column."""
+        p = self.params
+        if n > p.c:
+            return r * np.diagonal(self.qm1)
+        out = r[:, :n] * (p.mu * np.arange(n))
+        out[:, n - 1] += r[:, n] * (n * p.mu)
+        return out
+
     def assemble(self, j_max: int) -> np.ndarray:
         """Dense generator for levels 0..j_max with arrivals cut at the top."""
         p = self.params
@@ -122,25 +135,25 @@ def build_blocks(params: QueueParams) -> QbdBlocks:
 def rate_matrix(params: QueueParams) -> np.ndarray:
     """Minimal nonnegative R with lam*I + R*Q0 + R^2*Qm1 = 0.
 
-    Diagonal first (reciprocals of the large quadratic roots), then each
-    superdiagonal by increasing offset.  The denominator equals
-    lam*zhat_j - j*mu/zhat_i > 0, so every entry is a ratio of nonnegative
-    sums: the recursion is unconditionally stable.
+    The diagonal holds the reciprocals of the large quadratic roots.  Column
+    k above it solves one upper-triangular system in the unknowns r_{i,k},
+    i < k, whose matrix diag(q_k - k*mu*(r_ii + r_kk)) - k*mu*triu(R[:k,:k], 1)
+    needs only the columns already built.  Its pivots equal
+    lam*zhat_k - k*mu/zhat_i > 0, its off-diagonals are nonpositive and the
+    right-hand side (c-k+1)*alpha*R[:k, k-1] is nonnegative, so back
+    substitution only ever adds nonnegative terms.
     """
     validate(params)
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
     r = np.diag(1.0 / roots.zhat)
+    d = np.diagonal(r)
     j = np.arange(c + 1, dtype=float)
     q = lam + j * mu + (c - j) * alpha
-    for h in range(1, c + 1):
-        for i in range(0, c + 1 - h):
-            k = i + h
-            num = (c - k + 1) * alpha * r[i, k - 1]
-            if h > 1:
-                num += k * mu * (r[i, i + 1 : k] @ r[i + 1 : k, k])
-            den = q[k] - k * mu * (r[i, i] + r[k, k])
-            r[i, k] = num / den
+    for k in range(1, c + 1):
+        m = (-k * mu) * r[:k, :k]
+        np.fill_diagonal(m, q[k] - k * mu * (d[:k] + d[k]))
+        r[:k, k] = _upper_solve(m, (c - k + 1) * alpha * r[:k, k - 1])
     return r
 
 
@@ -150,100 +163,114 @@ def g_matrix(params: QueueParams) -> np.ndarray:
     g_{i,j} is the probability that, starting one level up in phase i, the
     first entry to the level below happens in phase j.  Phases only grow
     between departures, so G is upper triangular with g_{0,0} = 0,
-    g_{i,i} = z_i, and g_{c,c} = 1.
+    g_{i,i} = z_i, and g_{c,c} = 1.  Column k above the diagonal solves one
+    upper-triangular system as in rate_matrix, with matrix
+    diag(q_i - lam*(g_ii + g_kk)) - lam*triu(G[:k,:k], 1) and the setup
+    rates -(c-i)*alpha added on its superdiagonal; the only nonzero of the
+    right-hand side is (c-k+1)*alpha*g_kk in its last row.
     """
     validate(params)
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
     g = np.diag(roots.z)
+    d = np.diagonal(g)
     j = np.arange(c + 1, dtype=float)
-    q = lam + j * mu + (c - j) * alpha
-    for h in range(1, c + 1):
-        for i in range(0, c + 1 - h):
-            k = i + h
-            num = (c - i) * alpha * g[i + 1, k]
-            if h > 1:
-                num += lam * (g[i, i + 1 : k] @ g[i + 1 : k, k])
-            # q_i - lam*(z_i + g_kk) = lam*(zhat_i - g_kk) > 0: g_kk <= 1
-            den = q[i] - lam * (g[i, i] + g[k, k])
-            g[i, k] = num / den
+    setup = (c - j) * alpha
+    q = lam + j * mu + setup
+    for k in range(1, c + 1):
+        m = -lam * g[:k, :k]
+        # q_i - lam*(z_i + g_kk) = lam*(zhat_i - g_kk) > 0: g_kk <= 1
+        np.fill_diagonal(m, q[:k] - lam * (d[:k] + d[k]))
+        sup = np.arange(k - 1)
+        m[sup, sup + 1] -= setup[: k - 1]
+        rhs = np.zeros(k)
+        rhs[-1] = setup[k - 1] * d[k]
+        g[:k, k] = _upper_solve(m, rhs)
     return g
+
+
+def _upper_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with m x = b for an upper-triangular m held in C order (LAPACK
+    reads its transpose in place as a lower-triangular Fortran array)."""
+    x, info = dtrtrs(m.T, b, lower=1, trans=1)
+    if info != 0:
+        raise InternalInconsistencyError(f"zero pivot {info} in a column solve")
+    return x
 
 
 def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
-    Backward sweep: R^(i) solves X*A = -Q1^(i-1) with
-    A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, one triangular solve
-    per level.  Index 0 is None (level 0 has no predecessor).
+    Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
+    A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
+    the first i rows of A^{-1}: one triangular inverse per level, of which
+    only those rows are kept.  Index 0 is None (level 0 has no predecessor).
 
     The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
     -(r*mu + its row's off-diagonal sum), a sum of nonnegative terms
-    (Grassmann-Taksar-Heyman), and the triangular solve on this M-matrix
-    with a same-signed right-hand side never subtracts either.
+    (Grassmann-Taksar-Heyman), and inverting this M-matrix never subtracts
+    either: every entry of A^{-1} is a sum of same-signed products.
     """
     p = blocks.params
     lam, mu, c = p.lam, p.mu, p.c
     out: list = [None] * (c + 1)
     r_next = r_hom
     for i in range(c, 0, -1):
-        a = blocks.level_q0(i).copy()
-        if i == c:
-            a += r_next * (mu * np.arange(c + 1))[None, :]
-        else:
-            # Qm1^(i+1) is diagonal plus one subdiagonal corner entry
-            a += r_next[:, : i + 1] * (mu * np.arange(i + 1))[None, :]
-            a[:, i] += r_next[:, i + 1] * (mu * (i + 1))
+        a = blocks.times_qm1(r_next, i + 1)
+        a += blocks.level_q0(i)
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, -(mu * np.arange(i + 1) + a.sum(axis=1)))
-        diag = np.diagonal(a)
-        if np.any(np.abs(diag) < 1e-14):
+        if np.any(np.abs(np.diagonal(a)) < 1e-14):
             raise InternalInconsistencyError(
                 f"singular diagonal in boundary solve at level {i}"
             )
-        rhs = np.zeros((i + 1, i))
-        rhs[:i, :] = -lam * np.eye(i)
-        x = solve_triangular(a, rhs, trans="T", lower=False).T
-        out[i] = x
-        r_next = x
+        # the transpose of a C-order upper triangle is a Fortran lower one
+        inv_t, info = dtrtri(a.T, lower=1, overwrite_c=1)
+        if info != 0:
+            raise InternalInconsistencyError(
+                f"triangular inverse failed at level {i} (info {info})"
+            )
+        r_next = out[i] = -lam * inv_t[:, :i].T
     return out
 
 
-def g_levels(blocks: QbdBlocks, g_hom: np.ndarray) -> list:
+def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
     """Boundary matrices G^(1)..G^(c); each is (n+1) x n and row-stochastic.
 
-    G^(n) = M^{-1} Qm1^(n) with M = -Q0^(n) - Q1^(n)*G^(n+1), whose rows
-    sum to r*mu because G^(n+1) is row-stochastic.  Each diagonal entry is
-    r*mu minus the row's nonpositive off-diagonal sum, so, as in
-    level_rate_matrices, the sweep never subtracts.
+    Read off the boundary rate matrices, with no solve (Latouche &
+    Ramaswami, 1999): R^(n) = Q1^(n-1)*N and G^(n) = N*Qm1^(n) share
+    N = (-Q0^(n) - R^(n+1)*Qm1^(n+1))^{-1}.  The first n rows of N are
+    R^(n)/lam, and its last row is e_n/(n*mu) because the last row of
+    -Q0^(n) - R^(n+1)*Qm1^(n+1) is n*mu*e_n (its row sum, which
+    level_rate_matrices puts on the diagonal exactly).  So
+    G^(n) = [R^(n)*Qm1^(n)/lam ; e_{n-1}], a column scaling of R^(n) plus
+    the corner column, and every entry is a sum of nonnegative terms.
     """
     p = blocks.params
-    c = p.c
-    out: list = [None] * (c + 1)
-    g_next = g_hom
-    for n in range(c, 0, -1):
-        m = -blocks.level_q0(n)
-        # Q1^(n) * G^(n+1) is lam times the first n+1 rows; the dropped row
-        # is the corner one, so m stays exactly upper triangular
-        m -= p.lam * g_next[: n + 1, :]
-        np.fill_diagonal(m, 0.0)
-        np.fill_diagonal(m, p.mu * np.arange(n + 1) - m.sum(axis=1))
-        if np.any(np.abs(np.diagonal(m)) < 1e-14):
-            raise InternalInconsistencyError(
-                f"singular diagonal in passage solve at level {n}"
-            )
-        gn = solve_triangular(m, blocks.level_qm1(n), lower=False)
+    out: list = [None] * (p.c + 1)
+    for n in range(1, p.c + 1):
+        gn = np.empty((n + 1, n))
+        np.divide(blocks.times_qm1(rlevels[n], n), p.lam, out=gn[:n])
+        gn[n] = 0.0
+        gn[n, n - 1] = 1.0
         out[n] = gn
-        g_next = gn
     return out
 
 
 def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
-    """Alternate route R = Q1 * (-Q0 - Q1*G)^{-1}, used as a certificate."""
+    """Alternate route R = Q1 * (-Q0 - Q1*G)^{-1}, used as a certificate.
+
+    -Q0 - lam*G is upper triangular, so this is one triangular solve.
+    """
     p = blocks.params
     m = -blocks.q0 - p.lam * g_hom
-    return np.linalg.solve(m.T, p.lam * np.eye(p.c + 1)).T
+    return solve_triangular(m, p.lam * np.eye(p.c + 1))
+
+
+def _boundary_gap(params: QueueParams, rlevels: list) -> float:
+    """Level-0 balance gap |mu*R^(1)[0,1] - lam|, relative to lam."""
+    return abs(-params.lam + params.mu * rlevels[1][0, 1]) / params.lam
 
 
 @dataclass(eq=False)
@@ -309,29 +336,29 @@ def residuals(sol: QbdSolution) -> dict:
     def infnorm(a) -> float:
         return float(np.abs(a).sum(axis=1).max())
 
-    out = {"quad_R": infnorm(q1 + r @ q0 + r @ r @ qm1)}
+    # the quadratic forms are factored, saving a longdouble product each
+    out = {"quad_R": infnorm(q1 + r @ (q0 + blocks.times_qm1(r, p.c + 1)))}
 
     roots = quadratic_roots(p)
     out["r_diag"] = float(
         np.abs(np.diagonal(sol.R) * roots.zhat.astype(L) - 1.0).max()
     )
 
+    # Q1^(i-1) + R^(i)*(Q0^(i) + R^(i+1)*Qm1^(i+1)), the bracket built from
+    # the raw blocks rather than the row-sum diagonal the sweep used
     lev = 0.0
+    rnext = r
     for i in range(p.c, 0, -1):
         ri = sol.rlevels[i].astype(L)
-        rnext = (sol.R if i == p.c else sol.rlevels[i + 1]).astype(L)
-        e = (
-            blocks.level_q1(i - 1).astype(L)
-            + ri @ blocks.level_q0(i).astype(L)
-            + ri @ rnext @ blocks.level_qm1(i + 1).astype(L)
-        )
-        lev = max(lev, infnorm(e))
+        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
+        lev = max(lev, infnorm(blocks.level_q1(i - 1) + ri @ a))
+        rnext = ri
     out["level_R"] = lev
-    out["boundary"] = float(abs(-p.lam + p.mu * sol.rlevels[1][0, 1]))
+    out["boundary"] = float(_boundary_gap(p, sol.rlevels))
 
     if sol.G is not None:
         g = sol.G.astype(L)
-        out["quad_G"] = infnorm(qm1 + q0 @ g + q1 @ g @ g)
+        out["quad_G"] = infnorm(qm1 + (q0 + q1 @ g) @ g)
         out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
         out["g_diag"] = float(np.abs(np.diagonal(sol.G) - roots.z).max())
         out["r_from_g"] = float(
@@ -359,7 +386,7 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
     # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
     # roundoffs at any c; anything larger (or nan/inf) means the sweep broke
-    gap = abs(-params.lam + params.mu * rlev[1][0, 1]) / params.lam
+    gap = _boundary_gap(params, rlev)
     if not gap <= 1e-12:
         raise InternalInconsistencyError(
             f"level-0 balance gap {gap!r} after the boundary sweep"
@@ -368,8 +395,8 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     pi = [np.ones(1)]
     for i in range(1, c + 1):
         pi.append(pi[-1] @ rlev[i])
-    eye = np.eye(c + 1)
-    tail_sums = np.linalg.solve((eye - r_hom).T, pi[c])
+    # I - R is upper triangular: sum_k pi_c R^k = pi_c (I - R)^{-1}
+    tail_sums = solve_triangular(np.eye(c + 1) - r_hom, pi[c], trans="T")
     total = sum(float(v.sum()) for v in pi[:c]) + float(tail_sums.sum())
     levels = tuple(v / total for v in pi)
 
@@ -381,5 +408,5 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     g_hom = glev = None
     if with_g:
         g_hom = g_matrix(params)
-        glev = g_levels(blocks, g_hom)
+        glev = g_levels(blocks, rlev)
     return QbdSolution(params, r_hom, rlev, g_hom, glev, levels, info)

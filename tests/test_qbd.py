@@ -167,8 +167,11 @@ def test_tail_powers_match_pole_form():
         assert np.max(np.abs(dq.tail.level(k) - dg.tail.level(k))) < 1e-10
 
 
-def test_residual_report():
-    sol = qbd_solution(QueueParams(lam=2.5, mu=1.0, alpha=0.3, c=5))
+@pytest.mark.parametrize(
+    "p", [QueueParams(lam=2.5, mu=1.0, alpha=0.3, c=5), P100], ids=["c5", "c100"]
+)
+def test_residual_report(p):
+    sol = qbd_solution(p)
     res = qbd.residuals(sol)
     assert res["quad_R"] < 1e-12
     assert res["quad_G"] < 1e-12
@@ -177,6 +180,31 @@ def test_residual_report():
     assert res["r_diag"] < 1e-12
     assert res["r_from_g"] < 1e-12
     assert res["level_R"] < 1e-12
+
+
+@pytest.mark.parametrize("c", [3, 8])
+def test_level_g_matrices_match_dense_solve(c):
+    # G^(n) is read off R^(n); the reference solves
+    # (-Q0^(n) - lam*G^(n+1)[:n+1]) X = Qm1^(n) densely, level by level
+    p = QueueParams(lam=0.6 * c, mu=1.0, alpha=0.4, c=c)
+    sol = qbd_solution(p)
+    blocks = qbd.build_blocks(p)
+    g_next = sol.G
+    for n in range(c, 0, -1):
+        m = -blocks.level_q0(n) - p.lam * g_next[: n + 1, :]
+        ref = np.linalg.solve(m, blocks.level_qm1(n))
+        assert np.max(np.abs(sol.glevels[n] - ref)) <= 1e-12
+        g_next = ref
+
+
+def test_times_qm1_matches_block_product():
+    p = QueueParams(lam=1.5, mu=0.7, alpha=0.4, c=4)
+    blocks = qbd.build_blocks(p)
+    rng = np.random.default_rng(7)
+    for n in range(1, p.c + 2):
+        qm1 = blocks.level_qm1(n)
+        r = rng.random((3, qm1.shape[0]))
+        assert np.allclose(blocks.times_qm1(r, n), r @ qm1, rtol=1e-15, atol=0.0)
 
 
 def test_solve_works_at_confluent_point():
@@ -204,6 +232,15 @@ def test_boundary_gap_is_checked(monkeypatch):
     monkeypatch.setattr(qbd, "level_rate_matrices", broken)
     with pytest.raises(InternalInconsistencyError):
         qbd.solve(P112)
+
+
+def test_boundary_residual_is_relative_gap():
+    # the residual report and solve's check share one definition of the
+    # level-0 balance gap, |mu*R^(1)[0,1] - lam| / lam
+    p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)
+    sol = qbd.solve(p)
+    sol.rlevels[1][0, 1] *= 1.0 + 1e-9
+    assert qbd.residuals(sol)["boundary"] == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_solution_serializes():

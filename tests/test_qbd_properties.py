@@ -21,7 +21,7 @@ MU = 1.0
 @given(
     rho=st.floats(0.05, 0.95),
     alpha=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
-    c=st.integers(1, 120),
+    c=st.integers(1, 400),
     confluent=st.booleans(),
 )
 @example(rho=0.5, alpha=0.7, c=100, confluent=False)
