@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--warmup", type=float, default=0.1)
     p_sim.add_argument("--trace", help="event-trace CSV path (debugging)")
     p_sim.add_argument("--trace-limit", type=int, default=0,
-                       help="max events to trace (0 disables)")
+                       help="events to trace into --trace; give the two together")
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=_cmd_simulate)
 

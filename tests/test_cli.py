@@ -179,6 +179,18 @@ def test_simulate_command(capsys):
     assert abs(d["e_jobs"] - 2.0914) < 6 * d["hw_jobs"]
 
 
+def test_simulate_trace_needs_limit(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    code, d = run_json(
+        capsys,
+        "simulate", "--lambda", "1", "--mu", "1", "--alpha", "1", "--c", "2",
+        "--events", "50000", "--trace", str(path),
+    )
+    assert code == 2
+    assert d["error"] == "InvalidConfig"
+    assert not path.exists()
+
+
 def test_validate_command_passes(capsys):
     code, d = run_json(
         capsys,

@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 from conftest import gf_solution
 from mmcsetup import measures, sim
-from mmcsetup.errors import InvalidConfigError
+from mmcsetup.errors import InternalInconsistencyError, InvalidConfigError
 from mmcsetup.model import QueueParams
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
@@ -95,3 +99,117 @@ def test_validation_report_to_dict():
     assert d["passed"] is True
     rows = d["metrics"]
     assert {r["metric"] for r in rows} >= {"e_jobs", "e_active", "switching_rate"}
+
+
+def test_trace_needs_path_and_limit(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(InvalidConfigError):
+        sim.simulate(sim.SimConfig(params=P112, trace_path=str(path)))
+    with pytest.raises(InvalidConfigError):
+        sim.simulate(sim.SimConfig(params=P112, trace_limit=10))
+    assert not path.exists()
+
+
+def reference_run(cfg):
+    """One Python step per event, accumulating every batch integral as it
+    goes: the straightforward form of the simulator's sample path and
+    estimator.  Returns the trace rows of all events and the estimate."""
+    p = cfg.params
+    lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
+    nb = cfg.n_batches
+    n_warm = int(cfg.n_events * cfg.warmup_fraction)
+    size = (cfg.n_events - n_warm) // nb
+    n_total = n_warm + size * nb
+    rng = np.random.default_rng(cfg.seed)
+    u = np.concatenate(
+        [rng.random(sim._CHUNK) for _ in range(math.ceil(2 * n_total / sim._CHUNK))]
+    ).tolist()
+    # per batch: time, jobs, active, setup integrals, on and off counts, phases
+    acc = [[0.0] * (6 + c + 1) for _ in range(nb)]
+    rows = []
+    i = s = j = 0
+    for n in range(n_total):
+        total = lam + i * mu + s * alpha
+        dt = -math.log(1.0 - u[2 * n]) / total
+        a = acc[(n - n_warm) // size] if n >= n_warm else [0.0] * (6 + c + 1)
+        a[0] += dt
+        a[1] += j * dt
+        a[2] += i * dt
+        a[3] += s * dt
+        a[6 + i] += dt
+        x = u[2 * n + 1] * total
+        if x < lam:
+            kind = "arrival"
+            j += 1
+            s += i + s < c
+        elif x < lam + i * mu:
+            j -= 1
+            if j >= i:
+                kind = "departure"
+                s -= s > j - i
+            else:
+                kind = "shutdown"
+                i -= 1
+                a[5] += 1
+        else:
+            kind = "activation"
+            s -= 1
+            i += 1
+            a[4] += 1
+        rows.append(f"{n},{kind},{i},{s},{j}")
+    acc = np.array(acc)
+    means = acc[:, 1:] / acc[:, :1]
+    q = student_t.ppf(0.975, nb - 1)
+    hw = [q * means[:, k].std(ddof=1) / math.sqrt(nb) for k in range(means.shape[1])]
+    est = {
+        "e_jobs": means[:, 0].mean(),
+        "e_active": means[:, 1].mean(),
+        "e_setup": means[:, 2].mean(),
+        "switching_rate": means[:, 3].mean(),
+        "phase_marginal": means[:, 5:].mean(axis=0),
+        "hw_jobs": hw[0],
+        "hw_active": hw[1],
+        "hw_setup": hw[2],
+        "hw_switching": hw[3],
+        "hw_marginal": hw[5:],
+        "off_to_on_rate": means[:, 3].mean(),
+        "on_to_off_rate": means[:, 4].mean(),
+        "n_events": n_total,
+        "sim_time": acc[:, 0].sum(),
+        "n_batches": nb,
+        "seed": cfg.seed,
+    }
+    return rows, est
+
+
+@pytest.mark.parametrize(
+    "p", [P112, QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10)], ids=["c2", "c10"]
+)
+def test_same_path_as_per_event_loop(tmp_path, p):
+    # 70k events cross the boundary between two chunks of uniforms
+    n = 70_000
+    assert n > sim._CHUNK // 2
+    path = tmp_path / "trace.csv"
+    cfg = sim.SimConfig(params=p, n_events=n, seed=5, trace_limit=n, trace_path=str(path))
+    est = sim.simulate(cfg)
+    rows, ref = reference_run(cfg)
+    assert path.read_text().splitlines()[1:] == rows
+    for key, val in ref.items():
+        assert getattr(est, key) == pytest.approx(val, rel=1e-12, abs=0), key
+
+
+def test_setup_invariant_names_first_bad_state():
+    # (active, in-setup, jobs) with c = 2: rows 2 and 3 break s = min(j-i, c-i)
+    states = np.array([(0, 1, 1), (0, 2, 2), (0, 1, 3), (1, 0, 3)]).T
+    with pytest.raises(InternalInconsistencyError, match="i=0 j=3 after event 12"):
+        sim._check_setup_invariant(states, 2, 10)
+    sim._check_setup_invariant(states[:, :2], 2, 10)
+
+
+def test_inconsistent_policy_delta_is_caught(monkeypatch):
+    # an arrival that starts no setup leaves the first state (0, 0, 1) wrong
+    deltas = sim._DELTAS.copy()
+    deltas[0] = (0, 0, 1)
+    monkeypatch.setattr(sim, "_DELTAS", deltas)
+    with pytest.raises(InternalInconsistencyError, match="after event 0$"):
+        run(P112, n_events=1000)
