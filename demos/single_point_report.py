@@ -43,5 +43,6 @@ for i, v in enumerate(rep.phase_marginal):
 print()
 digits = sol.info["precision_digits"]
 mode = "float64" if digits is None else f"mpmath at {digits} digits"
-print(f"  solver: {mode}, consistency gap "
-      f"{sol.info['pi_cc_certificate_gap']:.2e}")
+print(f"  solver: {mode}, flow-balance gaps "
+      f"{sol.info['job_flow_gap']:.2e} (servers), "
+      f"{sol.info['seam_cut_gap']:.2e} (level c cut)")

@@ -10,7 +10,6 @@ from . import ctmc, gf, measures, mmc, qbd, sim, sweeps
 from .distribution import JointDistribution
 from .errors import (
     DegenerateConditionError,
-    DegeneratePolesError,
     InternalInconsistencyError,
     InvalidConfigError,
     InvalidParameterError,
@@ -67,7 +66,6 @@ __all__ = [
     "UnstableError",
     "InvalidStateError",
     "InvalidConfigError",
-    "DegeneratePolesError",
     "DegenerateConditionError",
     "TruncationInsufficientError",
     "NoCrossingError",

@@ -5,7 +5,7 @@ densely.  Levels j >= c are represented by a tail object that knows its own
 closed form, so row sums, first moments and tail masses are exact instead
 of truncated:
 
-* PoleTail       -- mixture of geometrics 1/zhat_k (generating-function solver)
+* PoleTail       -- Newton-form mixture of geometrics (generating-function solver)
 * GeometricTail  -- matrix-geometric pi_c R^m (QBD solver)
 * ExplicitTail   -- finitely many stored levels (truncated-chain oracle)
 
@@ -16,63 +16,67 @@ distribution.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import math
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InternalInconsistencyError
 from .model import QueueParams, params_to_dict
 
 
-def pole_sums(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k A[i, k] w[k] for every row i of the lower-triangular A, in A's
-    number type: one float64 matrix-vector product, or for mpmath numbers a
-    once-rounded sum over k <= i per row (at the working precision)."""
-    if A.dtype != object:
-        return A @ w
-    out = np.empty(len(A), dtype=object)
-    for i in range(len(A)):
-        out[i] = mp.fdot(A[i, : i + 1], w[: i + 1])
-    return out
-
-
 class PoleTail:
-    """pi_{i, c+m} = sum_k A[i, k] * zhat_k ** -(m + 1).
+    """pi_{i, c+m} = Lambda_i(t^(m+1)), with row i's tail functional in
+    scaled Newton form over its ascending node list y = nodes[i]:
 
-    A and zhat are float64 arrays, or object arrays of mpmath numbers
-    together with the precision dps they were computed at.  The solver
-    hands over the latter when the coefficients are large and alternating
-    (clustered poles), because any float64 evaluation of the sum is then
-    pure cancellation noise: every level, sum and row tail is evaluated at
-    that precision and rounded once, and levels are computed lazily from
-    level 0 and cached.
+        Lambda_i(g) = sum_l coeffs[i, l] (1-y_0) ... (1-y_l) g[y_0, ..., y_l]
+
+    where g[...] is a divided difference and gaps = 1 - nodes, given
+    separately so that it keeps full relative accuracy.  Rows are
+    zero-padded past their i + 1 nodes (gap 1 there).  Coefficients, nodes
+    and gaps are nonnegative and every quantity below is a sum of
+    nonnegative terms.  The arrays may hold float64 or mpmath numbers; the
+    arithmetic is the same.
+
+    Levels come from one state, the functional g -> Lambda(t^m g), moved
+    one level at a time; each level and each row-tail vector is cached.
     """
 
     kind = "pole"
 
-    def __init__(self, A: np.ndarray, zhat: np.ndarray, dps: int | None = None):
-        self.A = A.astype(float)
-        self.zhat = zhat.astype(float)
-        self._inv = 1.0 / self.zhat
-        self._mp = None if dps is None else (A, zhat, dps)  # (A_mp, zh_mp, dps)
-        self._levels: list[np.ndarray] = []  # extended-precision levels so far
-        with self._precision():
-            self._pow = 1 / zhat  # zhat^-(m+1) for m = len(self._levels)
-            # zhat - 1 > 0 under stability
-            self._s0 = pole_sums(A, 1 / (zhat - 1)).astype(float)
-            self._s1 = pole_sums(A, 1 / (zhat - 1) ** 2).astype(float)
+    def __init__(self, coeffs: np.ndarray, nodes: np.ndarray, gaps: np.ndarray):
+        self.coeffs = coeffs
+        self.nodes = nodes
+        self.gaps = gaps
+        self._state = coeffs  # Lambda(t^m g) at m = len(self._levels)
+        self._levels: list[np.ndarray] = []
+        self._tails: list[np.ndarray] = []
+        self._s0 = self._mass(coeffs)
+        self._s1 = self._mass(self._times_u(coeffs))
 
-    def _precision(self):
-        return mp.workdps(self._mp[2]) if self._mp is not None else nullcontext()
+    def _mass(self, B: np.ndarray) -> np.ndarray:
+        """Lambda(u) with u = t / (1 - t): phi_0(u) = y_0, phi_l(u) = 1."""
+        return B[:, 0] * self.nodes[:, 0] + B[:, 1:].sum(axis=1)
+
+    def _times_u(self, B: np.ndarray) -> np.ndarray:
+        """Coefficients of g -> Lambda(u g): one backward sweep, here a
+        suffix sum because u's pole sits at 1."""
+        later = np.zeros_like(B)
+        later[:, :-1] = np.cumsum(B[:, :0:-1], axis=1)[:, ::-1]
+        return (B * self.nodes + later) / self.gaps
+
+    def _advance(self) -> None:
+        B, Y = self._state, self.nodes
+        # level m: Lambda(t^(m+1)) = C_0 y_0 + C_1 in unscaled coefficients
+        self._levels.append(self.gaps[:, 0] * (B[:, 0] * Y[:, 0] + B[:, 1] * self.gaps[:, 1]))
+        self._tails.append(self._mass(B))
+        # (t g)[y_0..y_l] = y_l g[y_0..y_l] + g[y_0..y_(l-1)]
+        nxt = B * Y
+        nxt[:, :-1] += B[:, 1:] * self.gaps[:, 1:]
+        self._state = nxt
 
     def level(self, m: int) -> np.ndarray:
-        if self._mp is None:
-            return self.A @ (self._inv ** (m + 1))
-        with self._precision():
-            while len(self._levels) <= m:
-                self._levels.append(pole_sums(self._mp[0], self._pow).astype(float))
-                self._pow = self._pow / self._mp[1]
+        while len(self._levels) <= m:
+            self._advance()
         return self._levels[m]
 
     def sum0(self) -> np.ndarray:
@@ -82,20 +86,40 @@ class PoleTail:
         return self._s1
 
     def row_tail(self, i: int, m: int) -> float:
-        """sum_{j >= c+m} pi_{i,j}, via sum_k A[i,k] zhat_k^-m / (zhat_k - 1)."""
-        if self._mp is None:
-            return float(self.A[i] @ (self._inv**m / (self.zhat - 1)))
-        A, zhat, _ = self._mp
-        with self._precision():
-            zhat = zhat[: i + 1]
-            return float(mp.fdot(A[i, : i + 1], (1 / zhat) ** m / (zhat - 1)))
+        """sum_{j >= c+m} pi_{i,j} = Lambda_i(t^m u)."""
+        while len(self._tails) <= m:
+            self._advance()
+        return float(self._tails[m][i])
+
+    def factorial_moments(self, n_max: int) -> np.ndarray:
+        """out[i, n] = sum_{m >= 0} pi_{i,c+m} (c - i + m)_n, the tail part of
+        row i's n-th factorial moment, n <= n_max.
+
+        With d = c - i, sum_m (d+m)_n t^(m+1) is
+        sum_r C(n, r) (d)_r (n-r)! u^(n-r+1), so only Lambda_i(u^p) is
+        needed, and those come from repeated kernel products.
+        """
+        c = len(self.coeffs) - 1
+        powers, B = [], self.coeffs
+        for _ in range(n_max + 1):  # Lambda(u^p), p = 1..n_max + 1
+            powers.append(self._mass(B))
+            B = self._times_u(B)
+        d = c - np.arange(c + 1)
+        out = np.zeros((c + 1, n_max + 1), dtype=self.coeffs.dtype)
+        for n in range(n_max + 1):
+            for r in range(n + 1):
+                falling = np.prod([d - t for t in range(r)], axis=0) if r else 1
+                weight = math.comb(n, r) * math.factorial(n - r) * falling
+                out[:, n] += weight * powers[n - r]
+        return out
 
     def to_dict(self) -> dict:
-        out = {"type": self.kind, "A": self.A.tolist(), "zhat": self.zhat.tolist()}
-        if self._mp is not None:
-            out["precision_digits"] = self._mp[2]
-            out["materialized_levels"] = len(self._levels)
-        return out
+        n = len(self.coeffs)
+        return {
+            "type": self.kind,
+            "coeffs": [self.coeffs[i, : i + 1].tolist() for i in range(n)],
+            "nodes": [self.nodes[i, : i + 1].tolist() for i in range(n)],
+        }
 
 
 class GeometricTail:

@@ -42,27 +42,6 @@ class InvalidConfigError(QueueModelError):
     tag = "InvalidConfig"
 
 
-class DegeneratePolesError(QueueModelError):
-    """Two tail decay roots coincide, so the partial-fraction tail
-    representation does not exist.
-
-    The repeated-root variant of the closed form is deliberately not
-    implemented; perturbing alpha by about 1e-7 relative separates the
-    roots without visibly changing the distribution.
-    """
-
-    tag = "DegeneratePoles"
-
-    def __init__(self, a: int, b: int, za: float, zb: float):
-        self.a = a
-        self.b = b
-        super().__init__(
-            f"tail roots {a} and {b} coincide ({za:.12g} vs {zb:.12g}); "
-            "the repeated-root closed form is not implemented. "
-            "Perturbing alpha by ~1e-7 relative separates the roots."
-        )
-
-
 class DegenerateConditionError(QueueModelError):
     """A conditional distribution was requested on an event of zero mass."""
 

@@ -177,11 +177,6 @@ def resolve_params(raw: dict, need_alpha: bool = True) -> tuple[QueueParams, Cos
     return params, costs
 
 
-def params_from_config(path: str) -> tuple[QueueParams, CostParams]:
-    """Read a config file into parameter objects (see resolve_params)."""
-    return resolve_params(read_config(path))
-
-
 def params_to_dict(params: QueueParams) -> dict:
     """Canonical JSON-friendly echo of the parameters (fixed key order)."""
     return {

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dtrtri, dtrtrs
 from .distribution import GeometricTail, JointDistribution
 from .errors import InternalInconsistencyError
 from .gf import quadratic_roots
-from .model import QueueParams, params_to_dict, validate
+from .model import QueueParams, validate
 
 __all__ = [
     "QbdBlocks",
@@ -303,22 +303,6 @@ class QbdSolution:
 
     def mean_jobs(self) -> float:
         return self.distribution().mean_jobs()
-
-    def to_dict(self) -> dict:
-        def mat(a: np.ndarray) -> dict:
-            return {
-                "rows": int(a.shape[0]),
-                "cols": int(a.shape[1]),
-                "data": [float(v) for v in a.reshape(-1)],
-            }
-
-        return {
-            "params": params_to_dict(self.params),
-            "R": mat(self.R),
-            "G": mat(self.G) if self.G is not None else None,
-            "levels": [v.tolist() for v in self.levels],
-            "info": dict(self.info),
-        }
 
 
 def residuals(sol: QbdSolution) -> dict:

@@ -2,11 +2,9 @@
 
 Each grid point is solved independently and emitted as one CSV row with the
 full performance report plus always-on baseline columns, so the output feeds
-plotting scripts and golden-file diffs directly.  A gf point on the
-confluent line is solved by qbd instead and flagged in the ``fallback``
-column; other per-point solver failures land in an ``error`` column and the
-sweep keeps going.  Output is deterministic: fixed column order, points in
-grid order, floats via repr.
+plotting scripts and golden-file diffs directly.  Per-point solver failures
+land in an ``error`` column and the sweep keeps going.  Output is
+deterministic: fixed column order, points in grid order, floats via repr.
 """
 
 from dataclasses import dataclass, replace
@@ -16,12 +14,7 @@ import io
 import numpy as np
 
 from . import ctmc, gf, mmc, qbd
-from .errors import (
-    DegeneratePolesError,
-    InvalidConfigError,
-    NoCrossingError,
-    QueueModelError,
-)
+from .errors import InvalidConfigError, NoCrossingError, QueueModelError
 from .measures import PerformanceReport, full_report, performance
 from .model import CostParams, QueueParams, validate
 from .sim import SimConfig, simulate
@@ -94,20 +87,9 @@ def validate_spec(spec: SweepSpec) -> None:
 
 
 def solve_distribution(params: QueueParams, method: str):
-    """Joint stationary distribution by the requested method.
-
-    On the confluent line alpha = mu (1 - rho) the closed form has no
-    partial-fraction tail and gf raises DegeneratePolesError; the matrix
-    recursions do not care, so gf falls back to qbd there and the
-    distribution's info["fallback"] records it as "gf->qbd".
-    """
+    """Joint stationary distribution by the requested method."""
     if method == "gf":
-        try:
-            return gf.solve(params).distribution()
-        except DegeneratePolesError:
-            dist = solve_distribution(params, "qbd")
-            dist.info["fallback"] = "gf->qbd"
-            return dist
+        return gf.solve(params).distribution()
     if method == "qbd":
         return qbd.solve(params, with_g=False).distribution()
     if method == "ctmc":
@@ -116,7 +98,7 @@ def solve_distribution(params: QueueParams, method: str):
 
 
 _PARAM_COLS = ["index", "var", "value", "lambda", "mu", "alpha", "c", "rho"]
-_BASE_COLS = ["onidle_e_jobs", "onidle_e_busy", "method_gap", "fallback", "error"]
+_BASE_COLS = ["onidle_e_jobs", "onidle_e_busy", "method_gap", "error"]
 _SIM_COLS = ["sim_e_jobs", "sim_hw_jobs"]
 
 
@@ -160,9 +142,6 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[dict]:
         try:
             dists = [solve_distribution(p, m) for m in analytic]
             reports = [full_report(d, p, costs) for d in dists]
-            row["fallback"] = " ".join(
-                d.info["fallback"] for d in dists if "fallback" in d.info
-            )
             gap = _report_gap(reports)
             if reports:
                 rep = reports[0]
@@ -256,7 +235,7 @@ def crossover_finder(
 
     The on-off power cost is nonincreasing in alpha, so the sign change is
     unique when it exists; same sign at both ends raises NoCrossing.
-    method "qbd" avoids extended-precision work at larger c.
+    Every bisection step is one solve by `method`.
     """
     validate(params)
     baseline = mmc.onidle_cost(params, costs)

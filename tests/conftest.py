@@ -27,8 +27,8 @@ def grid_points() -> list[QueueParams]:
 
 
 def is_confluent(p: QueueParams) -> bool:
-    """All outer roots coincide when alpha = mu (1 - rho); the
-    partial-fraction tail form does not exist there."""
+    """All outer roots coincide when alpha = mu (1 - rho), the line where a
+    partial-fraction tail would not exist (gf's Newton form does)."""
     return abs(p.alpha - p.mu * (1.0 - p.rho)) < 1e-12 * p.mu
 
 

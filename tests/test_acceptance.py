@@ -25,17 +25,9 @@ from conftest import (
     record_criterion,
 )
 from mmcsetup import gf, measures, mmc, qbd, sim, sweeps
-from mmcsetup.errors import DegeneratePolesError
 from mmcsetup.model import CostParams, QueueParams
 
 POWER_COSTS = CostParams(c_active=1.0, c_setup=1.0, c_idle=0.6)
-
-
-def best_distribution(p):
-    """gf result where the partial-fraction form exists, else qbd."""
-    if is_confluent(p):
-        return qbd_solution(p).distribution()
-    return gf_solution(p).distribution()
 
 
 def test_criterion_1_method_equivalence():
@@ -45,20 +37,15 @@ def test_criterion_1_method_equivalence():
     for p in grid_points():
         dq = qbd_solution(p).distribution()
         do = oracle_distribution(p)
-        if is_confluent(p):
-            # alpha = mu (1 - rho): all outer roots coincide and the gf
-            # closed form is refused by design; qbd still covers the point
-            n_confluent += 1
-            dg = None
-        else:
-            dg = gf_solution(p).distribution()
+        dg = gf_solution(p).distribution()
+        # alpha = mu (1 - rho): all outer roots coincide; every route
+        # covers these points too
+        n_confluent += is_confluent(p)
         for j in range(p.c + 51):
-            vq, vo = dq.level(j), do.level(j)
+            vq, vo, vg = dq.level(j), do.level(j), dg.level(j)
             gap_qo = max(gap_qo, float(np.max(np.abs(vq - vo))))
-            if dg is not None:
-                vg = dg.level(j)
-                gap_gq = max(gap_gq, float(np.max(np.abs(vg - vq))))
-                gap_go = max(gap_go, float(np.max(np.abs(vg - vo))))
+            gap_gq = max(gap_gq, float(np.max(np.abs(vg - vq))))
+            gap_go = max(gap_go, float(np.max(np.abs(vg - vo))))
     elapsed = time.perf_counter() - t0
     ok = gap_gq < 1e-10 and gap_go < 1e-8 and gap_qo < 1e-8 and elapsed < 60.0
     record_criterion(
@@ -66,7 +53,7 @@ def test_criterion_1_method_equivalence():
         ok,
         f"gf-qbd {gap_gq:.1e} (tol 1e-10), gf-oracle {gap_go:.1e}, "
         f"qbd-oracle {gap_qo:.1e} (tol 1e-8), grid {elapsed:.1f}s (< 60s); "
-        f"{n_confluent} confluent points carried by qbd alone",
+        f"{n_confluent} confluent points included",
     )
     assert gap_gq < 1e-10
     assert gap_go < 1e-8
@@ -103,7 +90,7 @@ def test_criterion_2_residual_certificates():
 def test_criterion_3_decomposition():
     worst = 0.0
     for p in grid_points():
-        rep = measures.decomposition(best_distribution(p), p)
+        rep = measures.decomposition(gf_solution(p).distribution(), p)
         worst = max(worst, rep.tv_gap)
     record_criterion(3, worst < 1e-10, f"worst TV gap {worst:.1e} (tol 1e-10)")
     assert worst < 1e-10
@@ -116,61 +103,70 @@ def _falling(x: int, m: int) -> float:
     return out
 
 
-def _direct_moments(sol, n_max):
-    """n-th derivatives at 1 of each row's generating function, taken on the
-    closed form itself: boundary polynomial plus z^(c-i) sum_k A_ik/(zh_k-z),
-    evaluated with the solver's extended-precision tail coefficients."""
+def _recursion_moments(sol, n_max):
+    """The paper's factorial-moment recursions, in mpmath at the solution's
+    own precision: hat[i, n], the tail part of row i's n-th factorial
+    moment at z = 1, follows from row i - 1 and lower orders.  Their only
+    tail input is each row's mass beyond c, order 0 of the tail part."""
     p = sol.params
-    c = p.c
-    A_mp, zh_mp, dps = sol.mp_tail()
-    out = np.zeros((c + 1, n_max + 1))
-    with mp.workdps(dps):
-        for i in range(c + 1):
-            for n in range(n_max + 1):
-                head = mp.fsum(
-                    mp.mpf(float(sol.boundary[i, j])) * _falling(j - i, n)
-                    for j in range(i, c)
-                )
-                tail = mp.mpf(0)
-                for k in range(i + 1):
-                    den = zh_mp[k] - 1
-                    s = mp.mpf(0)
-                    for m_ in range(min(n, c - i) + 1):
-                        s += (
-                            math.comb(n, m_)
-                            * _falling(c - i, m_)
-                            * math.factorial(n - m_)
-                            / den ** (n - m_ + 1)
-                        )
-                    tail += A_mp[i][k] * s
-                out[i, n] = float(head + tail)
-    return out
+    c, lam, mu, alpha = p.c, mp.mpf(p.lam), mp.mpf(p.mu), mp.mpf(p.alpha)
+    pi = sol.boundary
+    head = np.array(
+        [
+            [mp.fsum(pi[i, j] * _falling(j - i, n) for j in range(i, c)) for n in range(n_max + 1)]
+            for i in range(c + 1)
+        ],
+        dtype=object,
+    )
+    top = n_max + 1  # interior rows carry one extra order for row c
+    hat = np.full((c + 1, top + 1), mp.mpf(0), dtype=object)
+    hat[:c, 0] = sol.moments_full[:c, 0] - head[:c, 0]
+    for n in range(1, top + 1):
+        hat[0, n] = (n * lam * hat[0, n - 1] + lam * pi[0, c - 1] * _falling(c, n)) / (c * alpha)
+    for i in range(1, c):
+        for n in range(1, top + 1):
+            term2 = hat[i, n - 2] if n >= 2 else 0
+            hat[i, n] = (
+                (c - i + 1) * alpha * hat[i - 1, n]
+                + n * (lam - i * mu - (c - i) * alpha) * hat[i, n - 1]
+                + n * (n - 1) * lam * term2
+                + lam * pi[i, c - 1] * _falling(c - i + 1, n)
+                - i * mu * pi[i, c] * _falling(c - i, n)
+            ) / ((c - i) * alpha)
+    for n in range(n_max + 1):
+        prev = hat[c, n - 1] if n >= 1 else 0
+        hat[c, n] = (alpha * hat[c - 1, n + 1] + (n + 1) * n * lam * prev) / (
+            (n + 1) * (c * mu - lam)
+        )
+    return head + hat[:, : n_max + 1]
 
 
 def test_criterion_4_factorial_moments():
+    # both sides at 80 digits: the recursion amplifies the roundoff of its
+    # inputs far past 1e-8 when fed a float64 solution
     worst = 0.0
     n_checked = 0
     for p in grid_points():
-        if is_confluent(p):
-            continue  # no partial-fraction form to differentiate
         sol = gf.solve(p, dps=80)
-        direct = _direct_moments(sol, 4)
+        with mp.workdps(80):
+            rec = _recursion_moments(sol, 4)
         for i in range(p.c + 1):
             if p.c == 1 and 0 < i < p.c:
                 continue  # vacuous interior rows at c=1
             for n in range(1, 5):
-                a, b = sol.moments_full[i, n], direct[i, n]
+                # direct differentiation of the Newton-form closed form
+                a, b = rec[i, n], sol.moments_full[i, n]
                 scale = max(abs(a), abs(b))
                 if scale < 1e-250:
                     continue
-                worst = max(worst, abs(a - b) / scale)
+                worst = max(worst, float(abs(a - b) / scale))
                 n_checked += 1
     record_criterion(
         4,
         worst < 1e-8,
         f"recursions vs direct differentiation: worst rel {worst:.1e} "
-        f"over {n_checked} moments, n <= 4 (tol 1e-8); "
-        "6 confluent points skipped with the closed form",
+        f"over {n_checked} moments, n <= 4 (tol 1e-8), "
+        "confluent points included",
     )
     assert worst < 1e-8
 

@@ -27,15 +27,16 @@ def test_solve_single_method(capsys):
     assert d["params"]["c"] == 2
 
 
-def test_solve_confluent_point_falls_back(capsys):
-    # alpha = mu (1 - rho): the closed form has no tail, so gf hands over to qbd
+def test_solve_confluent_point_uses_gf(capsys):
+    # alpha = mu (1 - rho): the closed form solves the point itself
     point = ("--lambda", "1", "--mu", "1", "--alpha", "0.5", "--c", "2")
     code, d = run_json(capsys, "solve", *point)
     assert code == 0
-    assert d["solution"]["info"]["fallback"] == "gf->qbd"
+    assert d["solution"]["source"] == "gf"
+    assert "fallback" not in d["solution"]["info"]
     code, q = run_json(capsys, "solve", *point, "--method", "qbd")
     assert code == 0
-    assert d["report"]["e_jobs"] == q["report"]["e_jobs"]
+    assert d["report"]["e_jobs"] == pytest.approx(q["report"]["e_jobs"], rel=1e-12)
 
 
 def test_solve_all_methods_agree(capsys):

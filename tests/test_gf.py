@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import gf_solution, oracle_distribution
+from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import gf, mmc
-from mmcsetup.errors import DegeneratePolesError
+from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.model import QueueParams
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
@@ -13,7 +17,7 @@ SQRT5 = math.sqrt(5.0)
 
 
 def test_root_closed_forms():
-    r = gf.characteristic_roots(P112)
+    r = gf.quadratic_roots(P112)
     assert r.z[1] == pytest.approx((3.0 - SQRT5) / 2.0, abs=1e-14)
     assert r.zhat[1] == pytest.approx((3.0 + SQRT5) / 2.0, abs=1e-14)
     assert r.zhat[0] == pytest.approx(3.0, abs=1e-14)  # (lambda + c alpha)/lambda
@@ -25,14 +29,14 @@ def test_root_closed_forms():
 def test_root_product_identity():
     # z_i zhat_i = i mu / lambda for every phase
     p = QueueParams(lam=1.7, mu=0.9, alpha=0.23, c=7)
-    r = gf.characteristic_roots(p)
+    r = gf.quadratic_roots(p)
     for i in range(8):
         assert r.z[i] * r.zhat[i] == pytest.approx(i * p.mu / p.lam, rel=1e-13)
 
 
 def test_root_residuals():
     p = QueueParams(lam=6.0, mu=1.0, alpha=0.1, c=20)
-    r = gf.characteristic_roots(p)
+    r = gf.quadratic_roots(p)
     lam, mu, alpha, c = 6.0, 1.0, 0.1, 20
     for i in range(21):
         s = lam + i * mu + (c - i) * alpha
@@ -43,23 +47,23 @@ def test_root_residuals():
 
 def test_root_ordering_and_brackets():
     p = QueueParams(lam=2.6, mu=1.0, alpha=0.4, c=4)
-    r = gf.characteristic_roots(p)
+    r = gf.quadratic_roots(p)
     assert np.all(r.z[:-1] >= 0) and np.all(r.z <= 1.0)
     assert np.all(r.zhat > 1.0)
 
 
-def test_degenerate_poles_raise():
-    # alpha = mu (1 - rho) collapses every outer root onto 1/rho
+def test_confluent_point_solves():
+    # alpha = mu (1 - rho) collapses every outer root onto 1/rho; the Newton
+    # form needs no separation, so gf solves the point like any other
     p = QueueParams(lam=1.0, mu=1.0, alpha=0.5, c=2)
-    with pytest.raises(DegeneratePolesError):
-        gf.characteristic_roots(p)
-    with pytest.raises(DegeneratePolesError):
-        gf.solve(p)
-    # the raw root evaluation itself stays usable (QBD needs it there)
     r = gf.quadratic_roots(p)
-    assert np.all(np.isfinite(r.zhat))
     assert r.zhat[0] == pytest.approx(2.0, rel=1e-12)
+    assert r.zhat[1] == pytest.approx(2.0, rel=1e-12)
     assert r.zhat[2] == pytest.approx(2.0, rel=1e-12)
+    d = gf.solve(p).distribution()
+    o = oracle_distribution(p)
+    for j in range(40):
+        np.testing.assert_allclose(d.level(j), o.level(j), rtol=1e-10, atol=0.0)
 
 
 def test_row_zero_ratios():
@@ -82,7 +86,7 @@ def test_boundary_contraction_coefficients():
         QueueParams(lam=4.5, mu=1.0, alpha=0.05, c=5),
         QueueParams(lam=0.9, mu=2.0, alpha=3.0, c=4),
     ):
-        r = gf.characteristic_roots(p)
+        r = gf.quadratic_roots(p)
         lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
         for i in range(1, c):
             b = np.zeros(c + 1)
@@ -96,7 +100,7 @@ def test_boundary_contraction_coefficients():
 
 def test_b_coefficient_closed_value():
     # c=2, row i=1: the single multiplier is 1/zhat_1 = lambda z_1 / mu here
-    r = gf.characteristic_roots(P112)
+    r = gf.quadratic_roots(P112)
     assert 1.0 / r.zhat[1] == pytest.approx((3.0 - SQRT5) / 2.0, abs=1e-14)
 
 
@@ -132,9 +136,10 @@ def test_level_one_balance_vs_oracle():
 
 def test_tail_coefficient_structure():
     sol = gf_solution(P112)
-    # the mixture has genuinely signed coefficients
-    assert (sol.A < 0).any()
-    # yet every tail level is a positive probability vector
+    # the Newton coefficients and nodes are nonnegative, no signed mixture
+    assert np.all(sol.tail.coeffs >= 0) and np.all(sol.tail.nodes >= 0)
+    assert np.all(sol.tail.gaps > 0)
+    # and every tail level is a positive probability vector
     d = sol.distribution()
     for m in range(50):
         lvl = d.tail.level(m)
@@ -215,27 +220,104 @@ def test_setup_free_limit_matches_erlang():
 
 
 def test_adaptive_precision_reports_certificate():
+    # one float64 pass, certified by its two flow-balance gaps
     p = QueueParams(lam=18.0, mu=1.0, alpha=0.01, c=20)
     sol = gf_solution(p)
-    assert sol.info["pi_cc_certificate_gap"] < 1e-9
+    assert sol.info["precision_digits"] is None
+    assert sol.info["job_flow_gap"] <= 1e-12
+    assert sol.info["seam_cut_gap"] <= 1e-12
     assert sol.distribution().total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_broken_pass_fails_its_balance_gaps(monkeypatch):
+    # outer roots off by 1e-9 relative break the balance the pass certifies
+    roots = gf._roots
+
+    def skewed(params, one):
+        z, zhat = roots(params, one)
+        return z, zhat * (1 + 1e-9 * one)
+
+    monkeypatch.setattr(gf, "_roots", skewed)
+    with pytest.raises(InternalInconsistencyError):
+        gf.solve(QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10))
+
+
 def test_float64_and_pinned_precision_passes_agree():
-    # float64 certifies this point, so the one pipeline run in float64 and
-    # in mpmath at a pinned 40 digits must give the same closed form
+    # the one pipeline run in float64 and in mpmath at a pinned 40 digits
+    # must give the same closed form
     p = QueueParams(lam=10.0, mu=1.0, alpha=50.0, c=20)
     fast, slow = gf.solve(p), gf.solve(p, dps=40)
     assert fast.info["precision_digits"] is None
     assert slow.info["precision_digits"] == 40
-    for name in ("boundary", "A", "moments_full"):
+    for name in ("boundary", "moments_full"):
         np.testing.assert_allclose(
-            getattr(fast, name), getattr(slow, name), rtol=1e-12, atol=0.0, err_msg=name
+            getattr(fast, name),
+            getattr(slow, name).astype(float),
+            rtol=1e-12,
+            atol=0.0,
+            err_msg=name,
         )
-    # the extended-precision tail starts empty and computes its levels
-    # lazily from level 0, one at a time as they are asked for
     tail, ref = slow.distribution().tail, fast.distribution().tail
-    assert tail.to_dict()["materialized_levels"] == 0
     for m in range(131):
         np.testing.assert_allclose(tail.level(m), ref.level(m), rtol=1e-12, atol=0.0)
-    assert tail.to_dict()["materialized_levels"] == 131
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2),
+        QueueParams(lam=2.0, mu=1.0, alpha=0.7, c=4),
+        QueueParams(lam=1.0, mu=1.0, alpha=0.5, c=2),  # confluent
+        QueueParams(lam=2.0, mu=1.0, alpha=0.2, c=4),  # below the line
+    ],
+    ids=["c2", "c4", "confluent", "below"],
+)
+def test_boundary_column_c_is_first_tail_level(p):
+    sol = gf.solve(p)
+    np.testing.assert_allclose(
+        sol.boundary[:, p.c], sol.distribution().tail.level(0), rtol=1e-14, atol=0.0
+    )
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, c, tol",
+    [
+        (0.5, 0.7, 100, 1e-13),
+        (0.5, 0.7, 200, 1e-13),
+        (0.5, 0.7, 400, 1e-13),
+        (0.5, 0.5, 20, 1e-13),  # confluent
+        (0.3, 1e-3, 300, 1e-12),
+    ],
+)
+def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
+    # every state of levels 0..c+60, the tail sums and row tails, relative
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    dg, dq = gf.solve(p).distribution(), qbd_solution(p).distribution()
+    pairs = [(dg.level(j), dq.level(j)) for j in range(c + 61)]
+    pairs += [(dg.tail.sum0(), dq.tail.sum0()), (dg.tail.sum1(), dq.tail.sum1())]
+    for m in (0, 10):
+        pairs.append(
+            tuple(np.array([d.tail.row_tail(i, m) for i in range(c + 1)]) for d in (dg, dq))
+        )
+    worst = 0.0
+    for a, b in pairs:
+        scale = np.maximum(a, b)
+        keep = scale > 1e-290  # below this both solvers underflow
+        worst = max(worst, float(np.max(np.abs(a - b)[keep] / scale[keep], initial=0.0)))
+    assert worst <= tol
+
+
+def test_default_path_loads_no_mpmath():
+    # a fresh interpreter: gf.solve and the CLI's solve run in float64 only
+    code = (
+        "import sys\n"
+        "from mmcsetup import cli, gf\n"
+        "from mmcsetup.model import QueueParams\n"
+        "gf.solve(QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10))\n"
+        "cli.main(['solve', '--lambda', '8', '--mu', '1', '--alpha', '0.5', '--c', '10'])\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    src = str(Path(gf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

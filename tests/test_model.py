@@ -14,8 +14,9 @@ from mmcsetup.model import (
     State,
     iter_states,
     n_setup,
-    params_from_config,
     params_to_dict,
+    read_config,
+    resolve_params,
     transition_rates,
     validate,
 )
@@ -106,7 +107,7 @@ def test_iter_states_shape():
 def test_config_roundtrip(tmp_path):
     path = tmp_path / "q.conf"
     path.write_text("# test\nrho = 0.5\nc = 4\nmu = 2\nalpha = 0.3\nci = 0.5\ncsw = 2\n")
-    p, costs = params_from_config(str(path))
+    p, costs = resolve_params(read_config(str(path)))
     assert p == QueueParams(lam=4.0, mu=2.0, alpha=0.3, c=4)
     assert costs == CostParams(c_active=1.0, c_setup=1.0, c_idle=0.5, c_switch=2.0)
     assert params_to_dict(p)["lambda"] == 4.0
@@ -128,4 +129,4 @@ def test_config_rejects(tmp_path, text):
     path = tmp_path / "bad.conf"
     path.write_text(text)
     with pytest.raises(InvalidConfigError):
-        params_from_config(str(path))
+        resolve_params(read_config(str(path)))

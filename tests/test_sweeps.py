@@ -71,15 +71,16 @@ def test_ratio_sweep_moves_costs_only():
 
 
 def test_confluent_point_lands_in_error_column():
-    # middle point sits exactly on alpha = mu (1 - rho): gf has no closed
-    # form there, so the row is solved by qbd and flagged, not failed
+    # middle point sits exactly on alpha = mu (1 - rho): gf solves it like
+    # any other point, so no row fails and none needs another method
     sp = spec(grid=(0.3, 0.5, 0.8), methods=("gf",))
     rows = sweeps.run_sweep(sp)
     assert [row["error"] for row in rows] == ["", "", ""]
-    assert [row["fallback"] for row in rows] == ["", "gf->qbd", ""]
+    assert "fallback" not in sweeps.sweep_columns(sp)
     p = replace(sp.params, alpha=0.5)
+    assert sweeps.solve_distribution(p, "gf").source == "gf"
     want = full_report(qbd.solve(p, with_g=False).distribution(), p).e_jobs
-    assert rows[1]["e_jobs"] == want
+    assert rows[1]["e_jobs"] == pytest.approx(want, rel=1e-12)
 
 
 def test_csv_deterministic(tmp_path):
