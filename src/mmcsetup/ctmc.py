@@ -1,10 +1,11 @@
 """Brute-force oracle: solve the truncated chain directly.
 
-Builds the generator from :func:`mmcsetup.model.transition_rates` state by
-state (deliberately sharing no algebra with the analytic solvers), truncates
-by dropping arrivals at the top level (reflecting boundary), and solves the
-sparse stationary system.  Slow but trustworthy; the analytic solvers are
-cross-checked against it.
+Builds the generator from :func:`mmcsetup.model.transition_rates`
+(deliberately sharing no algebra with the analytic solvers), state by state
+on levels 0..c + 1; level c + 1's transitions are tiled up to the cap after
+level c + 2 is checked to repeat them one level up.  Truncates by dropping
+arrivals at the top level (reflecting boundary) and solves the sparse
+stationary system; the analytic solvers are cross-checked against it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .distribution import ExplicitTail, JointDistribution
-from .errors import InvalidConfigError, TruncationInsufficientError
-from .model import QueueParams, State, iter_states, transition_rates, validate
+from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError
+from .model import QueueParams, State, transition_rates, validate
 
 
 def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
@@ -37,11 +38,41 @@ def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
     return max(params.c + 2 * k0, params.c + 5)
 
 
-def _state_index(params: QueueParams, j_max: int) -> dict[State, int]:
+def _index(c: int, i: int, j: int) -> int:
     # level-major order keeps the generator tightly banded (all transitions
     # move at most one level), which is what makes the sparse LU cheap
-    states = sorted(iter_states(params, j_max), key=lambda s: (s.j, s.i))
-    return {s: n for n, s in enumerate(states)}
+    return j * (j + 1) // 2 + i if j <= c else c * (c + 1) // 2 + (j - c) * (c + 1) + i
+
+
+def _level_triples(params: QueueParams, levels) -> tuple[np.ndarray, ...]:
+    """(source, target, rate) of every transition out of ``levels``, each
+    state's in transition_rates order (arrival, service, setup)."""
+    c = params.c
+    src, dst, rate = zip(*(
+        (_index(c, i, j), _index(c, *target), r)
+        for j in levels
+        for i in range(min(j, c) + 1)
+        for target, r in transition_rates(State(i, j), params)
+    ))
+    return np.array(src), np.array(dst), np.array(rate)
+
+
+def _generator(params: QueueParams, j_max: int) -> sp.csc_matrix:
+    """Q^T of the chain truncated at j_max; column k holds state k's rates."""
+    c, w = params.c, params.c + 1
+    head, tmpl, nxt = (_level_triples(params, lv) for lv in (range(c + 1), [c + 1], [c + 2]))
+    shift = (w, w, 0)  # one level up: source and target move by w states, rates stay
+    if not all(np.array_equal(a, t + s) for a, t, s in zip(nxt, tmpl, shift)):
+        raise InternalInconsistencyError(f"level {c + 2} is not level {c + 1} shifted by one level")
+    k = np.arange(j_max - c)[:, None]
+    src, dst, rate = (np.concatenate([h, (t + s * k).ravel()]) for h, t, s in zip(head, tmpl, shift))
+    n = _index(c, 0, j_max + 1)
+    keep = dst < n  # reflecting truncation: drop arrivals at the cap
+    src, dst, rate = src[keep], dst[keep], rate[keep]
+    # bincount adds each state's rates in input order, as a per-state running sum
+    out, diag = np.bincount(src, weights=rate, minlength=n), np.arange(n)
+    rows, cols = np.concatenate([dst, diag]), np.concatenate([src, diag])
+    return sp.csc_matrix((np.concatenate([rate, -out]), (rows, cols)), shape=(n, n))
 
 
 def solve_truncated(
@@ -62,34 +93,14 @@ def solve_truncated(
     if j_max < c + 5:
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 
-    index = _state_index(params, j_max)
-    n = len(index)
-    rows, cols, vals = [], [], []
-    for s, k in index.items():
-        out = 0.0
-        for target, rate in transition_rates(s, params):
-            if target.j > j_max:
-                continue  # reflecting truncation: drop arrivals at the cap
-            out += rate
-            rows.append(index[target])
-            cols.append(k)
-            vals.append(rate)
-        rows.append(k)
-        cols.append(k)
-        vals.append(-out)
-    qt = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
-    pi = _solve_stationary(qt, n)
+    qt = _generator(params, j_max)
+    pi = _solve_stationary(qt, qt.shape[0])
 
     # package: boundary block + explicit tail levels
     boundary = np.zeros((c + 1, c))
     for j in range(c):
-        for i in range(j + 1):
-            boundary[i, j] = pi[index[State(i, j)]]
-    tail_levels = np.zeros((j_max - c + 1, c + 1))
-    for m in range(j_max - c + 1):
-        for i in range(c + 1):
-            tail_levels[m, i] = pi[index[State(i, c + m)]]
+        boundary[: j + 1, j] = pi[_index(c, 0, j) : _index(c, 0, j + 1)]
+    tail_levels = pi[_index(c, 0, c) :].reshape(-1, c + 1)
 
     # estimated truncation error: mass at levels >= j_max - 2
     tail_mass = float(tail_levels[-3:].sum())
@@ -114,18 +125,21 @@ def solve_adaptive(
 
     The a-priori estimate in choose_truncation assumes a rho-geometric tail,
     which slow setups violate; this wrapper keeps doubling j_max until the
-    reported truncation error actually meets tol.
+    reported truncation error actually meets tol.  A cap of more than about
+    max_states states raises TruncationInsufficientError before it is built.
     """
     validate(params)
     if j_max is None:
         j_max = choose_truncation(params, tol)
     while True:
+        if j_max * (params.c + 1) > max_states:
+            raise TruncationInsufficientError(
+                f"j_max {j_max} needs {j_max * (params.c + 1)} states, over max_states {max_states}"
+            )
         try:
             return solve_truncated(params, j_max=j_max, tol=tol)
         except TruncationInsufficientError:
             j_max *= 2
-            if j_max * (params.c + 1) > max_states:
-                raise
 
 
 def _solve_stationary(qt: sp.csc_matrix, n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ the diagonal solves one small upper-triangular system in terms of the
 columns before it, with positive pivots, nonpositive off-diagonals and a
 nonnegative right-hand side.  No iteration, no cancellation: the
 construction stays accurate in double precision even when the zhat_i
-collide and the partial-fraction solver has to give up.
+collide, on the line alpha = mu (1 - rho).
 
 The first-passage matrix G is built the same way (g_{i,i} = z_i, and
 g_{c,c} = 1 because from phase c the level process is a stable M/M/1 whose

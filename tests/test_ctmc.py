@@ -1,10 +1,68 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import oracle_distribution
 from mmcsetup import ctmc, gf, mmc
-from mmcsetup.errors import InvalidConfigError, TruncationInsufficientError
-from mmcsetup.model import QueueParams, State, n_setup, transition_rates
+from mmcsetup.errors import (
+    InternalInconsistencyError,
+    InvalidConfigError,
+    TruncationInsufficientError,
+)
+from mmcsetup.model import QueueParams, State, iter_states, n_setup, transition_rates
+
+
+def reference_generator(p: QueueParams, j_max: int) -> sp.csc_matrix:
+    """Q^T assembled state by state: one transition_rates call and one
+    running diagonal sum per state, states in level-major order."""
+    states = sorted(iter_states(p, j_max), key=lambda s: (s.j, s.i))
+    index = {s: n for n, s in enumerate(states)}
+    n = len(index)
+    rows, cols, vals = [], [], []
+    for s, k in index.items():
+        out = 0.0
+        for target, rate in transition_rates(s, p):
+            if target.j > j_max:
+                continue  # reflecting truncation: drop arrivals at the cap
+            out += rate
+            rows.append(index[target])
+            cols.append(k)
+            vals.append(rate)
+        rows.append(k)
+        cols.append(k)
+        vals.append(-out)
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+# (c, rho, alpha): a fast and a slow setup, a confluent point alpha = mu (1 - rho)
+ASSEMBLY_POINTS = [(1, 0.5, 1.0), (2, 0.9, 0.01), (5, 0.7, 0.3), (10, 0.5, 0.7)]
+
+
+@pytest.mark.parametrize("c, rho, alpha", ASSEMBLY_POINTS)
+@pytest.mark.parametrize("extra_levels", [5, 200])
+def test_generator_matches_per_state_assembly(c, rho, alpha, extra_levels):
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    got = ctmc._generator(p, c + extra_levels)
+    want = reference_generator(p, c + extra_levels)
+    assert got.has_canonical_format and want.has_canonical_format
+    assert got.shape == want.shape
+    # entry for entry, bit for bit: same pattern, same floats
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_level_dependent_law_is_refused(monkeypatch):
+    # a law that changes from level c + 2 on must not be tiled from level c + 1
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3)
+
+    def drifting(state, params):
+        k = 2.0 if state.j >= params.c + 2 else 1.0
+        return [(target, k * rate) for target, rate in transition_rates(state, params)]
+
+    monkeypatch.setattr(ctmc, "transition_rates", drifting)
+    with pytest.raises(InternalInconsistencyError):
+        ctmc.solve_truncated(p, j_max=20)
 
 
 def test_choose_truncation_moderate_load():
@@ -88,6 +146,20 @@ def test_adaptive_recovers_from_low_guess():
     d = ctmc.solve_adaptive(p, tol=1e-10, j_max=16)
     assert d.info["tail_mass"] < 1e-10
     assert d.total_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_adaptive_checks_max_states_before_first_solve(monkeypatch):
+    # the first guess is about 17k states, far over a cap of 1,000
+    p = QueueParams(lam=1.8, mu=1.0, alpha=0.01, c=2)
+    states = ctmc.choose_truncation(p, 1e-12) * (p.c + 1)
+    assert states > 10_000
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("solve_truncated ran past the state cap")
+
+    monkeypatch.setattr(ctmc, "solve_truncated", no_solve)
+    with pytest.raises(TruncationInsufficientError, match=f"{states} states.*1000"):
+        ctmc.solve_adaptive(p, max_states=1_000)
 
 
 def test_jmax_must_clear_boundary():

@@ -3,7 +3,9 @@
 Examples are derandomized so the suite stays deterministic; the explicit
 example is a point where a subtractive boundary sweep returns negative
 probabilities and G-level rows off by 1.  Every draw is also compared with
-the generating-function solver, state by state.
+the generating-function solver, state by state.  A second test draws small
+systems on which all three routes, the truncated-chain oracle included,
+must agree.
 """
 
 import numpy as np
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmcsetup import gf, qbd
-from mmcsetup.measures import performance
-from mmcsetup.model import QueueParams
+from mmcsetup import gf, qbd, sweeps
+from mmcsetup.measures import full_report, performance
+from mmcsetup.model import CostParams, QueueParams
 
 MU = 1.0
 
@@ -54,3 +56,28 @@ def test_qbd_solution_properties(rho, alpha, c, confluent):
         keep = scale > 1e-290
         worst = max(worst, float(np.max(np.abs(a - b)[keep] / scale[keep], initial=0.0)))
     assert worst <= 1e-10
+
+
+# alpha stops at 1e-2: the oracle's state count grows like 1 / alpha
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    rho=st.floats(0.05, 0.95),
+    alpha=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+    c=st.integers(1, 8),
+    confluent=st.booleans(),
+)
+@example(rho=0.95, alpha=0.01, c=8, confluent=False)  # the largest oracle chain drawable
+def test_three_routes_agree(rho, alpha, c, confluent):
+    if confluent:
+        alpha = MU * (1.0 - rho)
+    p = QueueParams(lam=rho * c * MU, mu=MU, alpha=alpha, c=c)
+    dists = [sweeps.solve_distribution(p, m) for m in sweeps.ANALYTIC_METHODS]
+
+    # criterion 1's per-state bound on levels 0..c+50, for every pair
+    for j in range(c + 51):
+        levels = np.array([d.level(j) for d in dists])
+        assert float(np.max(levels.max(axis=0) - levels.min(axis=0))) < 1e-8
+
+    # the gap a sweep row is flagged at, over every report field
+    reports = [full_report(d, p, CostParams()) for d in dists]
+    assert sweeps._report_gap(reports) <= sweeps.METHOD_GAP_LIMIT
