@@ -265,7 +265,7 @@ def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
     """
     p = blocks.params
     m = -blocks.q0 - p.lam * g_hom
-    return solve_triangular(m, p.lam * np.eye(p.c + 1))
+    return solve_triangular(m, p.lam * np.eye(p.c + 1), check_finite=False)
 
 
 def _boundary_gap(params: QueueParams, rlevels: list) -> float:
@@ -305,23 +305,97 @@ class QbdSolution:
         return self.distribution().mean_jobs()
 
 
-def residuals(sol: QbdSolution) -> dict:
-    """Certificate residuals, evaluated in extended precision.
+def _split(a):
+    """a = hi + lo with halves of at most 26 bits (Veltkamp)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
-    Everything here should sit at roundoff for a correct build; the values
-    are reported rather than thresholded so callers can pick tolerances.
+
+def _two_product(a, b):
+    """a*b = p + e exactly, elementwise (Dekker)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    e = ah * bh - p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p, e
+
+
+def _two_sum(a, b):
+    """a + b = s + t exactly, elementwise (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _bracket(q0, r, rates):
+    """q0 + r @ Qm1 as an unevaluated pair hi + lo, exact to about 2^-106.
+
+    Qm1 scales column j of r by rates[j]; a column of r beyond q0's (the
+    all-busy corner of a boundary Qm1^(n)) folds onto the last one, as in
+    QbdBlocks.times_qm1.
+    """
+    n = q0.shape[1]
+    p, e = _two_product(r, rates[: r.shape[1]])
+    if r.shape[1] > n:
+        p[:, n - 1], t = _two_sum(p[:, n - 1], p[:, n])
+        e[:, n - 1] += e[:, n] + t
+        p, e = p[:, :n], e[:, :n]
+    hi, t = _two_sum(p, q0)
+    return hi, e + t
+
+
+def _lead(a, axis, beta):
+    """a = a0 + (a - a0) exactly, a0 the leading beta bits of each row
+    (axis 1) or column (axis 0) of a, relative to its max."""
+    top = np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1]
+    sigma = np.ldexp(1.0, top + (53 - beta))
+    a0 = (a + sigma) - sigma
+    return a0, a - a0
+
+
+def _exact_product(c, x, hi, lo):
+    """c + x @ (hi + lo) in float64 BLAS (Ozaki's error-free splitting).
+
+    x0 and y0 keep the leading beta = floor((53 - ceil(log2 k))/2) bits of
+    each row of x and column of hi (k inner), so the terms of x0 @ y0 are
+    integers below 2^(2 beta) times one power of two: no BLAS order rounds
+    them, and c + x0 @ y0 cancels exactly.  The exact remainders sit 2^-beta
+    below their row or column max, so the error is about 2^-74 of
+    |x| @ max|hi|, plus 2^-52 of the result.
+    """
+    beta = (53 - (x.shape[1] - 1).bit_length()) // 2
+    x0, xr = _lead(x, 1, beta)
+    y0, yr = _lead(hi, 0, beta)
+    out = c + x0 @ y0
+    out += x0 @ (yr + lo) + xr @ hi
+    return out
+
+
+def residuals(sol: QbdSolution) -> dict:
+    """Certificate residuals: absolute infinity-norm defects.
+
+    Each bracket (Q0 + R*Qm1, its boundary forms, Q0 + lam*G) is an exact
+    float64 pair, multiplied by _exact_product: the identities cancel
+    without rounding, and a nan or inf in R, an R^(i) or G gives a nan or
+    inf defect.  Everything here should sit at roundoff for a correct build;
+    the values are reported rather than thresholded so callers can pick
+    tolerances.
     """
     p = sol.params
     blocks = build_blocks(p)
-    L = np.longdouble
-    q1, q0, qm1 = blocks.q1.astype(L), blocks.q0.astype(L), blocks.qm1.astype(L)
-    r = sol.R.astype(L)
+    L = np.longdouble  # for the O(c) and O(c^2) sums only
+    rates = p.mu * np.arange(p.c + 2)
 
-    def infnorm(a) -> float:
-        return float(np.abs(a).sum(axis=1).max())
+    def infnorm(a, axis=1) -> float:
+        return float(np.abs(a).sum(axis=axis).max())
 
-    # the quadratic forms are factored, saving a longdouble product each
-    out = {"quad_R": infnorm(q1 + r @ (q0 + blocks.times_qm1(r, p.c + 1)))}
+    # Q0 + R*Qm1 is also the level-c bracket below
+    hi, lo = _bracket(blocks.q0, sol.R, rates)
+    out = {"quad_R": infnorm(_exact_product(blocks.q1, sol.R, hi, lo))}
 
     roots = quadratic_roots(p)
     out["r_diag"] = float(
@@ -330,19 +404,22 @@ def residuals(sol: QbdSolution) -> dict:
 
     # Q1^(i-1) + R^(i)*(Q0^(i) + R^(i+1)*Qm1^(i+1)), the bracket built from
     # the raw blocks rather than the row-sum diagonal the sweep used
-    lev = 0.0
-    rnext = r
+    norms = []
     for i in range(p.c, 0, -1):
-        ri = sol.rlevels[i].astype(L)
-        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
-        lev = max(lev, infnorm(blocks.level_q1(i - 1) + ri @ a))
-        rnext = ri
-    out["level_R"] = lev
+        if i < p.c:
+            hi, lo = _bracket(blocks.level_q0(i), sol.rlevels[i + 1], rates)
+        # Q1^(i-1) = lam*[I | 0] is a corner of Q1
+        prod = _exact_product(blocks.q1[:i, : i + 1], sol.rlevels[i], hi, lo)
+        norms.append(infnorm(prod))
+    out["level_R"] = float(np.max(norms))  # unlike max(), keeps a nan
     out["boundary"] = float(_boundary_gap(p, sol.rlevels))
 
     if sol.G is not None:
+        # Qm1 + (Q0 + lam*G)*G, transposed so the pair is the right factor
+        hi, lo = _bracket(blocks.q0, sol.G, np.full(p.c + 1, p.lam))
+        prod = _exact_product(blocks.qm1.T, sol.G.T, hi.T, lo.T)
+        out["quad_G"] = infnorm(prod, axis=0)
         g = sol.G.astype(L)
-        out["quad_G"] = infnorm(qm1 + (q0 + q1 @ g) @ g)
         out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
         out["g_diag"] = float(np.abs(np.diagonal(sol.G) - roots.z).max())
         out["r_from_g"] = float(

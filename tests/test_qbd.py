@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,3 +243,174 @@ def test_boundary_residual_is_relative_gap():
     assert 0.0 <= sol.info["boundary_certificate"] <= 1e-12
     sol.rlevels[1][0, 1] *= 1.0 + 1e-9
     assert qbd.residuals(sol)["boundary"] == pytest.approx(1e-9, rel=1e-6)
+
+
+def reference_residuals(sol):
+    """The longdouble evaluation qbd.residuals replaced, kept as a reference:
+    each bracket is rounded once in longdouble and multiplied by numpy's
+    longdouble matmul."""
+    p = sol.params
+    blocks = qbd.build_blocks(p)
+    L = np.longdouble
+    q1, q0, qm1 = blocks.q1.astype(L), blocks.q0.astype(L), blocks.qm1.astype(L)
+    r = sol.R.astype(L)
+
+    def infnorm(a) -> float:
+        return float(np.abs(a).sum(axis=1).max())
+
+    out = {"quad_R": infnorm(q1 + r @ (q0 + blocks.times_qm1(r, p.c + 1)))}
+    roots = quadratic_roots(p)
+    out["r_diag"] = float(
+        np.abs(np.diagonal(sol.R) * roots.zhat.astype(L) - 1.0).max()
+    )
+    lev = 0.0
+    rnext = r
+    for i in range(p.c, 0, -1):
+        ri = sol.rlevels[i].astype(L)
+        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
+        lev = max(lev, infnorm(blocks.level_q1(i - 1) + ri @ a))
+        rnext = ri
+    out["level_R"] = lev
+    out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels))
+    g = sol.G.astype(L)
+    out["quad_G"] = infnorm(qm1 + (q0 + q1 @ g) @ g)
+    out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
+    out["g_diag"] = float(np.abs(np.diagonal(sol.G) - roots.z).max())
+    out["r_from_g"] = float(
+        np.abs(sol.R - qbd.rate_matrix_from_g(blocks, sol.G)).max()
+    )
+    out["glevel_rows"] = max(
+        float(np.abs(sol.glevels[n].sum(axis=1) - 1.0).max())
+        for n in range(1, p.c + 1)
+    )
+    return out
+
+
+def roundoff_scales(sol):
+    """4 k 2^-64 max_i sum_j (|X||Y|)_ij for each product X Y of a residual:
+    the scale of longdouble roundoff in the reference."""
+    p = sol.params
+    blocks = qbd.build_blocks(p)
+
+    def scale(x, y):
+        rows = (np.abs(x) @ np.abs(y)).sum(axis=1)
+        return 4 * y.shape[0] * 2.0**-64 * float(rows.max())
+
+    out = {"quad_R": scale(sol.R, blocks.q0 + blocks.times_qm1(sol.R, p.c + 1))}
+    out["level_R"] = 0.0
+    rnext = sol.R
+    for i in range(p.c, 0, -1):
+        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
+        out["level_R"] = max(out["level_R"], scale(sol.rlevels[i], a))
+        rnext = sol.rlevels[i]
+    out["quad_G"] = scale(blocks.q0 + p.lam * sol.G, sol.G)
+    return out
+
+
+def rq(rho, alpha, c):
+    return QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        QueueParams(lam=2.5, mu=1.0, alpha=0.3, c=5),
+        P112,
+        rq(0.5, 0.7, 32),
+        P100,  # rho 0.5, alpha 0.7
+        rq(0.3, 1e-3, 60),  # slow setup
+        rq(0.7, 0.3, 20),  # the confluent line alpha = mu (1 - rho)
+        rq(0.95, 1e3, 40),
+    ],
+    ids=["c5", "P112", "c32", "c100", "slow", "confluent", "fast"],
+)
+def test_residuals_match_longdouble_reference(p):
+    sol = qbd_solution(p)
+    new, ref = qbd.residuals(sol), reference_residuals(sol)
+    assert list(new) == list(ref)
+    scales = roundoff_scales(sol)
+    for key in new:
+        if key in scales:
+            assert abs(new[key] - ref[key]) <= scales[key], key
+        else:
+            assert new[key] == ref[key], key
+
+
+def rational(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def pair_case(rng, x, hi, c=None):
+    # lo is the tail of a pair below hi's last bit; c defaults to -(x @ hi),
+    # which the product cancels down to roundoff
+    lo = hi * 2.0**-53 * rng.uniform(-1.0, 1.0, hi.shape)
+    return (-(x @ hi) if c is None else c), x, hi, lo
+
+
+def product_cases():
+    rng = np.random.default_rng(8)
+    yield pair_case(rng, rng.normal(size=(3, 4)), rng.normal(size=(4, 5)))
+    # inner dimension 401: beta = floor((53 - 9) / 2) = 22
+    yield pair_case(rng, rng.random((2, 401)), rng.normal(size=(401, 3)))
+    signs = rng.choice([-1.0, 1.0], (4, 30))
+    wide = signs * 10.0 ** rng.uniform(-200.0, 200.0, (4, 30))
+    yield pair_case(rng, wide, 10.0 ** rng.uniform(-3.0, 3.0, (30, 3)))
+    x = rng.normal(size=(3, 6))
+    x[1] = 0.0
+    x[0, 2] = x[2, 4] = 5e-320
+    hi = rng.normal(size=(6, 4))
+    hi[3, 1] = -3e-310
+    yield pair_case(rng, x, hi)
+    yield pair_case(rng, rng.normal(size=(3, 7)), rng.normal(size=(7, 3)), c=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(product_cases()),
+    ids=["small", "k401", "wide_rows", "zero_row_subnormal", "no_cancellation"],
+)
+def test_exact_product_matches_rationals(case):
+    c, x, hi, lo = case
+    exact = rational(c) + rational(x) @ (rational(hi) + rational(lo))
+    xmax = np.abs(rational(x)).max(axis=1)
+    ymax = np.abs(rational(hi) + rational(lo)).max(axis=0)
+    # 2^-60 k max|x_i| max|y_j|, plus the rounding of the float64 result
+    bound = Fraction(x.shape[1], 2**60) * np.outer(xmax, ymax) + np.abs(exact) / 2**52
+    err = np.abs(rational(qbd._exact_product(c, x, hi, lo)) - exact)
+    assert np.all(err <= bound)
+
+
+def test_bracket_pair_is_exact():
+    # hi + lo against q0 + r @ Qm1 in rationals, for the homogeneous bracket
+    # and each boundary one with its corner column
+    p = QueueParams(lam=2.8, mu=1.3, alpha=0.45, c=4)
+    sol = qbd.solve(p)
+    blocks = qbd.build_blocks(p)
+    rates = p.mu * np.arange(p.c + 2)
+    cases = [(blocks.q0, sol.R, blocks.qm1)] + [
+        (blocks.level_q0(i), sol.rlevels[i + 1], blocks.level_qm1(i + 1))
+        for i in range(1, p.c)
+    ]
+    for q0, r, qm1 in cases:
+        hi, lo = qbd._bracket(q0, r, rates)
+        gap = rational(hi) + rational(lo) - rational(q0) - rational(r) @ rational(qm1)
+        scale = np.abs(rational(q0)) + np.abs(rational(r)) @ np.abs(rational(qm1))
+        assert np.all(np.abs(gap) <= scale / 2**100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["R", "rlevel", "G"])
+def test_nonfinite_input_gives_no_small_residual(where, bad):
+    # callers test `not value <= tol`, so a broken matrix must read nan, inf
+    # or large, never as a small finite residual
+    sol = qbd.solve(QueueParams(lam=2.5, mu=1.0, alpha=0.3, c=5))
+    if where == "R":
+        key, target = "quad_R", sol.R
+    elif where == "rlevel":
+        key, target = "level_R", sol.rlevels[3]
+    else:
+        key, target = "quad_G", sol.G
+    target[1, 2] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        value = qbd.residuals(sol)[key]
+    assert not value <= 1e-10, value
