@@ -12,8 +12,10 @@ collide, on the line alpha = mu (1 - rho).
 The first-passage matrix G is built the same way (g_{i,i} = z_i, and
 g_{c,c} = 1 because from phase c the level process is a stable M/M/1 whose
 descent is certain).  Boundary levels get their own rectangular R^{(i)}
-from a backward sweep with one triangular inverse per level,
-subtraction-free as well: each diagonal comes from the known row sums (see
+from a backward sweep that inverts one upper-triangular M-matrix per level
+in place, by recursive halving (two dtrmm products per corner, dtrtri on
+blocks of at most 64), subtraction-free as well: each diagonal comes from
+the known row sums, and every corner is a sum of same-signed products (see
 level_rate_matrices).  The boundary G^{(n)} take no solve of their own:
 each is a column scaling of R^{(n)} (see g_levels).
 
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .distribution import GeometricTail, JointDistribution
@@ -91,13 +94,16 @@ class QbdBlocks:
         out[n, n - 1] = n * p.mu
         return out
 
-    def times_qm1(self, r: np.ndarray, n: int) -> np.ndarray:
+    def times_qm1(
+        self, r: np.ndarray, n: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """r @ level_qm1(n) without forming the block: a column scaling by
-        the service rates, plus, below level c, the corner column."""
+        the service rates, plus, below level c, the corner column.  out, if
+        given, receives the product."""
         p = self.params
         if n > p.c:
-            return r * np.diagonal(self.qm1)
-        out = r[:, :n] * (p.mu * np.arange(n))
+            return np.multiply(r, np.diagonal(self.qm1), out=out)
+        out = np.multiply(r[:, :n], p.mu * np.arange(n), out=out)
         out[:, n - 1] += r[:, n] * (n * p.mu)
         return out
 
@@ -198,27 +204,64 @@ def _upper_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+_LEAF = 64  # largest block _invert_lower hands to LAPACK's dtrtri whole
+
+
+def _invert_lower(x: np.ndarray) -> None:
+    """Invert the lower triangle of the square x in place, by recursion.
+
+    With x = [L11 0; L21 L22] split at k = n//2, the inverse is
+    [X11 0; X21 X22] with Xjj = Ljj^{-1} and the corner X21 = -X22*L21*X11,
+    two dtrmm products (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM Rev.
+    46, 2004), so almost all the flops run in level-3 BLAS.  Blocks of at
+    most _LEAF go to dtrtri.  The strict upper triangle is left as it was.
+    """
+    n = x.shape[0]
+    if n <= _LEAF:
+        inv, info = dtrtri(x, lower=1, overwrite_c=1)
+        if info != 0:
+            raise InternalInconsistencyError(
+                f"triangular inverse failed (info {info})"
+            )
+        if inv is not x:  # dtrtri worked on a copy of a strided block
+            x[...] = inv
+        return
+    k = n // 2
+    _invert_lower(x[:k, :k])
+    _invert_lower(x[k:, k:])
+    t = dtrmm(1.0, x[:k, :k], x[k:, :k], side=1, lower=1)
+    x[k:, :k] = dtrmm(-1.0, x[k:, k:], t, lower=1, overwrite_b=1)
+
+
 def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
     A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
-    the first i rows of A^{-1}: one triangular inverse per level, of which
-    only those rows are kept.  Index 0 is None (level 0 has no predecessor).
+    the first i rows of A^{-1}.  A is built in one reused workspace and
+    inverted there by _invert_lower (a recursive blocked inverse, in place),
+    of which only those rows are kept.  Index 0 is None (level 0 has no
+    predecessor).
 
     The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
     -(r*mu + its row's off-diagonal sum), a sum of nonnegative terms
     (Grassmann-Taksar-Heyman), and inverting this M-matrix never subtracts
-    either: every entry of A^{-1} is a sum of same-signed products.
+    either: the diagonal blocks of A^{-1} are <= 0 and the off-diagonal
+    entries of A >= 0, so each recursive corner -X22*L21*X11 is, entry by
+    entry, a sum of same-signed products like every dtrtri entry.
     """
     p = blocks.params
-    lam, mu, c = p.lam, p.mu, p.c
+    lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
     out: list = [None] * (c + 1)
+    work = np.empty((c + 1) ** 2)
     r_next = r_hom
     for i in range(c, 0, -1):
-        a = blocks.times_qm1(r_next, i + 1)
-        a += blocks.level_q0(i)
+        a = work[: (i + 1) ** 2].reshape(i + 1, i + 1)
+        blocks.times_qm1(r_next, i + 1, out=a)
+        # the setup rates of Q0^(i); its diagonal is replaced below
+        sup = np.arange(i)
+        a[sup, sup + 1] += (i - sup) * alpha
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, -(mu * np.arange(i + 1) + a.sum(axis=1)))
         if np.any(np.abs(np.diagonal(a)) < 1e-14):
@@ -226,12 +269,8 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
                 f"singular diagonal in boundary solve at level {i}"
             )
         # the transpose of a C-order upper triangle is a Fortran lower one
-        inv_t, info = dtrtri(a.T, lower=1, overwrite_c=1)
-        if info != 0:
-            raise InternalInconsistencyError(
-                f"triangular inverse failed at level {i} (info {info})"
-            )
-        r_next = out[i] = -lam * inv_t[:, :i].T
+        _invert_lower(a.T)
+        r_next = out[i] = -lam * a[:i]
     return out
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtri
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import qbd
@@ -11,6 +12,10 @@ from mmcsetup.gf import quadratic_roots
 from mmcsetup.model import QueueParams, State, iter_states, transition_rates
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+
+
+def rq(rho, alpha, c):
+    return QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
 
 
 def test_block_shapes_and_values():
@@ -245,6 +250,109 @@ def test_boundary_residual_is_relative_gap():
     assert qbd.residuals(sol)["boundary"] == pytest.approx(1e-9, rel=1e-6)
 
 
+def reference_level_rate_matrices(blocks, r_hom):
+    """The sweep qbd.level_rate_matrices replaced, kept as a reference: a
+    fresh bracket per level with the dense Q0^(i), inverted whole by one
+    LAPACK dtrtri call."""
+    p = blocks.params
+    out = [None] * (p.c + 1)
+    r_next = r_hom
+    for i in range(p.c, 0, -1):
+        a = blocks.times_qm1(r_next, i + 1)
+        a += blocks.level_q0(i)
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -(p.mu * np.arange(i + 1) + a.sum(axis=1)))
+        inv_t, info = dtrtri(a.T, lower=1, overwrite_c=1)
+        assert info == 0
+        r_next = out[i] = -p.lam * inv_t[:, :i].T
+    return out
+
+
+def sweep_and_reference(p):
+    blocks = qbd.build_blocks(p)
+    r_hom = qbd.rate_matrix(p)
+    new = qbd.level_rate_matrices(blocks, r_hom)
+    return blocks, new, reference_level_rate_matrices(blocks, r_hom)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [rq(0.5, 0.7, 65), rq(0.5, 0.7, 130), rq(0.3, 1e-3, 130), rq(0.95, 1e3, 150)],
+    ids=["c65", "c130", "slow", "fast"],
+)
+def test_level_rate_matrices_match_reference(p):
+    # 65 splits once into 32 + 33 and 130 twice, into 32 + 33 again
+    _, new, ref = sweep_and_reference(p)
+    for i in range(1, p.c + 1):
+        # zeros of the reference stay exactly zero
+        assert np.all(np.abs(new[i] - ref[i]) <= 1e-13 * np.abs(ref[i])), i
+        assert np.all(np.tril(new[i], -1) == 0.0), i
+
+
+@pytest.mark.parametrize("p", [rq(0.5, 0.7, 63), P112], ids=["c63", "P112"])
+def test_level_rate_matrices_leaf_is_bit_identical(p):
+    # every level has at most 64 phases: one dtrtri call, same bracket bits
+    blocks, new, ref = sweep_and_reference(p)
+    g_new, g_ref = qbd.g_levels(blocks, new), qbd.g_levels(blocks, ref)
+    for i in range(1, p.c + 1):
+        assert np.array_equal(new[i], ref[i]), i
+        assert np.array_equal(g_new[i], g_ref[i]), i
+
+
+def exact_lower_inverse(l):
+    """The lower triangle of l^{-1} in rationals, by forward substitution."""
+    n = l.shape[0]
+    f = [[Fraction(l[i, j]) for j in range(i + 1)] for i in range(n)]
+    x = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        x[j][j] = 1 / f[j][j]
+        for i in range(j + 1, n):
+            x[i][j] = -sum(f[i][k] * x[k][j] for k in range(j, i)) / f[i][i]
+    return x
+
+
+def lower_m_matrix(rng, n):
+    # the sweep's sign pattern: a negative diagonal of magnitude 1e-3..1e3
+    # that dominates its row's off-diagonals, all >= 0; the strict upper
+    # triangle holds values the inverse must not touch
+    w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    off = np.tril(rng.random((n, n)), -1) * w[:, None] / n
+    x = off - np.diag(w + off.sum(axis=1)) + np.triu(rng.normal(size=(n, n)), 1)
+    return np.asfortranarray(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 70])
+def test_invert_lower_matches_rationals(n):
+    x = lower_m_matrix(np.random.default_rng(n), n)
+    before = x.copy()
+    exact = exact_lower_inverse(x)
+    qbd._invert_lower(x)
+    upper = np.triu_indices(n, 1)
+    assert np.array_equal(x[upper], before[upper])
+    for i in range(n):
+        for j in range(i + 1):
+            # same-signed sums: componentwise within 8 n 2^-53
+            assert x[i, j] < 0.0, (i, j)
+            err = abs(Fraction(x[i, j]) - exact[i][j])
+            assert err <= Fraction(8 * n, 2**53) * abs(exact[i][j]), (i, j)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (70, 50)], ids=["leaf", "block"])
+def test_invert_lower_zero_pivot_raises(n, k):
+    x = lower_m_matrix(np.random.default_rng(3), n)
+    x[k, k] = 0.0
+    with pytest.raises(InternalInconsistencyError):
+        qbd._invert_lower(x)
+
+
+def test_invert_lower_nan_reaches_the_corner():
+    # 70 splits at 35: a nan in L21 must spread through the dtrmm corner
+    x = lower_m_matrix(np.random.default_rng(4), 70)
+    x[60, 10] = np.nan
+    qbd._invert_lower(x)
+    assert np.all(np.isnan(x[60:, :11]))
+
+
 def reference_residuals(sol):
     """The longdouble evaluation qbd.residuals replaced, kept as a reference:
     each bracket is rounded once in longdouble and multiplied by numpy's
@@ -305,10 +413,6 @@ def roundoff_scales(sol):
         rnext = sol.rlevels[i]
     out["quad_G"] = scale(blocks.q0 + p.lam * sol.G, sol.G)
     return out
-
-
-def rq(rho, alpha, c):
-    return QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
 
 
 @pytest.mark.parametrize(
