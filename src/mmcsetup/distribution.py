@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .errors import InternalInconsistencyError
 from .model import QueueParams, params_to_dict
@@ -123,19 +124,22 @@ class PoleTail:
 
 
 class GeometricTail:
-    """pi_{c+m} = pi_c R^m, with (I - R)^{-1} factored once."""
+    """pi_{c+m} = pi_c R^m for an upper-triangular R, with (I - R)^{-1}
+    formed once.
+
+    I - R is an upper-triangular M-matrix (positive diagonal under
+    stability, nonpositive off-diagonals), so LAPACK's triangular inverse
+    sums same-signed terms only and the inverse stays nonnegative.
+    """
 
     kind = "geometric"
 
     def __init__(self, pi_c: np.ndarray, R: np.ndarray):
         self.pi_c = pi_c
         self.R = R
-        n = R.shape[0]
-        eye = np.eye(n)
-        try:
-            self._N = np.linalg.inv(eye - R)  # spectral radius < 1 under stability
-        except np.linalg.LinAlgError as exc:
-            raise InternalInconsistencyError(f"I - R singular: {exc}") from exc
+        self._N, info = dtrtri(np.eye(R.shape[0]) - R, lower=0)
+        if info != 0:
+            raise InternalInconsistencyError(f"I - R singular (dtrtri info {info})")
         self._levels = [pi_c]
 
     def _level(self, m: int) -> np.ndarray:
@@ -153,7 +157,7 @@ class GeometricTail:
         return self.pi_c @ self.R @ self._N @ self._N
 
     def row_tail(self, i: int, m: int) -> float:
-        return float((self._level(m) @ self._N)[i])
+        return float(self._level(m) @ self._N[:, i])
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "pi_c": self.pi_c.tolist(), "R": self.R.tolist()}

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
+from mmcsetup import qbd
+from mmcsetup.distribution import GeometricTail
 from mmcsetup.model import QueueParams
 
 POINTS = [
@@ -85,3 +87,17 @@ def test_to_dict_roundtrip_fields():
     assert len(out["levels"]) == 2 + 4 + 1
     assert out["params"]["c"] == 2
     assert out["total_mass"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, c",
+    [(0.5, 0.3, 5), (0.5, 0.7, 100), (0.5, 0.7, 400), (0.3, 1e-3, 130), (0.95, 1e3, 150)],
+    ids=["c5", "c100", "c400", "slow", "fast"],
+)
+def test_geometric_tail_inverse_is_nonnegative(rho, alpha, c):
+    # (I - R)^{-1} by a triangular inverse against the general LU inverse
+    R = qbd.rate_matrix(QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c))
+    N = GeometricTail(np.ones(c + 1), R)._N
+    ref = np.linalg.inv(np.eye(c + 1) - R)
+    assert np.all(N >= 0.0)
+    assert np.all(np.abs(N - ref) <= 1e-14 * np.abs(ref))

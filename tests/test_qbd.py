@@ -230,8 +230,8 @@ def test_boundary_gap_is_checked(monkeypatch):
     # a boundary sweep that breaks the level-0 balance must raise
     sweep = qbd.level_rate_matrices
 
-    def broken(blocks, r_hom):
-        out = sweep(blocks, r_hom)
+    def broken(blocks, r_hom, glevels=None):
+        out = sweep(blocks, r_hom, glevels)
         out[1][0, 1] = np.nan
         return out
 
@@ -297,6 +297,38 @@ def test_level_rate_matrices_leaf_is_bit_identical(p):
     for i in range(1, p.c + 1):
         assert np.array_equal(new[i], ref[i]), i
         assert np.array_equal(g_new[i], g_ref[i]), i
+
+
+@pytest.mark.parametrize(
+    "p",
+    [rq(0.5, 0.7, 63), rq(0.5, 0.7, 65), rq(0.5, 0.7, 130), rq(0.95, 1e3, 150)],
+    ids=["c63", "c65", "c130", "fast"],
+)
+def test_sweep_glevels_are_g_levels(p):
+    # the sweep reads G^(n) off the bracket it forms; g_levels recomputes
+    # the same product from R^(n) afterwards, with the same bits
+    blocks, r_hom = qbd.build_blocks(p), qbd.rate_matrix(p)
+    glev = []
+    rlev = qbd.level_rate_matrices(blocks, r_hom, glev)
+    assert glev[0] is None and len(glev) == p.c + 1
+    for n, ref in enumerate(qbd.g_levels(blocks, rlev)[1:], start=1):
+        assert np.array_equal(glev[n], ref), n
+
+
+def test_solve_without_g_builds_no_g_level(monkeypatch):
+    calls = []
+    g_level = qbd._g_level
+
+    def counted(prod, lam):
+        calls.append(prod.shape[0])
+        return g_level(prod, lam)
+
+    monkeypatch.setattr(qbd, "_g_level", counted)
+    p = rq(0.5, 0.7, 8)
+    sol = qbd.solve(p, with_g=False)
+    assert calls == [] and sol.G is None and sol.glevels is None
+    qbd.solve(p, with_g=True)
+    assert sorted(calls) == list(range(1, p.c + 1))
 
 
 def exact_lower_inverse(l):
@@ -503,7 +535,9 @@ def test_bracket_pair_is_exact():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("where", ["R", "rlevel", "G"])
+@pytest.mark.parametrize(
+    "where", ["R", "rlevel", "G", "glevel1", "glevel3", "glevel5"]
+)
 def test_nonfinite_input_gives_no_small_residual(where, bad):
     # callers test `not value <= tol`, so a broken matrix must read nan, inf
     # or large, never as a small finite residual
@@ -512,9 +546,12 @@ def test_nonfinite_input_gives_no_small_residual(where, bad):
         key, target = "quad_R", sol.R
     elif where == "rlevel":
         key, target = "level_R", sol.rlevels[3]
-    else:
+    elif where == "G":
         key, target = "quad_G", sol.G
-    target[1, 2] = bad
+    else:
+        # G^(1), G^(3) and G^(c): not only the first level counts
+        key, target = "glevel_rows", sol.glevels[int(where[-1])]
+    target[1, min(2, target.shape[1] - 1)] = bad
     with np.errstate(invalid="ignore", over="ignore"):
         value = qbd.residuals(sol)[key]
     assert not value <= 1e-10, value
