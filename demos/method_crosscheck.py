@@ -11,7 +11,8 @@ import numpy as np
 from mmcsetup import ctmc, gf, qbd
 from mmcsetup.model import QueueParams
 
-# deliberately off the line alpha = mu (1 - rho), where gf refuses to run
+# rho = 0.7 and alpha = 0.4, near the line alpha = mu (1 - rho) = 0.3,
+# which all three routes solve as well
 params = QueueParams(lam=14.0, mu=1.0, alpha=0.4, c=20)
 
 d_gf = gf.solve(params).distribution()

@@ -123,27 +123,28 @@ def _cmd_solve(args) -> int:
 
 def _parse_grid(text: str) -> tuple:
     """Comma list '0.1,1,10', or 'log:lo:hi:n' / 'lin:lo:hi:n'."""
-    if text.startswith(("log:", "lin:")):
-        kind, pieces = text[:3], text[4:].split(":")
-        if len(pieces) != 3:
-            raise InvalidConfigError(f"bad grid spec {text!r}, want {kind}:lo:hi:n")
-        lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if kind == "log":
+    kind = text[:4]
+    try:
+        if kind not in ("log:", "lin:"):
+            return tuple(float(v) for v in text.split(","))
+        lo, hi, n = text[4:].split(":")  # a wrong piece count is a ValueError
+        lo, hi, n = float(lo), float(hi), int(n)
+        if kind == "log:":
             vals = np.logspace(np.log10(lo), np.log10(hi), n)
         else:
             vals = np.linspace(lo, hi, n)
-        return tuple(float(v) for v in vals)
-    try:
-        return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise InvalidConfigError(f"bad grid {text!r}") from None
+        raise InvalidConfigError(
+            f"bad grid {text!r}, want a comma list, log:lo:hi:n or lin:lo:hi:n"
+        ) from None
+    return tuple(float(v) for v in vals)
 
 
 def _cmd_sweep(args) -> int:
     params, costs = _build_params(args, need_alpha=(args.var != "alpha"))
     methods = tuple(args.method.split(",")) if args.method else ("gf",)
     if methods == ("all",):
-        methods = ("gf", "qbd", "ctmc")
+        methods = ANALYTIC_METHODS
     spec = SweepSpec(
         var=args.var,
         grid=_parse_grid(args.grid),
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one parameter point")
     _add_model_flags(p_solve)
-    p_solve.add_argument("--method", default="gf", choices=["gf", "qbd", "ctmc", "all"])
+    p_solve.add_argument("--method", default="gf", choices=[*ANALYTIC_METHODS, "all"])
     p_solve.add_argument("--out", help="path prefix: writes <out>.report.json and <out>.solution.json")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="analytic vs simulation comparison")
     _add_model_flags(p_val)
-    p_val.add_argument("--method", default="gf", choices=["gf", "qbd", "ctmc"])
+    p_val.add_argument("--method", default="gf", choices=ANALYTIC_METHODS)
     p_val.add_argument("--events", type=int, default=1_000_000)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--batches", type=int, default=20)

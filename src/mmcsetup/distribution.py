@@ -142,13 +142,10 @@ class GeometricTail:
             raise InternalInconsistencyError(f"I - R singular (dtrtri info {info})")
         self._levels = [pi_c]
 
-    def _level(self, m: int) -> np.ndarray:
+    def level(self, m: int) -> np.ndarray:
         while len(self._levels) <= m:
             self._levels.append(self._levels[-1] @ self.R)
         return self._levels[m]
-
-    def level(self, m: int) -> np.ndarray:
-        return self._level(m)
 
     def sum0(self) -> np.ndarray:
         return self.pi_c @ self._N
@@ -157,7 +154,7 @@ class GeometricTail:
         return self.pi_c @ self.R @ self._N @ self._N
 
     def row_tail(self, i: int, m: int) -> float:
-        return float(self._level(m) @ self._N[:, i])
+        return float(self.level(m) @ self._N[:, i])
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "pi_c": self.pi_c.tolist(), "R": self.R.tolist()}

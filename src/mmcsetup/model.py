@@ -147,7 +147,7 @@ def read_config(path: str) -> dict[str, float]:
                 raise InvalidConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
     if "lambda" in raw and "rho" in raw:
         raise InvalidConfigError(f"{path}: give lambda or rho, not both")
-    if "c" in raw and raw["c"] != int(raw["c"]):
+    if "c" in raw and not raw["c"].is_integer():
         raise InvalidConfigError(f"{path}: c must be an integer, got {raw['c']}")
     return raw
 

@@ -16,10 +16,9 @@ from a backward sweep that inverts one upper-triangular M-matrix per level
 in place, by recursive halving (two dtrmm products per corner, dtrtri on
 blocks of at most 64), subtraction-free as well: each diagonal comes from
 the known row sums, and every corner is a sum of same-signed products (see
-level_rate_matrices).  The boundary G^{(n)} take no solve of their own:
-G^{(n)} is R^{(n)}*Qm1^{(n)}/lam over a unit last row, and the sweep reads
-it off the bracket product R^{(n)}*Qm1^{(n)} it forms for level n-1 anyway
-(see g_levels).
+level_rate_matrices).  The boundary G^{(n)} take no solve of their own and
+are never stored: G^{(n)} is R^{(n)}*Qm1^{(n)}/lam over a unit last row,
+formed from R^{(n)} whenever QbdSolution.glevels is read (see g_levels).
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
@@ -235,9 +234,7 @@ def _invert_lower(x: np.ndarray) -> None:
     x[k:, :k] = dtrmm(-1.0, x[k:, k:], t, lower=1, overwrite_b=1)
 
 
-def level_rate_matrices(
-    blocks: QbdBlocks, r_hom: np.ndarray, glevels: list | None = None
-) -> list:
+def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
@@ -254,24 +251,15 @@ def level_rate_matrices(
     either: the diagonal blocks of A^{-1} are <= 0 and the off-diagonal
     entries of A >= 0, so each recursive corner -X22*L21*X11 is, entry by
     entry, a sum of same-signed products like every dtrtri entry.
-
-    glevels, if given, is an output list: it receives G^(1)..G^(c) at the
-    same indices, as g_levels returns them.  G^(i+1) is taken from the
-    workspace right after R^(i+1)*Qm1^(i+1) is written there, and G^(1)
-    from R^(1) after the loop, by the same arithmetic as g_levels.
     """
     p = blocks.params
     lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
     out: list = [None] * (c + 1)
-    if glevels is not None:
-        glevels[:] = [None] * (c + 1)
     work = np.empty((c + 1) ** 2)
     r_next = r_hom
     for i in range(c, 0, -1):
         a = work[: (i + 1) ** 2].reshape(i + 1, i + 1)
         blocks.times_qm1(r_next, i + 1, out=a)
-        if glevels is not None and i < c:
-            glevels[i + 1] = _g_level(a, lam)
         # the setup rates of Q0^(i); its diagonal is replaced below
         sup = np.arange(i)
         a[sup, sup + 1] += (i - sup) * alpha
@@ -284,20 +272,7 @@ def level_rate_matrices(
         # the transpose of a C-order upper triangle is a Fortran lower one
         _invert_lower(a.T)
         r_next = out[i] = -lam * a[:i]
-    if glevels is not None:
-        glevels[1] = _g_level(blocks.times_qm1(out[1], 1), lam)
     return out
-
-
-def _g_level(rq: np.ndarray, lam: float) -> np.ndarray:
-    """G^(n) = [R^(n)*Qm1^(n)/lam ; e_{n-1}] from the n x n product
-    rq = R^(n)*Qm1^(n), into a fresh (n+1) x n array."""
-    n = rq.shape[0]
-    gn = np.empty((n + 1, n))
-    np.divide(rq, lam, out=gn[:n])
-    gn[n] = 0.0
-    gn[n, n - 1] = 1.0
-    return gn
 
 
 def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
@@ -311,15 +286,14 @@ def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
     level_rate_matrices puts on the diagonal exactly).  So
     G^(n) = [R^(n)*Qm1^(n)/lam ; e_{n-1}], a column scaling of R^(n) plus
     the corner column, and every entry is a sum of nonnegative terms.
-
-    solve does not call this: level_rate_matrices(..., glevels=...) gives
-    the same bits from the products its sweep already forms.  It stays as
-    the stand-alone form, for R^(n) from elsewhere.
     """
     p = blocks.params
     out: list = [None] * (p.c + 1)
     for n in range(1, p.c + 1):
-        out[n] = _g_level(blocks.times_qm1(rlevels[n], n), p.lam)
+        gn = out[n] = np.empty((n + 1, n))
+        np.divide(blocks.times_qm1(rlevels[n], n), p.lam, out=gn[:n])
+        gn[n] = 0.0
+        gn[n, n - 1] = 1.0
     return out
 
 
@@ -346,7 +320,6 @@ class QbdSolution:
     R: np.ndarray
     rlevels: list
     G: np.ndarray
-    glevels: list
     levels: tuple
     info: dict
     _dist: object = field(default=None, repr=False)
@@ -363,11 +336,16 @@ class QbdSolution:
             )
         return self._dist
 
-    def prob(self, i: int, j: int) -> float:
-        return self.distribution().prob(i, j)
+    @property
+    def glevels(self) -> list | None:
+        """G^(1)..G^(c) from rlevels by g_levels, or None without G.
 
-    def mean_jobs(self) -> float:
-        return self.distribution().mean_jobs()
+        Rebuilt on each access and never stored, so a caller that reads it
+        more than once binds it once.
+        """
+        if self.G is None:
+            return None
+        return g_levels(build_blocks(self.params), self.rlevels)
 
 
 def _split(a):
@@ -499,15 +477,14 @@ def residuals(sol: QbdSolution) -> dict:
 def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     """Full matrix-analytic solve.
 
-    with_g=False skips the first-passage matrices when only probabilities
-    are needed; R alone determines the stationary vectors.
+    with_g=False skips G, and with it glevels, when only probabilities are
+    needed; R alone determines the stationary vectors.
     """
     validate(params)
     c = params.c
     blocks = build_blocks(params)
     r_hom = rate_matrix(params)
-    glev = [] if with_g else None
-    rlev = level_rate_matrices(blocks, r_hom, glev)
+    rlev = level_rate_matrices(blocks, r_hom)
 
     # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
     # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
@@ -532,4 +509,4 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
         "boundary_certificate": float(gap),
     }
     g_hom = g_matrix(params) if with_g else None
-    return QbdSolution(params, r_hom, rlev, g_hom, glev, levels, info)
+    return QbdSolution(params, r_hom, rlev, g_hom, levels, info)

@@ -74,7 +74,7 @@ def validate_spec(spec: SweepSpec) -> None:
     g = np.asarray(spec.grid, dtype=float)
     if not np.all(np.diff(g) > 0):
         raise InvalidConfigError("sweep grid must be strictly increasing")
-    if spec.var == "c" and any(int(x) != x or x < 1 for x in g):
+    if spec.var == "c" and any(not x.is_integer() or x < 1 for x in g):
         raise InvalidConfigError("c grid must be positive integers")
     if spec.var == "ratio" and g[0] < 0:
         raise InvalidConfigError("cost ratio must be nonnegative")

@@ -137,6 +137,17 @@ def test_sweep_grid_spec_forms(capsys):
         "--lambda", "1", "--mu", "1", "--c", "2",
     )
     assert code == 2
+    for var, grid in [
+        ("alpha", "log:a:1:5"),
+        ("alpha", "log:0.1:1:x"),
+        ("c", "nan"),
+        ("c", "2,inf"),
+    ]:
+        code, d = run_json(
+            capsys, "sweep", "--var", var, "--grid", grid,
+            "--rho", "0.5", "--alpha", "1", "--c", "2",
+        )
+        assert code == 2 and d["error"] == "InvalidConfig", grid
 
 
 def test_bad_method_rejected(capsys):

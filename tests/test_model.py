@@ -120,6 +120,8 @@ def test_config_roundtrip(tmp_path):
         "lambda = 1\nalpha = 1\n",  # missing c
         "lambda = 1\nc = 2\n",  # missing alpha
         "lambda = 1\nc = 2.5\nalpha = 1\n",  # non-integer c
+        "lambda = 1\nc = nan\nalpha = 1\n",
+        "lambda = 1\nc = inf\nalpha = 1\n",
         "lambda = 1\nc = 2\nalpha = 1\nbogus = 3\n",  # unknown key
         "lambda = 1\nlambda = 2\nc = 2\nalpha = 1\n",  # duplicate
         "what even is this\n",

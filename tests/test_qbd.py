@@ -132,13 +132,13 @@ def test_level_rate_matrices_structure(p):
 
 @pytest.mark.parametrize("p, row_tol", [(P3, 1e-10), (P100, 1e-12)], ids=["c3", "c100"])
 def test_level_g_matrices(p, row_tol):
-    sol = qbd_solution(p)
+    glevels = qbd_solution(p).glevels
     for n in range(1, p.c + 1):
-        gn = sol.glevels[n]
+        gn = glevels[n]
         assert gn.shape == (n + 1, n)
         assert np.max(np.abs(gn.sum(axis=1) - 1.0)) < row_tol
     # from level 1 the chain reaches level 0 with certainty
-    assert np.max(np.abs(sol.glevels[1] - 1.0)) < 1e-12
+    assert np.max(np.abs(glevels[1] - 1.0)) < 1e-12
 
 
 def test_stationary_matches_oracle():
@@ -194,12 +194,13 @@ def test_level_g_matrices_match_dense_solve(c):
     # (-Q0^(n) - lam*G^(n+1)[:n+1]) X = Qm1^(n) densely, level by level
     p = QueueParams(lam=0.6 * c, mu=1.0, alpha=0.4, c=c)
     sol = qbd_solution(p)
+    glevels = sol.glevels
     blocks = qbd.build_blocks(p)
     g_next = sol.G
     for n in range(c, 0, -1):
         m = -blocks.level_q0(n) - p.lam * g_next[: n + 1, :]
         ref = np.linalg.solve(m, blocks.level_qm1(n))
-        assert np.max(np.abs(sol.glevels[n] - ref)) <= 1e-12
+        assert np.max(np.abs(glevels[n] - ref)) <= 1e-12
         g_next = ref
 
 
@@ -230,8 +231,8 @@ def test_boundary_gap_is_checked(monkeypatch):
     # a boundary sweep that breaks the level-0 balance must raise
     sweep = qbd.level_rate_matrices
 
-    def broken(blocks, r_hom, glevels=None):
-        out = sweep(blocks, r_hom, glevels)
+    def broken(blocks, r_hom):
+        out = sweep(blocks, r_hom)
         out[1][0, 1] = np.nan
         return out
 
@@ -299,36 +300,23 @@ def test_level_rate_matrices_leaf_is_bit_identical(p):
         assert np.array_equal(g_new[i], g_ref[i]), i
 
 
-@pytest.mark.parametrize(
-    "p",
-    [rq(0.5, 0.7, 63), rq(0.5, 0.7, 65), rq(0.5, 0.7, 130), rq(0.95, 1e3, 150)],
-    ids=["c63", "c65", "c130", "fast"],
-)
-def test_sweep_glevels_are_g_levels(p):
-    # the sweep reads G^(n) off the bracket it forms; g_levels recomputes
-    # the same product from R^(n) afterwards, with the same bits
-    blocks, r_hom = qbd.build_blocks(p), qbd.rate_matrix(p)
-    glev = []
-    rlev = qbd.level_rate_matrices(blocks, r_hom, glev)
-    assert glev[0] is None and len(glev) == p.c + 1
-    for n, ref in enumerate(qbd.g_levels(blocks, rlev)[1:], start=1):
-        assert np.array_equal(glev[n], ref), n
-
-
 def test_solve_without_g_builds_no_g_level(monkeypatch):
+    # G^(n) is derived from R^(n) when sol.glevels is read, never in solve
     calls = []
-    g_level = qbd._g_level
+    g_levels = qbd.g_levels
 
-    def counted(prod, lam):
-        calls.append(prod.shape[0])
-        return g_level(prod, lam)
+    def counted(blocks, rlevels):
+        calls.append(blocks.params.c)
+        return g_levels(blocks, rlevels)
 
-    monkeypatch.setattr(qbd, "_g_level", counted)
+    monkeypatch.setattr(qbd, "g_levels", counted)
     p = rq(0.5, 0.7, 8)
     sol = qbd.solve(p, with_g=False)
     assert calls == [] and sol.G is None and sol.glevels is None
-    qbd.solve(p, with_g=True)
-    assert sorted(calls) == list(range(1, p.c + 1))
+    sol = qbd.solve(p, with_g=True)
+    assert calls == []
+    glevels = sol.glevels
+    assert calls == [p.c] and len(glevels) == p.c + 1 and glevels[0] is None
 
 
 def exact_lower_inverse(l):
@@ -420,8 +408,7 @@ def reference_residuals(sol):
         np.abs(sol.R - qbd.rate_matrix_from_g(blocks, sol.G)).max()
     )
     out["glevel_rows"] = max(
-        float(np.abs(sol.glevels[n].sum(axis=1) - 1.0).max())
-        for n in range(1, p.c + 1)
+        float(np.abs(g.sum(axis=1) - 1.0).max()) for g in sol.glevels[1:]
     )
     return out
 
@@ -549,9 +536,10 @@ def test_nonfinite_input_gives_no_small_residual(where, bad):
     elif where == "G":
         key, target = "quad_G", sol.G
     else:
-        # G^(1), G^(3) and G^(c): not only the first level counts
-        key, target = "glevel_rows", sol.glevels[int(where[-1])]
-    target[1, min(2, target.shape[1] - 1)] = bad
+        # G^(n) is derived from R^(n): a bad R^(1), R^(3) or R^(c) must show
+        # in the G-level rows, not only the first level
+        key, target = "glevel_rows", sol.rlevels[int(where[-1])]
+    target[min(1, target.shape[0] - 1), min(2, target.shape[1] - 1)] = bad
     with np.errstate(invalid="ignore", over="ignore"):
         value = qbd.residuals(sol)[key]
     assert not value <= 1e-10, value

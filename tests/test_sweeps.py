@@ -28,6 +28,9 @@ def test_validate_spec_rejections():
         sweeps.validate_spec(spec(var="rho", grid=(0.5, 1.0)))
     with pytest.raises(InvalidConfigError):  # non-integer server count
         sweeps.validate_spec(spec(var="c", grid=(2, 2.5)))
+    for grid in [(float("nan"),), (2, float("inf"))]:
+        with pytest.raises(InvalidConfigError):
+            sweeps.validate_spec(spec(var="c", grid=grid))
 
 
 def test_alpha_sweep_rows():
@@ -70,7 +73,7 @@ def test_ratio_sweep_moves_costs_only():
     assert rows[0]["cost_onoff"] < rows[1]["cost_onoff"]
 
 
-def test_confluent_point_lands_in_error_column():
+def test_confluent_point_gives_no_error_row():
     # middle point sits exactly on alpha = mu (1 - rho): gf solves it like
     # any other point, so no row fails and none needs another method
     sp = spec(grid=(0.3, 0.5, 0.8), methods=("gf",))
