@@ -130,6 +130,8 @@ def _parse_grid(text: str) -> tuple:
         lo, hi, n = text[4:].split(":")  # a wrong piece count is a ValueError
         lo, hi, n = float(lo), float(hi), int(n)
         if kind == "log:":
+            if not (lo > 0 and hi > 0):
+                raise InvalidConfigError(f"log grid bounds must be > 0, got {lo!r}:{hi!r}")
             vals = np.logspace(np.log10(lo), np.log10(hi), n)
         else:
             vals = np.linspace(lo, hi, n)

@@ -11,14 +11,16 @@ stationary system; the analytic solvers are cross-checked against it.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .distribution import ExplicitTail, JointDistribution
 from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError
 from .model import QueueParams, State, transition_rates, validate
+
+if TYPE_CHECKING:  # scipy loads when the oracle first runs
+    import scipy.sparse as sp
 
 
 def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
@@ -59,6 +61,8 @@ def _level_triples(params: QueueParams, levels) -> tuple[np.ndarray, ...]:
 
 def _generator(params: QueueParams, j_max: int) -> sp.csc_matrix:
     """Q^T of the chain truncated at j_max; column k holds state k's rates."""
+    import scipy.sparse as sp
+
     c, w = params.c, params.c + 1
     head, tmpl, nxt = (_level_triples(params, lv) for lv in (range(c + 1), [c + 1], [c + 2]))
     shift = (w, w, 0)  # one level up: source and target move by w states, rates stay
@@ -149,6 +153,8 @@ def _solve_stationary(qt: sp.csc_matrix, n: int) -> np.ndarray:
     nonsingular M-matrix system and, unlike replacing an equation with the
     dense normalization row, preserves the banded sparsity.
     """
+    from scipy.sparse.linalg import spsolve
+
     pi = np.empty(n)
     pi[0] = 1.0
     pi[1:] = spsolve(qt[1:, 1:], -qt[1:, [0]].toarray().ravel())

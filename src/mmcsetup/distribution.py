@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import InternalInconsistencyError
 from .model import QueueParams, params_to_dict
@@ -135,6 +134,8 @@ class GeometricTail:
     kind = "geometric"
 
     def __init__(self, pi_c: np.ndarray, R: np.ndarray):
+        from scipy.linalg.lapack import dtrtri
+
         self.pi_c = pi_c
         self.R = R
         self._N, info = dtrtri(np.eye(R.shape[0]) - R, lower=0)

@@ -4,7 +4,6 @@ always-on (ON-IDLE) cost baseline."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import CostParams, QueueParams, validate
 
@@ -41,6 +40,8 @@ def mean_jobs(params: QueueParams) -> float:
 def distribution(params: QueueParams, j_max: int) -> np.ndarray:
     """Marginal P(j jobs) for j = 0..j_max, computed in log space so large
     c and tiny tail probabilities don't overflow or underflow."""
+    from scipy.special import gammaln
+
     validate(params)
     c = params.c
     a = params.lam / params.mu

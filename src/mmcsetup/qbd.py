@@ -23,14 +23,15 @@ formed from R^{(n)} whenever QbdSolution.glevels is read (see g_levels).
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
 (I - R)^{-1}, one more triangular solve.
+
+scipy's BLAS and LAPACK handles are imported by the function that uses
+them, once per call and never inside a loop or the recursion, so importing
+mmcsetup (and the gf route) does not load scipy.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .distribution import GeometricTail, JointDistribution
 from .errors import InternalInconsistencyError
@@ -150,6 +151,8 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     right-hand side (c-k+1)*alpha*R[:k, k-1] is nonnegative, so back
     substitution only ever adds nonnegative terms.
     """
+    from scipy.linalg.lapack import dtrtrs
+
     validate(params)
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
@@ -160,7 +163,7 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     for k in range(1, c + 1):
         m = (-k * mu) * r[:k, :k]
         np.fill_diagonal(m, q[k] - k * mu * (d[:k] + d[k]))
-        r[:k, k] = _upper_solve(m, (c - k + 1) * alpha * r[:k, k - 1])
+        r[:k, k] = _upper_solve(dtrtrs, m, (c - k + 1) * alpha * r[:k, k - 1])
     return r
 
 
@@ -176,6 +179,8 @@ def g_matrix(params: QueueParams) -> np.ndarray:
     rates -(c-i)*alpha added on its superdiagonal; the only nonzero of the
     right-hand side is (c-k+1)*alpha*g_kk in its last row.
     """
+    from scipy.linalg.lapack import dtrtrs
+
     validate(params)
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
@@ -192,11 +197,11 @@ def g_matrix(params: QueueParams) -> np.ndarray:
         m[sup, sup + 1] -= setup[: k - 1]
         rhs = np.zeros(k)
         rhs[-1] = setup[k - 1] * d[k]
-        g[:k, k] = _upper_solve(m, rhs)
+        g[:k, k] = _upper_solve(dtrtrs, m, rhs)
     return g
 
 
-def _upper_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _upper_solve(dtrtrs, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with m x = b for an upper-triangular m held in C order (LAPACK
     reads its transpose in place as a lower-triangular Fortran array)."""
     x, info = dtrtrs(m.T, b, lower=1, trans=1)
@@ -208,7 +213,7 @@ def _upper_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LEAF = 64  # largest block _invert_lower hands to LAPACK's dtrtri whole
 
 
-def _invert_lower(x: np.ndarray) -> None:
+def _invert_lower(dtrtri, dtrmm, x: np.ndarray) -> None:
     """Invert the lower triangle of the square x in place, by recursion.
 
     With x = [L11 0; L21 L22] split at k = n//2, the inverse is
@@ -228,8 +233,8 @@ def _invert_lower(x: np.ndarray) -> None:
             x[...] = inv
         return
     k = n // 2
-    _invert_lower(x[:k, :k])
-    _invert_lower(x[k:, k:])
+    _invert_lower(dtrtri, dtrmm, x[:k, :k])
+    _invert_lower(dtrtri, dtrmm, x[k:, k:])
     t = dtrmm(1.0, x[:k, :k], x[k:, :k], side=1, lower=1)
     x[k:, :k] = dtrmm(-1.0, x[k:, k:], t, lower=1, overwrite_b=1)
 
@@ -252,6 +257,9 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     entries of A >= 0, so each recursive corner -X22*L21*X11 is, entry by
     entry, a sum of same-signed products like every dtrtri entry.
     """
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dtrtri
+
     p = blocks.params
     lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
     out: list = [None] * (c + 1)
@@ -270,7 +278,7 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
                 f"singular diagonal in boundary solve at level {i}"
             )
         # the transpose of a C-order upper triangle is a Fortran lower one
-        _invert_lower(a.T)
+        _invert_lower(dtrtri, dtrmm, a.T)
         r_next = out[i] = -lam * a[:i]
     return out
 
@@ -302,6 +310,8 @@ def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
 
     -Q0 - lam*G is upper triangular, so this is one triangular solve.
     """
+    from scipy.linalg import solve_triangular
+
     p = blocks.params
     m = -blocks.q0 - p.lam * g_hom
     return solve_triangular(m, p.lam * np.eye(p.c + 1), check_finite=False)
@@ -480,6 +490,8 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     with_g=False skips G, and with it glevels, when only probabilities are
     needed; R alone determines the stationary vectors.
     """
+    from scipy.linalg import solve_triangular
+
     validate(params)
     c = params.c
     blocks = build_blocks(params)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import InternalInconsistencyError, InvalidConfigError
 from .model import QueueParams, validate
@@ -278,6 +277,8 @@ def simulate(cfg: SimConfig) -> SimEstimate:
 def _halfwidth(values: np.ndarray) -> np.ndarray:
     """95% Student-t half-widths of the column means of `values`, one row
     per batch."""
+    from scipy.special import stdtrit
+
     n = values.shape[0]
     return stdtrit(n - 1, 0.975) * values.std(axis=0, ddof=1) / math.sqrt(n)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -148,6 +149,20 @@ def test_sweep_grid_spec_forms(capsys):
             "--rho", "0.5", "--alpha", "1", "--c", "2",
         )
         assert code == 2 and d["error"] == "InvalidConfig", grid
+
+
+@pytest.mark.parametrize("grid", ["log:0:1:5", "log:-1:1:3"])
+def test_sweep_log_grid_needs_positive_bounds(capsys, grid):
+    # rejected before log10, so numpy never warns about a bound <= 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, d = run_json(
+            capsys, "sweep", "--var", "alpha", "--grid", grid,
+            "--lambda", "1", "--mu", "1", "--c", "2",
+        )
+    assert code == 2 and d["error"] == "InvalidConfig"
+    assert d["message"].startswith("log grid bounds must be > 0")
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_method_rejected(capsys):

@@ -307,17 +307,57 @@ def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
     assert worst <= tol
 
 
-def test_default_path_loads_no_mpmath():
-    # a fresh interpreter: gf.solve and the CLI's solve run in float64 only
-    code = (
-        "import sys\n"
-        "from mmcsetup import cli, gf\n"
-        "from mmcsetup.model import QueueParams\n"
-        "gf.solve(QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10))\n"
-        "cli.main(['solve', '--lambda', '8', '--mu', '1', '--alpha', '0.5', '--c', '10'])\n"
-        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
-    )
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports mmcsetup from this tree."""
     src = str(Path(gf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_default_path_loads_no_mpmath():
+    # a fresh interpreter: gf.solve, the measures and the CLI's solve run in
+    # float64 only, and load no scipy either (qbd, ctmc, the simulator and
+    # mmc.distribution import their scipy parts when they run)
+    _run_fresh(
+        "import sys\n"
+        "import mmcsetup, mmcsetup.cli\n"
+        "from mmcsetup import cli, gf, measures\n"
+        "from mmcsetup.model import QueueParams\n"
+        "p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)\n"
+        "d = gf.solve(p).distribution()\n"
+        "measures.full_report(d, p)\n"
+        "measures.decomposition(d, p)\n"
+        "cli.main(['solve', '--lambda', '8', '--mu', '1', '--alpha', '0.5', '--c', '10'])\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_deferred_scipy_imports_resolve():
+    # a fresh interpreter, so each route has to import its scipy parts itself
+    _run_fresh(
+        "from mmcsetup import ctmc, mmc, qbd, sim\n"
+        "from mmcsetup.model import QueueParams\n"
+        "p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)\n"
+        "sol = qbd.solve(p)\n"
+        "sol.distribution().tail.sum0()\n"
+        "qbd.residuals(sol)\n"
+        "ctmc.solve_adaptive(p)\n"
+        "sim.simulate(sim.SimConfig(p, n_events=20_000))\n"
+        "mmc.distribution(p, 30)\n"
+    )
+
+
+def test_import_loads_every_submodule():
+    # perfbench/tracing.py's instrument() runs `import mmcsetup` and then reads
+    # sys.modules["mmcsetup.<name>"] for each traced module, so the package
+    # must keep importing its submodules eagerly (no PEP 562 lazy attributes)
+    _run_fresh(
+        "import sys\n"
+        "import mmcsetup\n"
+        "names = ('ctmc', 'gf', 'measures', 'mmc', 'qbd', 'sim', 'sweeps', 'distribution')\n"
+        "missing = [n for n in names if f'mmcsetup.{n}' not in sys.modules]\n"
+        "assert not missing, missing\n"
+    )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
@@ -346,7 +347,7 @@ def test_invert_lower_matches_rationals(n):
     x = lower_m_matrix(np.random.default_rng(n), n)
     before = x.copy()
     exact = exact_lower_inverse(x)
-    qbd._invert_lower(x)
+    qbd._invert_lower(dtrtri, dtrmm, x)
     upper = np.triu_indices(n, 1)
     assert np.array_equal(x[upper], before[upper])
     for i in range(n):
@@ -362,14 +363,14 @@ def test_invert_lower_zero_pivot_raises(n, k):
     x = lower_m_matrix(np.random.default_rng(3), n)
     x[k, k] = 0.0
     with pytest.raises(InternalInconsistencyError):
-        qbd._invert_lower(x)
+        qbd._invert_lower(dtrtri, dtrmm, x)
 
 
 def test_invert_lower_nan_reaches_the_corner():
     # 70 splits at 35: a nan in L21 must spread through the dtrmm corner
     x = lower_m_matrix(np.random.default_rng(4), 70)
     x[60, 10] = np.nan
-    qbd._invert_lower(x)
+    qbd._invert_lower(dtrtri, dtrmm, x)
     assert np.all(np.isnan(x[60:, :11]))
 
 
