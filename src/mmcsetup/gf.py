@@ -57,11 +57,16 @@ class RootTable:
     """Roots of f_i per phase: z[i] inside (0,1), zhat[i] above 1.
 
     z[0] = 0 and zhat[0] = (lambda + c alpha)/lambda are the degenerate
-    i = 0 pair; z[c] = 1 and zhat[c] = c mu / lambda exactly.
+    i = 0 pair; z[c] = 1 and zhat[c] = c mu / lambda exactly.  The gaps
+    zhat_gap = zhat - 1 and z_gap = 1 - z stay long doubles, so each keeps
+    its digits when its root is near 1, and 1 + zhat_gap is zhat in long
+    double.
     """
 
     z: np.ndarray
     zhat: np.ndarray
+    zhat_gap: np.ndarray
+    z_gap: np.ndarray
 
 
 def _roots(params: QueueParams, one) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +103,7 @@ def quadratic_roots(params: QueueParams) -> RootTable:
     """
     validate(params)
     z, zhat = _roots(params, np.longdouble(1))
-    return RootTable(z=z.astype(float), zhat=zhat.astype(float))
+    return RootTable(z.astype(float), zhat.astype(float), zhat - 1, 1 - z)
 
 
 def _falling(p, n: int):

@@ -4,21 +4,23 @@ The chain is a quasi-birth-and-death process that is level-independent from
 level c upward and level-dependent below.  The homogeneous rate matrix R is
 upper triangular with known diagonal r_{i,i} = 1/zhat_i.  Each column above
 the diagonal solves one small upper-triangular system in terms of the
-columns before it, with positive pivots, nonpositive off-diagonals and a
-nonnegative right-hand side.  No iteration, no cancellation: the
-construction stays accurate in double precision even when the zhat_i
-collide, on the line alpha = mu (1 - rho).
+columns before it, with positive pivots formed from the root gaps
+zhat_i - 1 and 1 - z_k, nonpositive off-diagonals and a nonnegative
+right-hand side.  No iteration, no cancellation: the construction stays
+accurate in double precision at slow setup and when the zhat_i collide, on
+the line alpha = mu (1 - rho).
 
-The first-passage matrix G is built the same way (g_{i,i} = z_i, and
-g_{c,c} = 1 because from phase c the level process is a stable M/M/1 whose
-descent is certain).  Boundary levels get their own rectangular R^{(i)}
-from a backward sweep that inverts one upper-triangular M-matrix per level
-in place, by recursive halving (two dtrmm products per corner, dtrtri on
-blocks of at most 64), subtraction-free as well: each diagonal comes from
-the known row sums, and every corner is a sum of same-signed products (see
-level_rate_matrices).  The boundary G^{(n)} take no solve of their own and
-are never stored: G^{(n)} is R^{(n)}*Qm1^{(n)}/lam over a unit last row,
-formed from R^{(n)} whenever QbdSolution.glevels is read (see g_levels).
+The first-passage matrix G takes no solve: Q1 = lam*I, so G = R*Qm1/lam,
+a column scaling of R (g_{i,i} = z_i, and g_{c,c} = 1 because from phase c
+the level process is a stable M/M/1 whose descent is certain).  Boundary
+levels get their own rectangular R^{(i)} from a backward sweep that inverts
+one upper-triangular M-matrix per level in place, by recursive halving (two
+dtrmm products per corner, dtrtri on blocks of at most 64),
+subtraction-free as well: each diagonal comes from the known row sums, and
+every corner is a sum of same-signed products (see level_rate_matrices).
+The boundary G^{(n)} are read off the same way and never stored: G^{(n)} is
+R^{(n)}*Qm1^{(n)}/lam over a unit last row, formed from R^{(n)} whenever
+QbdSolution.glevels is read (see g_levels).
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
@@ -146,10 +148,13 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     The diagonal holds the reciprocals of the large quadratic roots.  Column
     k above it solves one upper-triangular system in the unknowns r_{i,k},
     i < k, whose matrix diag(q_k - k*mu*(r_ii + r_kk)) - k*mu*triu(R[:k,:k], 1)
-    needs only the columns already built.  Its pivots equal
-    lam*zhat_k - k*mu/zhat_i > 0, its off-diagonals are nonpositive and the
-    right-hand side (c-k+1)*alpha*R[:k, k-1] is nonnegative, so back
-    substitution only ever adds nonnegative terms.
+    needs only the columns already built.  By f_k(zhat_k) = 0 and Vieta
+    (k*mu = lam*zhat_k*z_k) its pivots are
+    lam*zhat_k*((zhat_i - 1) + (1 - z_k))/zhat_i, formed in long double from
+    the two root gaps without a subtraction (Higham 2002, ch. 1) and rounded
+    once.  Its off-diagonals are nonpositive and the right-hand side
+    (c-k+1)*alpha*R[:k, k-1] is nonnegative, so back substitution only ever
+    adds nonnegative terms.
     """
     from scipy.linalg.lapack import dtrtrs
 
@@ -157,57 +162,33 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
     r = np.diag(1.0 / roots.zhat)
-    d = np.diagonal(r)
-    j = np.arange(c + 1, dtype=float)
-    q = lam + j * mu + (c - j) * alpha
+    zh = 1 + roots.zhat_gap
+    # pivots[i, k] for every i < k at once
+    gaps = np.add.outer(roots.zhat_gap, roots.z_gap)
+    pivots = (gaps * (lam * zh) / zh[:, None]).astype(float)
     for k in range(1, c + 1):
         m = (-k * mu) * r[:k, :k]
-        np.fill_diagonal(m, q[k] - k * mu * (d[:k] + d[k]))
-        r[:k, k] = _upper_solve(dtrtrs, m, (c - k + 1) * alpha * r[:k, k - 1])
+        np.fill_diagonal(m, pivots[:k, k])
+        # LAPACK reads the C-order upper triangle m in place as the transpose
+        # of a lower-triangular Fortran array
+        rhs = (c - k + 1) * alpha * r[:k, k - 1]
+        r[:k, k], info = dtrtrs(m.T, rhs, lower=1, trans=1)
+        if info != 0:
+            raise InternalInconsistencyError(f"zero pivot {info} in a column solve")
     return r
 
 
-def g_matrix(params: QueueParams) -> np.ndarray:
+def g_matrix(blocks: QbdBlocks, r_hom: np.ndarray) -> np.ndarray:
     """First-passage matrix G for the homogeneous part, row-stochastic.
 
     g_{i,j} is the probability that, starting one level up in phase i, the
-    first entry to the level below happens in phase j.  Phases only grow
-    between departures, so G is upper triangular with g_{0,0} = 0,
-    g_{i,i} = z_i, and g_{c,c} = 1.  Column k above the diagonal solves one
-    upper-triangular system as in rate_matrix, with matrix
-    diag(q_i - lam*(g_ii + g_kk)) - lam*triu(G[:k,:k], 1) and the setup
-    rates -(c-i)*alpha added on its superdiagonal; the only nonzero of the
-    right-hand side is (c-k+1)*alpha*g_kk in its last row.
+    first entry to the level below happens in phase j.  Read off R with no
+    solve (Latouche & Ramaswami, 1999): Q1 = lam*I, so R = lam*N and
+    G = N*Qm1 share N = (-Q0 - R*Qm1)^{-1}, and G = R*Qm1/lam is a column
+    scaling of R.  It is upper triangular with g_{0,0} = 0,
+    g_{i,i} = z_i (Vieta) and g_{c,c} = 1.
     """
-    from scipy.linalg.lapack import dtrtrs
-
-    validate(params)
-    lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
-    roots = quadratic_roots(params)
-    g = np.diag(roots.z)
-    d = np.diagonal(g)
-    j = np.arange(c + 1, dtype=float)
-    setup = (c - j) * alpha
-    q = lam + j * mu + setup
-    for k in range(1, c + 1):
-        m = -lam * g[:k, :k]
-        # q_i - lam*(z_i + g_kk) = lam*(zhat_i - g_kk) > 0: g_kk <= 1
-        np.fill_diagonal(m, q[:k] - lam * (d[:k] + d[k]))
-        sup = np.arange(k - 1)
-        m[sup, sup + 1] -= setup[: k - 1]
-        rhs = np.zeros(k)
-        rhs[-1] = setup[k - 1] * d[k]
-        g[:k, k] = _upper_solve(dtrtrs, m, rhs)
-    return g
-
-
-def _upper_solve(dtrtrs, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with m x = b for an upper-triangular m held in C order (LAPACK
-    reads its transpose in place as a lower-triangular Fortran array)."""
-    x, info = dtrtrs(m.T, b, lower=1, trans=1)
-    if info != 0:
-        raise InternalInconsistencyError(f"zero pivot {info} in a column solve")
-    return x
+    return blocks.times_qm1(r_hom, blocks.params.c + 1) / blocks.params.lam
 
 
 _LEAF = 64  # largest block _invert_lower hands to LAPACK's dtrtri whole
@@ -306,9 +287,11 @@ def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
 
 
 def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
-    """Alternate route R = Q1 * (-Q0 - Q1*G)^{-1}, used as a certificate.
+    """R = Q1 * (-Q0 - Q1*G)^{-1}, used as a certificate.
 
-    -Q0 - lam*G is upper triangular, so this is one triangular solve.
+    -Q0 - lam*G is upper triangular, so this is one triangular solve.  With
+    G = R*Qm1/lam from g_matrix it checks R's fixed-point form
+    R = lam*(-Q0 - R*Qm1)^{-1}; it is not an independent route.
     """
     from scipy.linalg import solve_triangular
 
@@ -478,9 +461,10 @@ def residuals(sol: QbdSolution) -> dict:
         out["r_from_g"] = float(
             np.abs(sol.R - rate_matrix_from_g(blocks, sol.G)).max()
         )
-        out["glevel_rows"] = float(
-            np.max([np.abs(g.sum(axis=1) - 1.0).max() for g in sol.glevels[1:]])
-        )
+        # G^(n)'s rows but the last (a unit row) sum to R^(n)*v_n/lam, with
+        # v_n = Qm1^(n)*e = mu*(0, 1, .., n), so no G^(n) is formed
+        rows = [r @ rates[: r.shape[1]] / p.lam - 1.0 for r in sol.rlevels[1:]]
+        out["glevel_rows"] = float(np.max(np.abs(np.concatenate(rows))))
     return out
 
 
@@ -520,5 +504,5 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
         "spectral_radius": float(np.diagonal(r_hom).max()),
         "boundary_certificate": float(gap),
     }
-    g_hom = g_matrix(params) if with_g else None
+    g_hom = g_matrix(blocks, r_hom) if with_g else None
     return QbdSolution(params, r_hom, rlev, g_hom, levels, info)

@@ -81,7 +81,7 @@ def test_quadratic_residual_R():
 
 
 def test_g_matrix_values():
-    g = qbd.g_matrix(P112)
+    g = qbd.g_matrix(qbd.build_blocks(P112), qbd.rate_matrix(P112))
     assert g[0, 0] == 0.0
     assert g[1, 1] == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-14)
     # only the row-stochastic root of (g-1)(lambda g - c mu) = 0 closes the
@@ -91,7 +91,7 @@ def test_g_matrix_values():
 
 def test_g_matrix_row_stochastic():
     for p in (P112, QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)):
-        g = qbd.g_matrix(p)
+        g = qbd.g_matrix(qbd.build_blocks(p), qbd.rate_matrix(p))
         assert np.max(np.abs(g.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(g >= 0)
 
@@ -99,7 +99,7 @@ def test_g_matrix_row_stochastic():
 def test_quadratic_residual_G():
     p = QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)
     blocks = qbd.build_blocks(p)
-    g = qbd.g_matrix(p)
+    g = qbd.g_matrix(blocks, qbd.rate_matrix(p))
     res = blocks.qm1 + blocks.q0 @ g + blocks.q1 @ g @ g
     assert np.max(np.abs(res)) < 1e-12
 
@@ -108,7 +108,7 @@ def test_r_from_g_identity():
     p = QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)
     blocks = qbd.build_blocks(p)
     r1 = qbd.rate_matrix(p)
-    r2 = qbd.rate_matrix_from_g(blocks, qbd.g_matrix(p))
+    r2 = qbd.rate_matrix_from_g(blocks, qbd.g_matrix(blocks, r1))
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
@@ -187,6 +187,18 @@ def test_residual_report(p):
     assert res["r_diag"] < 1e-12
     assert res["r_from_g"] < 1e-12
     assert res["level_R"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p", [rq(0.95, 1e-3, 40), rq(0.3, 1e-3, 60)], ids=["rho95", "rho30"]
+)
+def test_slow_setup_certificates(p):
+    # R's column pivots come from root gaps, not from q_k - k*mu*(r_ii + r_kk),
+    # which cancels when alpha is small; G = R*Qm1/lam inherits R's accuracy
+    res = qbd.residuals(qbd_solution(p))
+    assert res["level_R"] <= 1e-12
+    assert res["g_rows"] <= 1e-13
+    assert res["r_from_g"] <= 1e-13
 
 
 @pytest.mark.parametrize("c", [3, 8])
@@ -409,14 +421,15 @@ def reference_residuals(sol):
         np.abs(sol.R - qbd.rate_matrix_from_g(blocks, sol.G)).max()
     )
     out["glevel_rows"] = max(
-        float(np.abs(g.sum(axis=1) - 1.0).max()) for g in sol.glevels[1:]
+        float(np.abs(g.astype(L).sum(axis=1) - 1.0).max()) for g in sol.glevels[1:]
     )
     return out
 
 
 def roundoff_scales(sol):
     """4 k 2^-64 max_i sum_j (|X||Y|)_ij for each product X Y of a residual:
-    the scale of longdouble roundoff in the reference."""
+    the scale of longdouble roundoff in the reference; for glevel_rows, the
+    float64 roundoff of residuals' own row sums."""
     p = sol.params
     blocks = qbd.build_blocks(p)
 
@@ -432,6 +445,10 @@ def roundoff_scales(sol):
         out["level_R"] = max(out["level_R"], scale(sol.rlevels[i], a))
         rnext = sol.rlevels[i]
     out["quad_G"] = scale(blocks.q0 + p.lam * sol.G, sol.G)
+    # residuals sums a row of G^(n) as the float64 matvec R^(n) v_n / lam,
+    # the reference sums the rounded G^(n) entries: rows of nonnegative
+    # terms that sum to 1, so they part by about n + 4 float64 roundoffs
+    out["glevel_rows"] = (p.c + 4) * 2.0**-53
     return out
 
 

@@ -1,8 +1,9 @@
 """Property tests for the matrix-analytic solver over c, load and setup rate.
 
 Examples are derandomized so the suite stays deterministic; the explicit
-example is a point where a subtractive boundary sweep returns negative
-probabilities and G-level rows off by 1.  Every draw is also compared with
+examples are a point where a subtractive boundary sweep returns negative
+probabilities and G-level rows off by 1, and a slow-setup point where
+subtractive pivots in R lose digits.  Every draw is also compared with
 the generating-function solver, state by state.  A second test draws small
 systems on which all three routes, the truncated-chain oracle included,
 must agree.
@@ -23,11 +24,12 @@ MU = 1.0
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(
     rho=st.floats(0.05, 0.95),
-    alpha=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
     c=st.integers(1, 400),
     confluent=st.booleans(),
 )
 @example(rho=0.5, alpha=0.7, c=100, confluent=False)
+@example(rho=0.95, alpha=1e-4, c=200, confluent=False)  # slow setup
 def test_qbd_solution_properties(rho, alpha, c, confluent):
     if confluent:
         alpha = MU * (1.0 - rho)
