@@ -4,8 +4,11 @@ Builds the generator from :func:`mmcsetup.model.transition_rates`
 (deliberately sharing no algebra with the analytic solvers), state by state
 on levels 0..c + 1; level c + 1's transitions are tiled up to the cap after
 level c + 2 is checked to repeat them one level up.  Truncates by dropping
-arrivals at the top level (reflecting boundary) and solves the sparse
-stationary system; the analytic solvers are cross-checked against it.
+arrivals at the top level (reflecting boundary) and solves the stationary
+system by one banded LU, grounded at the state (m, m) with
+m = min(c, round(lam / mu)) (E[active] = lam / mu makes it a heavy state).
+A solution that fails its balance-residual check raises instead of being
+patched; the analytic solvers are cross-checked against it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
 
 
 def _index(c: int, i: int, j: int) -> int:
-    # level-major order keeps the generator tightly banded (all transitions
-    # move at most one level), which is what makes the sparse LU cheap
+    # level-major order keeps the generator banded with half-width at most
+    # c + 2 (all transitions move at most one level), which the LU relies on
     return j * (j + 1) // 2 + i if j <= c else c * (c + 1) // 2 + (j - c) * (c + 1) + i
 
 
@@ -98,7 +101,8 @@ def solve_truncated(
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 
     qt = _generator(params, j_max)
-    pi = _solve_stationary(qt, qt.shape[0])
+    m = min(c, round(params.lam / params.mu))
+    pi, residual, clipped_mass = _solve_stationary(qt, _index(c, m, m))
 
     # package: boundary block + explicit tail levels
     boundary = np.zeros((c + 1, c))
@@ -113,9 +117,18 @@ def solve_truncated(
             f"mass {tail_mass:.3g} at levels >= {j_max - 2} exceeds tol {tol:.3g}; "
             f"raise j_max (currently {j_max})"
         )
+    if clipped_mass > tol:
+        raise InternalInconsistencyError(
+            f"clipped negative mass {clipped_mass:.3g} exceeds tol {tol:.3g}"
+        )
 
-    residual = float(np.abs(qt @ pi).max())
-    info = {"j_max": j_max, "tail_mass": tail_mass, "balance_residual": residual}
+    info = {
+        "j_max": j_max,
+        "tail_mass": tail_mass,
+        "balance_residual": residual,
+        "ground": (m, m),
+        "clipped_mass": clipped_mass,
+    }
     return JointDistribution(params, boundary, ExplicitTail(tail_levels), "oracle", info)
 
 
@@ -146,30 +159,43 @@ def solve_adaptive(
             j_max *= 2
 
 
-def _solve_stationary(qt: sp.csc_matrix, n: int) -> np.ndarray:
-    """Solve Q^T pi = 0, sum pi = 1 by grounding one state.
+def _solve_stationary(qt: sp.csc_matrix, k: int) -> tuple[np.ndarray, float, float]:
+    """Solve Q^T pi = 0, sum pi = 1 by one banded LU grounded at state k.
 
-    Fixing pi at state 0 and dropping its balance equation leaves a
-    nonsingular M-matrix system and, unlike replacing an equation with the
-    dense normalization row, preserves the banded sparsity.
+    Row k of Q^T is replaced by e_k^T with right-hand side e_k, which fixes
+    pi_k = 1 and keeps the band (Stewart, 1994, ch. 2); LAPACK's gbsv
+    factors it with partial pivoting.  k should carry large mass: grounding
+    a state of tiny mass leaves the small states wrong by many orders.
+    Negative roundoff entries are clipped to zero.  Returns pi, the balance
+    residual max |Q^T pi| of the returned pi, and the clipped mass; raises
+    InternalInconsistencyError, with no fallback, if the solve is singular,
+    pi is not finite or has no mass, or the residual exceeds 1e-13.
     """
-    from scipy.sparse.linalg import spsolve
+    from scipy.linalg import LinAlgError, solve_banded
 
-    pi = np.empty(n)
-    pi[0] = 1.0
-    pi[1:] = spsolve(qt[1:, 1:], -qt[1:, [0]].toarray().ravel())
-    ok = np.all(np.isfinite(pi)) and pi.sum() > 0
-    if ok:
-        pi = pi / pi.sum()
-        if float(np.abs(qt @ pi).max()) > 1e-13:
-            ok = False
-    if not ok:
-        # fallback: replace one balance equation with the normalization row
-        a = qt.tolil(copy=True)
-        a[0, :] = np.ones(n)
-        b = np.zeros(n)
-        b[0] = 1.0
-        pi = spsolve(a.tocsc(), b)
-        pi = pi / pi.sum()
+    n = qt.shape[0]
+    row = qt.indices
+    col = np.repeat(np.arange(n), np.diff(qt.indptr))
+    offset = row - col  # every diagonal entry is stored, so both bounds are >= 0
+    lower, upper = int(offset.max()), int(-offset.min())
+    ab = np.zeros((lower + upper + 1, n))
+    keep = row != k
+    ab[upper + offset[keep], col[keep]] = qt.data[keep]
+    ab[upper, k] = 1.0
+    b = np.zeros(n)
+    b[k] = 1.0
+    try:
+        pi = solve_banded((lower, upper), ab, b)
+    except LinAlgError as exc:
+        raise InternalInconsistencyError(f"grounded balance system is singular: {exc}") from exc
+    total = pi.sum()
+    if not (np.all(np.isfinite(pi)) and total > 0):
+        raise InternalInconsistencyError(f"grounded solve gave no distribution (sum {total:.3g})")
+    pi /= total
+    clipped_mass = float(np.abs(pi[pi < 0].sum()))
     np.clip(pi, 0.0, None, out=pi)
-    return pi / pi.sum()
+    pi /= pi.sum()
+    residual = float(np.abs(qt @ pi).max())
+    if residual > 1e-13:
+        raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds 1e-13")
+    return pi, residual, clipped_mass

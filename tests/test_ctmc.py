@@ -127,6 +127,46 @@ def test_balance_equations_hold():
             assert in_rate == pytest.approx(out_rate, rel=1e-11, abs=1e-16)
 
 
+# (rho, alpha, c): heavy load at c = 50, fast setup, slow setup.  Grounded
+# at (0, 0), the small states of the first three were off by a relative 1.0
+# and those of the last by 4.6e-6; grounded at (m, m) they read
+# 9.8e-14, 4.6e-14, 8.8e-15 and 2.9e-13.
+ACCURACY_POINTS = [(0.95, 1.0, 50), (0.8, 0.1, 50), (0.3, 1000.0, 30), (0.7, 0.01, 30)]
+
+
+@pytest.mark.parametrize("rho, alpha, c", ACCURACY_POINTS)
+def test_small_states_match_gf(rho, alpha, c):
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    d = ctmc.solve_adaptive(p)
+    g = gf.solve(p).distribution()
+    # relative, state by state, on every state above 1e-100; the oracle
+    # holds nothing above its cap, so levels stop there
+    worst = 0.0
+    for j in range(min(c + 50, d.info["j_max"]) + 1):
+        a, b = d.level(j), g.level(j)
+        scale = np.maximum(a, b)
+        keep = scale > 1e-100
+        worst = max(worst, float(np.max(np.abs(a - b)[keep] / scale[keep], initial=0.0)))
+    assert worst <= 1e-11
+
+
+def test_non_generator_raises_instead_of_falling_back():
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    qt = ctmc._generator(p, 20)
+    qt.data[qt.indptr[4]] *= 1.5  # column 4 no longer sums to zero
+    with pytest.raises(InternalInconsistencyError, match="balance residual"):
+        ctmc._solve_stationary(qt, ctmc._index(2, 1, 1))
+
+
+def test_info_names_ground_and_clipped_mass():
+    p = QueueParams(lam=1.4, mu=1.0, alpha=0.7, c=3)
+    tol = 1e-12
+    d = ctmc.solve_adaptive(p, tol=tol)
+    m = round(p.lam / p.mu)
+    assert d.info["ground"] == (m, m)
+    assert 0.0 <= d.info["clipped_mass"] <= tol
+
+
 def test_marginals_sum_to_one():
     p = QueueParams(lam=4.5, mu=1.0, alpha=0.1, c=5)
     d = oracle_distribution(p)

@@ -5,8 +5,8 @@ examples are a point where a subtractive boundary sweep returns negative
 probabilities and G-level rows off by 1, and a slow-setup point where
 subtractive pivots in R lose digits.  Every draw is also compared with
 the generating-function solver, state by state.  A second test draws small
-systems on which all three routes, the truncated-chain oracle included,
-must agree.
+systems, plus two heavy-load examples at c = 50, on which all three routes,
+the truncated-chain oracle included, must agree.
 """
 
 import numpy as np
@@ -68,6 +68,8 @@ def test_qbd_solution_properties(rho, alpha, c, confluent):
     confluent=st.booleans(),
 )
 @example(rho=0.95, alpha=0.01, c=8, confluent=False)  # the largest oracle chain drawable
+@example(rho=0.95, alpha=1.0, c=50, confluent=False)  # heavy load, oracle grounded at (48, 48)
+@example(rho=0.8, alpha=0.1, c=50, confluent=False)
 def test_three_routes_agree(rho, alpha, c, confluent):
     if confluent:
         alpha = MU * (1.0 - rho)
