@@ -1,11 +1,13 @@
 """Brute-force oracle: solve the truncated chain directly.
 
-Builds the generator from :func:`mmcsetup.model.transition_rates`
+Lists the chain's transitions from :func:`mmcsetup.model.transition_rates`
 (deliberately sharing no algebra with the analytic solvers), state by state
 on levels 0..c + 1; level c + 1's transitions are tiled up to the cap after
 level c + 2 is checked to repeat them one level up.  Truncates by dropping
-arrivals at the top level (reflecting boundary) and solves the stationary
-system by one banded LU, grounded at the state (m, m) with
+arrivals at the top level (reflecting boundary).  The transition list and
+each state's outflow are the only form of the generator: the stationary
+system's LAPACK band is written straight from them (no sparse matrix) and
+solved by one banded LU, grounded at the state (m, m) with
 m = min(c, round(lam / mu)) (E[active] = lam / mu makes it a heavy state).
 A solution that fails its balance-residual check raises instead of being
 patched; the analytic solvers are cross-checked against it.
@@ -14,16 +16,12 @@ patched; the analytic solvers are cross-checked against it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distribution import ExplicitTail, JointDistribution
 from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError
 from .model import QueueParams, State, transition_rates, validate
-
-if TYPE_CHECKING:  # scipy loads when the oracle first runs
-    import scipy.sparse as sp
 
 
 def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
@@ -62,10 +60,10 @@ def _level_triples(params: QueueParams, levels) -> tuple[np.ndarray, ...]:
     return np.array(src), np.array(dst), np.array(rate)
 
 
-def _generator(params: QueueParams, j_max: int) -> sp.csc_matrix:
-    """Q^T of the chain truncated at j_max; column k holds state k's rates."""
-    import scipy.sparse as sp
-
+def _generator(params: QueueParams, j_max: int) -> tuple[np.ndarray, ...]:
+    """Q^T of the chain truncated at j_max as (src, dst, rate, out): every
+    transition src -> dst with its rate, and each state's total outflow,
+    the negated diagonal."""
     c, w = params.c, params.c + 1
     head, tmpl, nxt = (_level_triples(params, lv) for lv in (range(c + 1), [c + 1], [c + 2]))
     shift = (w, w, 0)  # one level up: source and target move by w states, rates stay
@@ -77,9 +75,7 @@ def _generator(params: QueueParams, j_max: int) -> sp.csc_matrix:
     keep = dst < n  # reflecting truncation: drop arrivals at the cap
     src, dst, rate = src[keep], dst[keep], rate[keep]
     # bincount adds each state's rates in input order, as a per-state running sum
-    out, diag = np.bincount(src, weights=rate, minlength=n), np.arange(n)
-    rows, cols = np.concatenate([dst, diag]), np.concatenate([src, diag])
-    return sp.csc_matrix((np.concatenate([rate, -out]), (rows, cols)), shape=(n, n))
+    return src, dst, rate, np.bincount(src, weights=rate, minlength=n)
 
 
 def solve_truncated(
@@ -100,9 +96,8 @@ def solve_truncated(
     if j_max < c + 5:
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 
-    qt = _generator(params, j_max)
     m = min(c, round(params.lam / params.mu))
-    pi, residual, clipped_mass = _solve_stationary(qt, _index(c, m, m))
+    pi, residual, clipped_mass = _solve_stationary(*_generator(params, j_max), _index(c, m, m))
 
     # package: boundary block + explicit tail levels
     boundary = np.zeros((c + 1, c))
@@ -159,35 +154,39 @@ def solve_adaptive(
             j_max *= 2
 
 
-def _solve_stationary(qt: sp.csc_matrix, k: int) -> tuple[np.ndarray, float, float]:
+def _solve_stationary(
+    src: np.ndarray, dst: np.ndarray, rate: np.ndarray, out: np.ndarray, k: int
+) -> tuple[np.ndarray, float, float]:
     """Solve Q^T pi = 0, sum pi = 1 by one banded LU grounded at state k.
 
-    Row k of Q^T is replaced by e_k^T with right-hand side e_k, which fixes
-    pi_k = 1 and keeps the band (Stewart, 1994, ch. 2); LAPACK's gbsv
-    factors it with partial pivoting.  k should carry large mass: grounding
-    a state of tiny mass leaves the small states wrong by many orders.
-    Negative roundoff entries are clipped to zero.  Returns pi, the balance
-    residual max |Q^T pi| of the returned pi, and the clipped mass; raises
+    The transitions (src, dst, rate) and outflows ``out`` of _generator are
+    written straight into LAPACK gbsv's band layout (Q^T[dst, src] at row
+    l + u + dst - src, under l rows for the LU's fill-in), with row k of Q^T
+    replaced by e_k^T and right-hand side e_k, which fixes pi_k = 1 and
+    keeps the band (Stewart, 1994, ch. 2).  k should carry large mass:
+    grounding a state of tiny mass leaves the small states wrong by many
+    orders.  Negative roundoff entries are clipped to zero.  Returns pi, the
+    balance residual max |Q^T pi| of the returned pi (formed from the
+    transitions: gbsv overwrites the band) and the clipped mass; raises
     InternalInconsistencyError, with no fallback, if the solve is singular,
     pi is not finite or has no mass, or the residual exceeds 1e-13.
     """
-    from scipy.linalg import LinAlgError, solve_banded
+    from scipy.linalg.lapack import dgbsv
 
-    n = qt.shape[0]
-    row = qt.indices
-    col = np.repeat(np.arange(n), np.diff(qt.indptr))
-    offset = row - col  # every diagonal entry is stored, so both bounds are >= 0
+    n = len(out)
+    offset = dst - src
     lower, upper = int(offset.max()), int(-offset.min())
-    ab = np.zeros((lower + upper + 1, n))
-    keep = row != k
-    ab[upper + offset[keep], col[keep]] = qt.data[keep]
-    ab[upper, k] = 1.0
+    diag = lower + upper
+    ab = np.zeros((diag + lower + 1, n), order="F")  # Fortran order: gbsv takes it without a copy
+    keep = dst != k
+    ab[diag + offset[keep], src[keep]] = rate[keep]
+    ab[diag] = -out
+    ab[diag, k] = 1.0
     b = np.zeros(n)
     b[k] = 1.0
-    try:
-        pi = solve_banded((lower, upper), ab, b)
-    except LinAlgError as exc:
-        raise InternalInconsistencyError(f"grounded balance system is singular: {exc}") from exc
+    _, _, pi, info = dgbsv(lower, upper, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise InternalInconsistencyError(f"grounded balance system is singular (gbsv info {info})")
     total = pi.sum()
     if not (np.all(np.isfinite(pi)) and total > 0):
         raise InternalInconsistencyError(f"grounded solve gave no distribution (sum {total:.3g})")
@@ -195,7 +194,7 @@ def _solve_stationary(qt: sp.csc_matrix, k: int) -> tuple[np.ndarray, float, flo
     clipped_mass = float(np.abs(pi[pi < 0].sum()))
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(qt @ pi).max())
+    residual = float(np.abs(np.bincount(dst, weights=rate * pi[src], minlength=n) - out * pi).max())
     if residual > 1e-13:
         raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds 1e-13")
     return pi, residual, clipped_mass

@@ -2,8 +2,7 @@
 
 Everything here consumes a JointDistribution, so the three solvers (and the
 truncated-chain oracle) are interchangeable upstream.  Infinite sums over
-the tail use the tail object's closed forms; a brute-force level sum is
-available behind a flag for debugging.
+the tail use the tail object's closed forms.
 """
 
 from dataclasses import dataclass, replace
@@ -111,24 +110,12 @@ def _switch_sides(dist, params: QueueParams, e_setup: float):
     return side_alpha, side_mu
 
 
-def performance(dist, params: QueueParams, brute_levels: int | None = None) -> PerformanceReport:
-    """Core report: E[A], E[S], E[S_r], E[L] and the phase marginal.
-
-    brute_levels replaces the closed-form tail sums with a plain sum over
-    that many levels; useful only to debug a tail representation.
-    """
+def performance(dist, params: QueueParams) -> PerformanceReport:
+    """Core report: E[A], E[S], E[S_r], E[L] and the phase marginal."""
     marginal = dist.phase_marginals()
     e_active = float((np.arange(params.c + 1) * marginal).sum())
-    if brute_levels is not None:
-        e_setup = e_jobs = 0.0
-        for j in range(brute_levels):
-            vec = dist.level(j)
-            i = np.arange(len(vec))
-            e_setup += float((np.minimum(j - i, params.c - i) * vec).sum())
-            e_jobs += j * float(vec.sum())
-    else:
-        e_setup = _setup_expectation(dist, params)
-        e_jobs = dist.mean_jobs()
+    e_setup = _setup_expectation(dist, params)
+    e_jobs = dist.mean_jobs()
     side_alpha, side_mu = _switch_sides(dist, params, e_setup)
     if abs(side_alpha - side_mu) > 1e-10 * max(1.0, abs(side_mu)):
         raise InternalInconsistencyError(
@@ -189,13 +176,14 @@ class DecompositionReport:
         }
 
 
-def decomposition(dist, params: QueueParams, mass_tol: float = 1e-12) -> DecompositionReport:
+def decomposition(dist, params: QueueParams) -> DecompositionReport:
     """Check dist_Qc == geometric * residual in distribution.
 
     The support is extended until every truncated tail holds less than
-    mass_tol, which leaves the reported total-variation gap meaningful down
+    1e-12, which leaves the reported total-variation gap meaningful down
     to well below 1e-10.
     """
+    mass_tol = 1e-12
     c = params.c
     rho = params.rho
     s0, s1 = dist.tail.sum0(), dist.tail.sum1()

@@ -294,8 +294,8 @@ class ValidationReport:
         return {"passed": self.passed, "metrics": [dict(r) for r in self.rows]}
 
 
-def validate_against(analytic, sim: SimEstimate, n_sigma: float = 3.0) -> ValidationReport:
-    """Flag metrics where |analytic - simulated| > n_sigma half-widths.
+def validate_against(analytic, sim: SimEstimate) -> ValidationReport:
+    """Flag metrics where |analytic - simulated| > 3 half-widths.
 
     `analytic` is a PerformanceReport for the same parameters.
     """
@@ -303,7 +303,7 @@ def validate_against(analytic, sim: SimEstimate, n_sigma: float = 3.0) -> Valida
 
     def add(name, ref, est, hw):
         gap = abs(ref - est)
-        limit = n_sigma * hw
+        limit = 3.0 * hw
         rows.append(
             {
                 "metric": name,

@@ -117,10 +117,11 @@ def _report_gap(reports: list[PerformanceReport]) -> float:
     return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
 
 
-def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[dict]:
-    """Evaluate every grid point; optionally write the CSV as well.
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """Evaluate every grid point.
 
-    Returns the rows as dicts keyed by `sweep_columns(spec)`.
+    Returns the rows as dicts keyed by `sweep_columns(spec)`; write_csv
+    writes them.
     """
     validate_spec(spec)
     analytic = [m for m in spec.methods if m != "sim"]
@@ -162,8 +163,6 @@ def run_sweep(spec: SweepSpec, out_path: str | None = None) -> list[dict]:
         except QueueModelError as exc:
             row["error"] = exc.tag
         rows.append(row)
-    if out_path is not None:
-        write_csv(spec, rows, out_path)
     return rows
 
 

@@ -42,7 +42,13 @@ ASSEMBLY_POINTS = [(1, 0.5, 1.0), (2, 0.9, 0.01), (5, 0.7, 0.3), (10, 0.5, 0.7)]
 @pytest.mark.parametrize("extra_levels", [5, 200])
 def test_generator_matches_per_state_assembly(c, rho, alpha, extra_levels):
     p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
-    got = ctmc._generator(p, c + extra_levels)
+    src, dst, rate, out = ctmc._generator(p, c + extra_levels)
+    n, diag = len(out), np.arange(len(out))
+    # the transition list as Q^T, assembled the way reference_generator is
+    got = sp.csc_matrix(
+        (np.concatenate([rate, -out]), (np.concatenate([dst, diag]), np.concatenate([src, diag]))),
+        shape=(n, n),
+    )
     want = reference_generator(p, c + extra_levels)
     assert got.has_canonical_format and want.has_canonical_format
     assert got.shape == want.shape
@@ -152,10 +158,10 @@ def test_small_states_match_gf(rho, alpha, c):
 
 def test_non_generator_raises_instead_of_falling_back():
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
-    qt = ctmc._generator(p, 20)
-    qt.data[qt.indptr[4]] *= 1.5  # column 4 no longer sums to zero
+    src, dst, rate, out = ctmc._generator(p, 20)
+    rate[np.flatnonzero(src == 4)[0]] *= 1.5  # column 4 no longer sums to zero
     with pytest.raises(InternalInconsistencyError, match="balance residual"):
-        ctmc._solve_stationary(qt, ctmc._index(2, 1, 1))
+        ctmc._solve_stationary(src, dst, rate, out, ctmc._index(2, 1, 1))
 
 
 def test_info_names_ground_and_clipped_mass():

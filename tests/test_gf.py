@@ -337,8 +337,10 @@ def test_default_path_loads_no_mpmath():
 
 
 def test_deferred_scipy_imports_resolve():
-    # a fresh interpreter, so each route has to import its scipy parts itself
+    # a fresh interpreter, so each route has to import its scipy parts itself;
+    # none of them needs scipy.sparse (ctmc writes its band from a transition list)
     _run_fresh(
+        "import sys\n"
         "from mmcsetup import ctmc, mmc, qbd, sim\n"
         "from mmcsetup.model import QueueParams\n"
         "p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)\n"
@@ -348,6 +350,8 @@ def test_deferred_scipy_imports_resolve():
         "ctmc.solve_adaptive(p)\n"
         "sim.simulate(sim.SimConfig(p, n_events=20_000))\n"
         "mmc.distribution(p, 30)\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+        "assert not loaded, loaded\n"
     )
 
 

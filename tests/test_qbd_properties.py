@@ -64,10 +64,10 @@ def test_qbd_solution_properties(rho, alpha, c, confluent):
 @given(
     rho=st.floats(0.05, 0.95),
     alpha=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
-    c=st.integers(1, 8),
+    c=st.integers(1, 80),
     confluent=st.booleans(),
 )
-@example(rho=0.95, alpha=0.01, c=8, confluent=False)  # the largest oracle chain drawable
+@example(rho=0.95, alpha=0.01, c=8, confluent=False)  # slow setup, heavy load: a long chain
 @example(rho=0.95, alpha=1.0, c=50, confluent=False)  # heavy load, oracle grounded at (48, 48)
 @example(rho=0.8, alpha=0.1, c=50, confluent=False)
 def test_three_routes_agree(rho, alpha, c, confluent):
