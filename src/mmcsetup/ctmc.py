@@ -127,26 +127,34 @@ def solve_truncated(
     return JointDistribution(params, boundary, ExplicitTail(tail_levels), "oracle", info)
 
 
+def _band_bytes(c: int, j_max: int) -> int:
+    """Bytes of the band _solve_stationary solves for the chain truncated at
+    j_max: (3c + 4) float64 rows per state (gbsv's 2l + u + 1, l = u = c + 1)."""
+    return (3 * c + 4) * 8 * _index(c, 0, j_max + 1)
+
+
 def solve_adaptive(
     params: QueueParams,
     tol: float = 1e-12,
     j_max: int | None = None,
-    max_states: int = 2_000_000,
+    max_band_bytes: int = 2 * 1024**3,
 ) -> JointDistribution:
     """solve_truncated with the cap doubled until the mass certificate passes.
 
     The a-priori estimate in choose_truncation assumes a rho-geometric tail,
     which slow setups violate; this wrapper keeps doubling j_max until the
-    reported truncation error actually meets tol.  A cap of more than about
-    max_states states raises TruncationInsufficientError before it is built.
+    reported truncation error actually meets tol.  A cap whose LU band,
+    (3c + 4) * 8 bytes per state, exceeds max_band_bytes (2 GiB by default)
+    raises TruncationInsufficientError before it is built.
     """
     validate(params)
     if j_max is None:
         j_max = choose_truncation(params, tol)
     while True:
-        if j_max * (params.c + 1) > max_states:
+        size = _band_bytes(params.c, j_max)
+        if size > max_band_bytes:
             raise TruncationInsufficientError(
-                f"j_max {j_max} needs {j_max * (params.c + 1)} states, over max_states {max_states}"
+                f"j_max {j_max} needs a {size} byte band, over max_band_bytes {max_band_bytes}"
             )
         try:
             return solve_truncated(params, j_max=j_max, tol=tol)

@@ -18,20 +18,27 @@ one upper-triangular M-matrix per level in place, by recursive halving (two
 dtrmm products per corner, dtrtri on blocks of at most 64),
 subtraction-free as well: each diagonal comes from the known row sums, and
 every corner is a sum of same-signed products (see level_rate_matrices).
-The boundary G^{(n)} are read off the same way and never stored: G^{(n)} is
-R^{(n)}*Qm1^{(n)}/lam over a unit last row, formed from R^{(n)} whenever
-QbdSolution.glevels is read (see g_levels).
+Each R^{(i)} is held as its packed upper triangle, (i+1)(i+2)/2 floats
+(about 86 MB in all at c = 400, against 171 MB dense).  The boundary
+G^{(n)} are read off the same way and never stored: G^{(n)} is
+R^{(n)}*Qm1^{(n)}/lam over a unit last row (see g_levels).
+QbdSolution.rlevels and QbdSolution.glevels are lazy sequences (see
+LevelView): each read of level n returns a fresh dense R^{(n)} or G^{(n)},
+so iterating them holds one level at a time.
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
 pi_{c+k} = pi_c R^k with the normalization summed exactly through
 (I - R)^{-1}, one more triangular solve.
 
 scipy's BLAS and LAPACK handles are imported by the function that uses
-them, once per call and never inside a loop or the recursion, so importing
-mmcsetup (and the gf route) does not load scipy.
+them, once per call (once per level read for the packed R^{(n)}) and never
+inside the sweep or the recursion, so importing mmcsetup (and the gf route)
+does not load scipy.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .gf import quadratic_roots
 from .model import QueueParams, validate
 
 __all__ = [
+    "LevelView",
     "QbdBlocks",
     "QbdSolution",
     "build_blocks",
@@ -220,15 +228,56 @@ def _invert_lower(dtrtri, dtrmm, x: np.ndarray) -> None:
     x[k:, :k] = dtrmm(-1.0, x[k:, k:], t, lower=1, overwrite_b=1)
 
 
-def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
+class LevelView(Sequence):
+    """Levels 0..c of a boundary family, formed one per access.
+
+    Index 0 is None (level 0 has no predecessor); index n > 0 is form(n), a
+    fresh dense array each time it is read.  A slice is a view over the
+    same form, so ``for g in sol.glevels[1:]`` holds one level at a time.
+    """
+
+    __slots__ = ("_form", "_idx")
+
+    def __init__(self, form, idx: range):
+        self._form, self._idx = form, idx
+
+    def __len__(self) -> int:
+        return len(self._idx)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LevelView(self._form, self._idx[k])
+        return self._level(self._idx[k])
+
+    def __iter__(self):
+        return map(self._level, self._idx)
+
+    def _level(self, n: int):
+        return None if n == 0 else self._form(n)
+
+
+def _unpack(packed: list, n: int) -> np.ndarray:
+    """Dense R^(n) from its packed (n+1)-square triangle: the last row of the
+    unpacked square is dropped, and its strict lower triangle is zero."""
+    # imported per read, not bound into the view, so a solution still pickles
+    from scipy.linalg.lapack import dtpttr
+
+    a, _ = dtpttr(n + 1, packed[n], uplo="L")
+    # the Fortran lower triangle read as C order is the upper one
+    return a.T[:n]
+
+
+def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> LevelView:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
     A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
     the first i rows of A^{-1}.  A is built in one reused workspace and
-    inverted there by _invert_lower (a recursive blocked inverse, in place),
-    of which only those rows are kept.  Index 0 is None (level 0 has no
-    predecessor).
+    inverted there by _invert_lower (a recursive blocked inverse, in place);
+    -lam*A^{-1} goes to a second reused buffer, whose first i rows are the
+    R^(i) the next level reads, and is kept as its packed upper triangle
+    ((i+1)(i+2)/2 floats, LAPACK dtrttp), half the dense size.  The result
+    unpacks one R^(i) per access (dtpttr; see LevelView).
 
     The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
@@ -239,12 +288,13 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
     entry, a sum of same-signed products like every dtrtri entry.
     """
     from scipy.linalg.blas import dtrmm
-    from scipy.linalg.lapack import dtrtri
+    from scipy.linalg.lapack import dtrtri, dtrttp
 
     p = blocks.params
     lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
-    out: list = [None] * (c + 1)
+    packed: list = [None] * (c + 1)
     work = np.empty((c + 1) ** 2)
+    scaled = np.empty((c + 1) ** 2)
     r_next = r_hom
     for i in range(c, 0, -1):
         a = work[: (i + 1) ** 2].reshape(i + 1, i + 1)
@@ -260,11 +310,21 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> list:
             )
         # the transpose of a C-order upper triangle is a Fortran lower one
         _invert_lower(dtrtri, dtrmm, a.T)
-        r_next = out[i] = -lam * a[:i]
-    return out
+        b = np.multiply(a, -lam, out=scaled[: (i + 1) ** 2].reshape(i + 1, i + 1))
+        packed[i], _ = dtrttp(b.T, uplo="L")
+        r_next = b[:i]
+    return LevelView(partial(_unpack, packed), range(c + 1))
 
 
-def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
+def _g_level(blocks: QbdBlocks, rlevels: Sequence, n: int) -> np.ndarray:
+    gn = np.empty((n + 1, n))
+    np.divide(blocks.times_qm1(rlevels[n], n), blocks.params.lam, out=gn[:n])
+    gn[n] = 0.0
+    gn[n, n - 1] = 1.0
+    return gn
+
+
+def g_levels(blocks: QbdBlocks, rlevels: Sequence) -> LevelView:
     """Boundary matrices G^(1)..G^(c); each is (n+1) x n and row-stochastic.
 
     Read off the boundary rate matrices, with no solve (Latouche &
@@ -275,15 +335,10 @@ def g_levels(blocks: QbdBlocks, rlevels: list) -> list:
     level_rate_matrices puts on the diagonal exactly).  So
     G^(n) = [R^(n)*Qm1^(n)/lam ; e_{n-1}], a column scaling of R^(n) plus
     the corner column, and every entry is a sum of nonnegative terms.
+    rlevels is any sequence of dense R^(n); each G^(n) is formed from
+    rlevels[n] when it is read (see LevelView).
     """
-    p = blocks.params
-    out: list = [None] * (p.c + 1)
-    for n in range(1, p.c + 1):
-        gn = out[n] = np.empty((n + 1, n))
-        np.divide(blocks.times_qm1(rlevels[n], n), p.lam, out=gn[:n])
-        gn[n] = 0.0
-        gn[n, n - 1] = 1.0
-    return out
+    return LevelView(partial(_g_level, blocks, rlevels), range(blocks.params.c + 1))
 
 
 def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
@@ -300,9 +355,9 @@ def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
     return solve_triangular(m, p.lam * np.eye(p.c + 1), check_finite=False)
 
 
-def _boundary_gap(params: QueueParams, rlevels: list) -> float:
+def _boundary_gap(params: QueueParams, r1: np.ndarray) -> float:
     """Level-0 balance gap |mu*R^(1)[0,1] - lam|, relative to lam."""
-    return abs(-params.lam + params.mu * rlevels[1][0, 1]) / params.lam
+    return abs(-params.lam + params.mu * r1[0, 1]) / params.lam
 
 
 @dataclass(eq=False)
@@ -311,7 +366,7 @@ class QbdSolution:
 
     params: QueueParams
     R: np.ndarray
-    rlevels: list
+    rlevels: Sequence
     G: np.ndarray
     levels: tuple
     info: dict
@@ -330,11 +385,11 @@ class QbdSolution:
         return self._dist
 
     @property
-    def glevels(self) -> list | None:
+    def glevels(self) -> LevelView | None:
         """G^(1)..G^(c) from rlevels by g_levels, or None without G.
 
-        Rebuilt on each access and never stored, so a caller that reads it
-        more than once binds it once.
+        Never stored: each glevels[n] is a fresh dense array formed from
+        rlevels[n] when it is read, so iterating holds one level at a time.
         """
         if self.G is None:
             return None
@@ -439,16 +494,22 @@ def residuals(sol: QbdSolution) -> dict:
     )
 
     # Q1^(i-1) + R^(i)*(Q0^(i) + R^(i+1)*Qm1^(i+1)), the bracket built from
-    # the raw blocks rather than the row-sum diagonal the sweep used
-    norms = []
+    # the raw blocks rather than the row-sum diagonal the sweep used; each
+    # R^(i) is read once and carried down as the level above
+    norms, rows = [], []
     for i in range(p.c, 0, -1):
         if i < p.c:
-            hi, lo = _bracket(blocks.level_q0(i), sol.rlevels[i + 1], rates)
+            hi, lo = _bracket(blocks.level_q0(i), r_above, rates)
+        r_above = sol.rlevels[i]
         # Q1^(i-1) = lam*[I | 0] is a corner of Q1
-        prod = _exact_product(blocks.q1[:i, : i + 1], sol.rlevels[i], hi, lo)
+        prod = _exact_product(blocks.q1[:i, : i + 1], r_above, hi, lo)
         norms.append(infnorm(prod))
+        if sol.G is not None:
+            # G^(n)'s rows but the last (a unit row) sum to R^(n)*v_n/lam,
+            # with v_n = Qm1^(n)*e = mu*(0, 1, .., n), so no G^(n) is formed
+            rows.append(r_above @ rates[: i + 1] / p.lam - 1.0)
     out["level_R"] = float(np.max(norms))  # unlike max(), keeps a nan
-    out["boundary"] = float(_boundary_gap(p, sol.rlevels))
+    out["boundary"] = float(_boundary_gap(p, r_above))  # r_above is R^(1)
 
     if sol.G is not None:
         # Qm1 + (Q0 + lam*G)*G, transposed so the pair is the right factor
@@ -461,9 +522,6 @@ def residuals(sol: QbdSolution) -> dict:
         out["r_from_g"] = float(
             np.abs(sol.R - rate_matrix_from_g(blocks, sol.G)).max()
         )
-        # G^(n)'s rows but the last (a unit row) sum to R^(n)*v_n/lam, with
-        # v_n = Qm1^(n)*e = mu*(0, 1, .., n), so no G^(n) is formed
-        rows = [r @ rates[: r.shape[1]] / p.lam - 1.0 for r in sol.rlevels[1:]]
         out["glevel_rows"] = float(np.max(np.abs(np.concatenate(rows))))
     return out
 
@@ -485,7 +543,7 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
     # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
     # roundoffs at any c; anything larger (or nan/inf) means the sweep broke
-    gap = _boundary_gap(params, rlev)
+    gap = _boundary_gap(params, rlev[1])
     if not gap <= 1e-12:
         raise InternalInconsistencyError(
             f"level-0 balance gap {gap!r} after the boundary sweep"

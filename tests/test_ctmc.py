@@ -194,18 +194,30 @@ def test_adaptive_recovers_from_low_guess():
     assert d.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_adaptive_checks_max_states_before_first_solve(monkeypatch):
-    # the first guess is about 17k states, far over a cap of 1,000
+def no_solve(*args, **kwargs):
+    pytest.fail("solve_truncated ran past the band cap")
+
+
+def test_adaptive_checks_band_bytes_before_first_solve(monkeypatch):
+    # the first guess is about 17k states at 80 bytes each, far over 100 kB
     p = QueueParams(lam=1.8, mu=1.0, alpha=0.01, c=2)
-    states = ctmc.choose_truncation(p, 1e-12) * (p.c + 1)
-    assert states > 10_000
-
-    def no_solve(*args, **kwargs):
-        pytest.fail("solve_truncated ran past the state cap")
-
+    j_max = ctmc.choose_truncation(p, 1e-12)
+    size = ctmc._band_bytes(p.c, j_max)
+    assert size == 80 * ctmc._index(p.c, 0, j_max + 1) > 1_000_000
     monkeypatch.setattr(ctmc, "solve_truncated", no_solve)
-    with pytest.raises(TruncationInsufficientError, match=f"{states} states.*1000"):
-        ctmc.solve_adaptive(p, max_states=1_000)
+    with pytest.raises(TruncationInsufficientError, match=f"{size} byte band.*100000"):
+        ctmc.solve_adaptive(p, max_band_bytes=100_000)
+
+
+def test_adaptive_default_cap_refuses_a_huge_band(monkeypatch):
+    # slow setup at c = 400: the first guess has 840,897 states and an 8.1 GB
+    # band (1,204 rows), refused before anything is allocated
+    p = QueueParams(lam=0.3 * 400, mu=1.0, alpha=0.01, c=400)
+    size = ctmc._band_bytes(p.c, ctmc.choose_truncation(p, 1e-12))
+    assert size > 8e9
+    monkeypatch.setattr(ctmc, "solve_truncated", no_solve)
+    with pytest.raises(TruncationInsufficientError, match=f"{size} byte band"):
+        ctmc.solve_adaptive(p)
 
 
 def test_jmax_must_clear_boundary():

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,11 +244,12 @@ def test_solve_works_at_confluent_point():
 
 
 def test_boundary_gap_is_checked(monkeypatch):
-    # a boundary sweep that breaks the level-0 balance must raise
+    # a boundary sweep that breaks the level-0 balance must raise; the sweep
+    # forms each R^(n) on access, so the defect goes into a dense list
     sweep = qbd.level_rate_matrices
 
     def broken(blocks, r_hom):
-        out = sweep(blocks, r_hom)
+        out = list(sweep(blocks, r_hom))
         out[1][0, 1] = np.nan
         return out
 
@@ -260,6 +264,7 @@ def test_boundary_residual_is_relative_gap():
     p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)
     sol = qbd.solve(p)
     assert 0.0 <= sol.info["boundary_certificate"] <= 1e-12
+    sol = dataclasses.replace(sol, rlevels=list(sol.rlevels))
     sol.rlevels[1][0, 1] *= 1.0 + 1e-9
     assert qbd.residuals(sol)["boundary"] == pytest.approx(1e-9, rel=1e-6)
 
@@ -313,6 +318,14 @@ def test_level_rate_matrices_leaf_is_bit_identical(p):
         assert np.array_equal(g_new[i], g_ref[i]), i
 
 
+def test_solution_pickles_with_its_lazy_levels():
+    sol = qbd.solve(rq(0.5, 0.7, 6))
+    back = pickle.loads(pickle.dumps(sol))
+    assert len(back.rlevels) == len(back.glevels) == 7
+    assert all(np.array_equal(a, b) for a, b in zip(sol.rlevels[1:], back.rlevels[1:]))
+    assert all(np.array_equal(a, b) for a, b in zip(sol.glevels[1:], back.glevels[1:]))
+
+
 def test_solve_without_g_builds_no_g_level(monkeypatch):
     # G^(n) is derived from R^(n) when sol.glevels is read, never in solve
     calls = []
@@ -330,6 +343,44 @@ def test_solve_without_g_builds_no_g_level(monkeypatch):
     assert calls == []
     glevels = sol.glevels
     assert calls == [p.c] and len(glevels) == p.c + 1 and glevels[0] is None
+
+
+def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
+    # allocation bytes under tracemalloc, no clock: the dense R^(1)..R^(c)
+    # take sum i(i+1) 8 bytes (21.7 MB at c = 200); solve keeps them as
+    # packed triangles, about half that, and reading every G^(n) holds one
+    # level at a time
+    c = 200
+    p = rq(0.5, 0.7, c)
+    dense = sum(i * (i + 1) * 8 for i in range(1, c + 1))
+    # each G^(n) is one column scaling of R^(n) by times_qm1
+    calls = []
+    times_qm1 = qbd.QbdBlocks.times_qm1
+
+    def counted(self, r, n, out=None):
+        calls.append(n)
+        return times_qm1(self, r, n, out)
+
+    monkeypatch.setattr(qbd.QbdBlocks, "times_qm1", counted)
+    small = qbd.solve(rq(0.5, 0.7, 10))  # scipy's imports, outside the count
+    list(small.glevels)
+    tracemalloc.start()
+    try:
+        sol = qbd.solve(p)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        calls.clear()
+        levels = sol.glevels[1:]
+        formed_by_slice = len(calls)
+        rows = [float(np.abs(g.sum(axis=1) - 1.0).max()) for g in levels]
+        stream_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 0.75 * dense, solve_peak / dense
+    assert stream_peak <= 0.25 * dense, stream_peak / dense
+    assert formed_by_slice == 0 and calls == list(range(1, c + 1))
+    assert len(rows) == c and max(rows) <= 1e-12
 
 
 def exact_lower_inverse(l):
@@ -412,7 +463,7 @@ def reference_residuals(sol):
         lev = max(lev, infnorm(blocks.level_q1(i - 1) + ri @ a))
         rnext = ri
     out["level_R"] = lev
-    out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels))
+    out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels[1]))
     g = sol.G.astype(L)
     out["quad_G"] = infnorm(qm1 + (q0 + q1 @ g) @ g)
     out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
@@ -547,6 +598,8 @@ def test_nonfinite_input_gives_no_small_residual(where, bad):
     # callers test `not value <= tol`, so a broken matrix must read nan, inf
     # or large, never as a small finite residual
     sol = qbd.solve(QueueParams(lam=2.5, mu=1.0, alpha=0.3, c=5))
+    # R^(n) is formed on access: plant the defect in a dense copy of them
+    sol = dataclasses.replace(sol, rlevels=list(sol.rlevels))
     if where == "R":
         key, target = "quad_R", sol.R
     elif where == "rlevel":
