@@ -3,6 +3,8 @@ always-on (ON-IDLE) cost baseline."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import CostParams, QueueParams, validate
@@ -40,20 +42,19 @@ def mean_jobs(params: QueueParams) -> float:
 def distribution(params: QueueParams, j_max: int) -> np.ndarray:
     """Marginal P(j jobs) for j = 0..j_max, computed in log space so large
     c and tiny tail probabilities don't overflow or underflow."""
-    from scipy.special import gammaln
-
     validate(params)
     c = params.c
     a = params.lam / params.mu
     rho = params.rho
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(c + 1)])  # log k!
     j = np.arange(j_max + 1)
     logs = np.empty(j_max + 1)
     head = j <= c
-    logs[head] = j[head] * np.log(a) - gammaln(j[head] + 1.0)
+    logs[head] = j[head] * np.log(a) - log_fact[j[head]]
     tail = ~head
-    logs[tail] = c * np.log(a) - gammaln(c + 1.0) + (j[tail] - c) * np.log(rho)
+    logs[tail] = c * np.log(a) - log_fact[c] + (j[tail] - c) * np.log(rho)
     # normalizer includes the geometric remainder past j_max
-    log_c_term = c * np.log(a) - gammaln(c + 1.0)
+    log_c_term = c * np.log(a) - log_fact[c]
     with np.errstate(over="ignore"):
         total = np.sum(np.exp(logs))
         if j_max >= c:
@@ -61,7 +62,7 @@ def distribution(params: QueueParams, j_max: int) -> np.ndarray:
         else:
             # sum of the untabulated head plus the whole geometric tail
             for k in range(j_max + 1, c):
-                total += np.exp(k * np.log(a) - gammaln(k + 1.0))
+                total += np.exp(k * np.log(a) - log_fact[k])
             total += np.exp(log_c_term) / (1.0 - rho)
     return np.exp(logs) / total
 

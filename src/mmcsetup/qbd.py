@@ -38,7 +38,7 @@ does not load scipy.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -64,12 +64,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QbdBlocks:
-    """Generator blocks: q1/q0/qm1 are the homogeneous (c+1)-square blocks."""
+    """Generator blocks: q1/q0/qm1 are the homogeneous (c+1)-square blocks.
+
+    Each is formed on its first read.  The sweep and the G levels use only
+    times_qm1, which reads params alone, so solving and reading glevels
+    allocate none of them (three dense (c+1)-squares, 3.9 MB at c = 400).
+    """
 
     params: QueueParams
-    q1: np.ndarray
-    q0: np.ndarray
-    qm1: np.ndarray
+
+    @cached_property
+    def q1(self) -> np.ndarray:
+        return self.params.lam * np.eye(self.params.c + 1)
+
+    @cached_property
+    def q0(self) -> np.ndarray:
+        p = self.params
+        i = np.arange(p.c + 1, dtype=float)
+        q0 = np.zeros((p.c + 1, p.c + 1))
+        setup = (p.c - i) * p.alpha
+        q0[np.arange(p.c), np.arange(1, p.c + 1)] = setup[: p.c]
+        np.fill_diagonal(q0, -(p.lam + i * p.mu + setup))
+        return q0
+
+    @cached_property
+    def qm1(self) -> np.ndarray:
+        return np.diag(np.arange(self.params.c + 1) * self.params.mu)
 
     def level_q1(self, n: int) -> np.ndarray:
         """Arrival block from level n to n+1: [lam*I | 0] while n < c."""
@@ -114,7 +134,7 @@ class QbdBlocks:
         given, receives the product."""
         p = self.params
         if n > p.c:
-            return np.multiply(r, np.diagonal(self.qm1), out=out)
+            return np.multiply(r, np.arange(p.c + 1) * p.mu, out=out)
         out = np.multiply(r[:, :n], p.mu * np.arange(n), out=out)
         out[:, n - 1] += r[:, n] * (n * p.mu)
         return out
@@ -139,15 +159,7 @@ class QbdBlocks:
 
 def build_blocks(params: QueueParams) -> QbdBlocks:
     validate(params)
-    c = params.c
-    i = np.arange(c + 1, dtype=float)
-    q1 = params.lam * np.eye(c + 1)
-    qm1 = np.diag(i * params.mu)
-    q0 = np.zeros((c + 1, c + 1))
-    setup = (c - i) * params.alpha
-    q0[np.arange(c), np.arange(1, c + 1)] = setup[:c]
-    np.fill_diagonal(q0, -(params.lam + i * params.mu + setup))
-    return QbdBlocks(params, q1, q0, qm1)
+    return QbdBlocks(params)
 
 
 def rate_matrix(params: QueueParams) -> np.ndarray:

@@ -6,9 +6,14 @@ modules reuse those solutions, so they are cached per-process keyed on the
 """
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mmcsetup
 from mmcsetup import ctmc, gf, qbd
 from mmcsetup.model import QueueParams
 
@@ -68,3 +73,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def run_fresh(*args: str) -> None:
+    """Run the interpreter with args in a fresh process that imports
+    mmcsetup from this tree, and expect exit status 0."""
+    src = str(Path(mmcsetup.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -1,13 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import gf_solution, oracle_distribution, qbd_solution
+from conftest import gf_solution, oracle_distribution, qbd_solution, run_fresh
 from mmcsetup import gf, mmc
 from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.model import QueueParams
@@ -308,19 +304,12 @@ def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
     assert worst <= tol
 
 
-def _run_fresh(code: str) -> None:
-    """Run code in a fresh interpreter that imports mmcsetup from this tree."""
-    src = str(Path(gf.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-
-
 def test_default_path_loads_no_mpmath():
     # a fresh interpreter: gf.solve, the measures and the CLI's solve run in
-    # float64 only, and load no scipy either (qbd, ctmc, the simulator and
-    # mmc.distribution import their scipy parts when they run)
-    _run_fresh(
+    # float64 only, and load no scipy either (only qbd, ctmc and
+    # GeometricTail import scipy.linalg, when they run)
+    run_fresh(
+        "-c",
         "import sys\n"
         "import mmcsetup, mmcsetup.cli\n"
         "from mmcsetup import cli, gf, measures\n"
@@ -336,10 +325,32 @@ def test_default_path_loads_no_mpmath():
     )
 
 
+def test_simulator_path_loads_no_scipy():
+    # a fresh interpreter: the simulator's t quantile and mmc.distribution
+    # use math alone, so simulating and validating against gf need numpy only
+    run_fresh(
+        "-c",
+        "import sys\n"
+        "from mmcsetup import cli, gf, measures, mmc, sim\n"
+        "from mmcsetup.model import QueueParams\n"
+        "p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)\n"
+        "est = sim.simulate(sim.SimConfig(p, n_events=20_000))\n"
+        "sim.validate_against(measures.full_report(gf.solve(p).distribution(), p), est)\n"
+        "mmc.distribution(p, 30)\n"
+        "flags = ['--lambda', '8', '--mu', '1', '--alpha', '0.5', '--c', '10', '--events', '20000']\n"
+        "cli.main(['simulate', *flags])\n"
+        "cli.main(['validate', '--method', 'gf', *flags])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_deferred_scipy_imports_resolve():
     # a fresh interpreter, so each route has to import its scipy parts itself;
-    # none of them needs scipy.sparse (ctmc writes its band from a transition list)
-    _run_fresh(
+    # none of them needs scipy.sparse (ctmc writes its band from a transition
+    # list) or scipy.special
+    run_fresh(
+        "-c",
         "import sys\n"
         "from mmcsetup import ctmc, mmc, qbd, sim\n"
         "from mmcsetup.model import QueueParams\n"
@@ -350,7 +361,7 @@ def test_deferred_scipy_imports_resolve():
         "ctmc.solve_adaptive(p)\n"
         "sim.simulate(sim.SimConfig(p, n_events=20_000))\n"
         "mmc.distribution(p, 30)\n"
-        "loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.special'))]\n"
         "assert not loaded, loaded\n"
     )
 
@@ -359,7 +370,8 @@ def test_import_loads_every_submodule():
     # perfbench/tracing.py's instrument() runs `import mmcsetup` and then reads
     # sys.modules["mmcsetup.<name>"] for each traced module, so the package
     # must keep importing its submodules eagerly (no PEP 562 lazy attributes)
-    _run_fresh(
+    run_fresh(
+        "-c",
         "import sys\n"
         "import mmcsetup\n"
         "names = ('ctmc', 'gf', 'measures', 'mmc', 'qbd', 'sim', 'sweeps', 'distribution')\n"

@@ -349,7 +349,8 @@ def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
     # allocation bytes under tracemalloc, no clock: the dense R^(1)..R^(c)
     # take sum i(i+1) 8 bytes (21.7 MB at c = 200); solve keeps them as
     # packed triangles, about half that, and reading every G^(n) holds one
-    # level at a time
+    # level at a time.  Taking the view forms no level and no dense
+    # generator block (q1, q0 and qm1 alone are 970 kB at c = 200).
     c = 200
     p = rq(0.5, 0.7, c)
     dense = sum(i * (i + 1) * 8 for i in range(1, c + 1))
@@ -373,12 +374,14 @@ def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
         calls.clear()
         levels = sol.glevels[1:]
         formed_by_slice = len(calls)
+        view_peak = tracemalloc.get_traced_memory()[1] - base
         rows = [float(np.abs(g.sum(axis=1) - 1.0).max()) for g in levels]
         stream_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert solve_peak <= 0.75 * dense, solve_peak / dense
     assert stream_peak <= 0.25 * dense, stream_peak / dense
+    assert view_peak < 50_000, view_peak
     assert formed_by_slice == 0 and calls == list(range(1, c + 1))
     assert len(rows) == c and max(rows) <= 1e-12
 

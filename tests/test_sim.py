@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
 from conftest import gf_solution
@@ -120,10 +121,9 @@ def reference_run(cfg):
     n_warm = int(cfg.n_events * cfg.warmup_fraction)
     size = (cfg.n_events - n_warm) // nb
     n_total = n_warm + size * nb
-    rng = np.random.default_rng(cfg.seed)
-    u = np.concatenate(
-        [rng.random(sim._CHUNK) for _ in range(math.ceil(2 * n_total / sim._CHUNK))]
-    ).tolist()
+    # one draw for the whole run: the simulator's chunks of any even size
+    # read the same stream
+    u = np.random.default_rng(cfg.seed).random(2 * n_total).tolist()
     # per batch: time, jobs, active, setup integrals, on and off counts, phases
     acc = [[0.0] * (6 + c + 1) for _ in range(nb)]
     rows = []
@@ -186,7 +186,7 @@ def reference_run(cfg):
     "p", [P112, QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10)], ids=["c2", "c10"]
 )
 def test_same_path_as_per_event_loop(tmp_path, p):
-    # 70k events cross the boundary between two chunks of uniforms
+    # 70k events cross the boundaries between chunks of uniforms
     n = 70_000
     assert n > sim._CHUNK // 2
     path = tmp_path / "trace.csv"
@@ -196,6 +196,21 @@ def test_same_path_as_per_event_loop(tmp_path, p):
     assert path.read_text().splitlines()[1:] == rows
     for key, val in ref.items():
         assert getattr(est, key) == pytest.approx(val, rel=1e-12, abs=0), key
+
+
+def test_t_quantile_matches_scipy():
+    for df in [*range(1, 201), 500, 1000, 10_000]:
+        want = stdtrit(df, 0.975)
+        assert sim._t_quantile(df, 0.975) == pytest.approx(want, rel=1e-13, abs=0), df
+
+
+def test_t_quantile_closed_forms():
+    # Cauchy at df = 1; at df = 2 the cdf is 1/2 + t/(2 sqrt(2 + t^2))
+    p = 0.975
+    t1 = math.tan(0.475 * math.pi)
+    t2 = (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+    assert sim._t_quantile(1, p) == pytest.approx(t1, rel=1e-14, abs=0)
+    assert sim._t_quantile(2, p) == pytest.approx(t2, rel=1e-14, abs=0)
 
 
 def test_setup_invariant_names_first_bad_state():
