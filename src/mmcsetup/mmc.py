@@ -41,30 +41,24 @@ def mean_jobs(params: QueueParams) -> float:
 
 def distribution(params: QueueParams, j_max: int) -> np.ndarray:
     """Marginal P(j jobs) for j = 0..j_max, computed in log space so large
-    c and tiny tail probabilities don't overflow or underflow."""
+    c and tiny tail probabilities don't overflow or underflow.
+
+    P(j) is proportional to a^j / j! for j <= c and to a^c / c! rho^(j-c)
+    past it; every term is exponentiated after the largest one, which sits
+    near j = a, is subtracted.
+    """
     validate(params)
     c = params.c
     a = params.lam / params.mu
     rho = params.rho
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(c + 1)])  # log k!
+    k = np.arange(c + 1)
+    log_head = k * np.log(a) - np.array([math.lgamma(n + 1.0) for n in k])  # log a^k/k!
+    peak = log_head.max()
+    # normalizer: the head below c plus the whole geometric tail from c
+    total = np.exp(log_head[:c] - peak).sum() + np.exp(log_head[c] - peak) / (1.0 - rho)
     j = np.arange(j_max + 1)
-    logs = np.empty(j_max + 1)
-    head = j <= c
-    logs[head] = j[head] * np.log(a) - log_fact[j[head]]
-    tail = ~head
-    logs[tail] = c * np.log(a) - log_fact[c] + (j[tail] - c) * np.log(rho)
-    # normalizer includes the geometric remainder past j_max
-    log_c_term = c * np.log(a) - log_fact[c]
-    with np.errstate(over="ignore"):
-        total = np.sum(np.exp(logs))
-        if j_max >= c:
-            total += np.exp(log_c_term) * rho ** (j_max - c + 1) / (1.0 - rho)
-        else:
-            # sum of the untabulated head plus the whole geometric tail
-            for k in range(j_max + 1, c):
-                total += np.exp(k * np.log(a) - log_fact[k])
-            total += np.exp(log_c_term) / (1.0 - rho)
-    return np.exp(logs) / total
+    logs = np.where(j <= c, log_head[np.minimum(j, c)], log_head[c] + (j - c) * np.log(rho))
+    return np.exp(logs - peak) / total
 
 
 def onidle_cost(params: QueueParams, costs: CostParams) -> float:

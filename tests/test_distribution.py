@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
-from mmcsetup import qbd
-from mmcsetup.distribution import GeometricTail
+from mmcsetup import ctmc, distribution, gf, measures, qbd
+from mmcsetup.distribution import GeometricTail, PoleTail
 from mmcsetup.model import QueueParams
 
 POINTS = [
@@ -101,3 +101,107 @@ def test_geometric_tail_inverse_is_nonnegative(rho, alpha, c):
     ref = np.linalg.inv(np.eye(c + 1) - R)
     assert np.all(N >= 0.0)
     assert np.all(np.abs(N - ref) <= 1e-14 * np.abs(ref))
+
+
+def _reference_walk(tail, n):
+    """The per-level walk over all rows that PoleTail's row walks replace:
+    levels and row-tail masses at m = 0..n-1."""
+    B, Y, G = tail.coeffs, tail.nodes, tail.gaps
+    levels, tails = [], []
+    for _ in range(n):
+        levels.append(G[:, 0] * (B[:, 0] * Y[:, 0] + B[:, 1] * G[:, 1]))
+        tails.append(B[:, 0] * Y[:, 0] + B[:, 1:].sum(axis=1))
+        nxt = B * Y
+        nxt[:, :-1] += B[:, 1:] * G[:, 1:]
+        B = nxt
+    return np.array(levels), np.array(tails)
+
+
+def _fresh_pole_tail(p):
+    t = gf_solution(p).tail
+    return PoleTail(t.coeffs, t.nodes, t.gaps)
+
+
+@pytest.mark.parametrize("c, n", [(5, 300), (40, 200), (200, 400)])
+def test_row_walk_matches_per_level_walk(c, n):
+    # at c = 200 a block holds 163 levels of two rows, so n crosses blocks
+    p = QueueParams(lam=0.8 * c, mu=1.0, alpha=0.1, c=c)
+    tail = _fresh_pole_tail(p)
+    want_levels, want_tails = _reference_walk(tail, n)
+    for idx in ([c - 1, c], [c, 0, c // 2]):
+        levels, tails = tail.rows(idx, n)
+        assert levels.shape == tails.shape == (n, len(idx))
+        assert np.array_equal(levels, want_levels[:, idx])
+        assert np.array_equal(tails, want_tails[:, idx])
+
+
+def test_all_rows_walk_serves_level_and_row_tail():
+    p = QueueParams(lam=32.0, mu=1.0, alpha=0.1, c=40)
+    tail = _fresh_pole_tail(p)
+    n = 100  # the all-rows walk steps 38 levels per block at c = 40
+    want_levels, want_tails = _reference_walk(tail, n)
+    levels, tails = tail.rows(range(p.c + 1), n)
+    assert np.array_equal(levels, want_levels) and np.array_equal(tails, want_tails)
+    for m in (0, 37, 38, n - 1):
+        assert np.array_equal(tail.level(m), want_levels[m])
+        assert tail.row_tail(p.c, m) == want_tails[m, p.c]
+
+
+def test_row_walk_resumes_where_it_stopped():
+    p = QueueParams(lam=16.0, mu=1.0, alpha=0.1, c=20)
+    tail = _fresh_pole_tail(p)
+    idx = [p.c - 1, p.c]
+    first = tail.rows(idx, 37)
+    second = tail.rows(idx, 250)
+    want_levels, want_tails = _reference_walk(tail, 250)
+    assert np.array_equal(second[0], want_levels[:, idx])
+    assert np.array_equal(second[1], want_tails[:, idx])
+    assert np.array_equal(first[0], second[0][:37])
+    assert not second[0].flags.writeable
+
+
+def test_row_walk_over_mpmath_numbers():
+    import mpmath as mp
+
+    p = QueueParams(lam=4.0, mu=1.0, alpha=0.3, c=5)
+    t = gf_solution(p).tail
+    with mp.workdps(30):
+        to_mp = np.vectorize(mp.mpf, otypes=[object])
+        tail = PoleTail(to_mp(t.coeffs), to_mp(t.nodes), to_mp(t.gaps))
+        want_levels, want_tails = _reference_walk(tail, 40)
+        levels, tails = tail.rows([p.c - 1, p.c], 40)
+        assert levels.dtype == object
+        assert np.array_equal(levels, want_levels[:, [p.c - 1, p.c]])
+        assert np.array_equal(tails, want_tails[:, [p.c - 1, p.c]])
+        assert np.array_equal(tail.level(39), want_levels[39])
+
+
+def test_decomposition_steps_only_the_two_rows_it_reads(monkeypatch):
+    p = QueueParams(lam=100.0, mu=1.0, alpha=0.7, c=200)
+    dist = gf.solve(p).distribution()
+    stepped = []
+    extend = distribution._RowWalk._extend
+
+    def counted(walk, n):
+        stepped.append(len(walk.state))
+        return extend(walk, n)
+
+    monkeypatch.setattr(distribution._RowWalk, "_extend", counted)
+    measures.decomposition(dist, p)
+    assert stepped and set(stepped) == {2}
+    assert list(dist.tail._walks) == [(p.c - 1, p.c)]
+
+
+def test_decomposition_long_support_across_routes():
+    p = QueueParams(lam=10.0, mu=1.0, alpha=0.01, c=20)
+    dists = (
+        gf.solve(p).distribution(),
+        qbd.solve(p).distribution(),
+        ctmc.solve_adaptive(p),
+    )
+    for d in dists:
+        rep = measures.decomposition(d, p)
+        assert rep.support == 2048
+        assert rep.tv_gap < 1e-10
+        want = np.convolve(rep.dist_onidle, rep.dist_res)[: rep.support + 1]
+        assert np.all(np.abs(rep.convolution - want) <= 2e-15 * want)

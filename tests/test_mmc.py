@@ -46,6 +46,25 @@ def test_distribution_large_c_no_overflow():
     assert q.sum() == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("lam, c, j_max", [(720.0, 800, 1600), (900.0, 1000, 2000)])
+def test_distribution_large_offered_load(lam, c, j_max):
+    # a^k / k! peaks near k = a at about e^a / sqrt(2 pi a), past float64
+    from mpmath import mp
+
+    p = QueueParams(lam=lam, mu=1.0, alpha=1.0, c=c)
+    with np.errstate(over="raise", invalid="raise"):
+        q = mmc.distribution(p, j_max)
+    assert np.all(np.isfinite(q)) and np.all(q >= 0)
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    with mp.workdps(40):
+        a, rho = mp.mpf(lam), mp.mpf(lam) / c
+        head = [a**k / mp.factorial(k) for k in range(c + 1)]
+        total = mp.fsum(head[:c]) + head[c] / (1 - rho)
+        for j in (c // 2, int(lam), c, c + 100, j_max):
+            want = (head[j] if j <= c else head[c] * rho ** (j - c)) / total
+            assert q[j] == pytest.approx(float(want), rel=5e-12)
+
+
 def test_onidle_cost_example():
     p = QueueParams(lam=10.0, mu=1.0, alpha=1.0, c=20)
     costs = CostParams(c_active=1.0, c_idle=0.6)
