@@ -36,9 +36,9 @@ from .sim import SimConfig, simulate, validate_against
 from .sweeps import (
     ANALYTIC_METHODS,
     SweepSpec,
-    _report_gap,
     crossover_finder,
     csv_text,
+    report_gap,
     run_sweep,
     solve_distribution,
     write_csv,
@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
     if args.method == "all":
         extra = {
             "methods": list(methods),
-            "method_max_gap": _report_gap(list(reports.values())),
+            "method_max_gap": report_gap(list(reports.values())),
             "e_jobs_by_method": {m: r.e_jobs for m, r in reports.items()},
         }
 

@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
 from .model import QueueParams, params_to_dict
 
 
@@ -181,24 +180,15 @@ class PoleTail:
 
 
 class GeometricTail:
-    """pi_{c+m} = pi_c R^m for an upper-triangular R, with (I - R)^{-1}
-    formed once.
-
-    I - R is an upper-triangular M-matrix (positive diagonal under
-    stability, nonpositive off-diagonals), so LAPACK's triangular inverse
-    sums same-signed terms only and the inverse stays nonnegative.
-    """
+    """pi_{c+m} = pi_c R^m for an upper-triangular R, given N = (I - R)^{-1}
+    (qbd.tail_inverse), which every tail sum reads."""
 
     kind = "geometric"
 
-    def __init__(self, pi_c: np.ndarray, R: np.ndarray):
-        from scipy.linalg.lapack import dtrtri
-
+    def __init__(self, pi_c: np.ndarray, R: np.ndarray, N: np.ndarray):
         self.pi_c = pi_c
         self.R = R
-        self._N, info = dtrtri(np.eye(R.shape[0]) - R, lower=0)
-        if info != 0:
-            raise InternalInconsistencyError(f"I - R singular (dtrtri info {info})")
+        self._N = N
         self._levels = [pi_c]
 
     def level(self, m: int) -> np.ndarray:

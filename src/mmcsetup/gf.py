@@ -125,11 +125,12 @@ def _node_lists(x: np.ndarray, gaps: np.ndarray, prepend: bool):
     return np.where(inside, x[k], 0), np.where(inside, gaps[k], 1)
 
 
-def _newton_pass(params, x, Y, G, wm1, dx):
+def _newton_pass(params, x, Y, G, wm1, zg, dx):
     """Boundary and Newton tail coefficients of every row, normalised.
 
     x: nodes 1/zhat_k; Y, G: each row's node list and 1 - node list
-    (`_node_lists`); wm1[i] = w_i - 1 = (1 - z_i)/z_i; dx[i, l] =
+    (`_node_lists`); wm1[i] = w_i - 1 = (1 - z_i)/z_i; zg[i] = zhat_i - 1,
+    the root gap; dx[i, l] =
     x_i - x_l >= 0 when new nodes go last, else None.  All arrays hold
     the pass's number type.  Returns pi[i, j] for j <= c, the Newton
     coefficients B[i, l] of row i's tail functional (see PoleTail) and the
@@ -180,12 +181,17 @@ def _newton_pass(params, x, Y, G, wm1, dx):
         row = [0 * w] * (c + 1)
         if i < c:
             # backward recursion pi_{i,j} = a_j + b_j pi_{i,j-1}, from
-            # a_c = start and b_c = x_i
+            # a_c = start and b_c = x_i, with b_j = lam / D_j.  The pivot
+            # D_j = lam + i mu (1 - b_(j+1)) + (j-i) alpha is carried as
+            # e_j = D_j - lam from e_c = lam (zhat_i - 1): every term of
+            # e_j = (j-i) alpha + i mu e_(j+1) / (lam + e_(j+1)) is >= 0
             below = pi[i - 1].tolist()
             a, b = [None] * (c + 1), [None] * (c + 1)
             a[c], b[c] = start, xs[i]
+            e = lam * zg[i]
             for j in range(c - 1, i, -1):
-                piv = lam + i * mu + (j - i) * alpha - i * mu * b[j + 1]
+                e = (j - i) * alpha + i * mu * e / (lam + e)
+                piv = lam + e
                 if not piv > 0:
                     raise InternalInconsistencyError(
                         f"boundary recursion pivot D_{j} = {piv} <= 0 at row {i}"
@@ -305,7 +311,8 @@ def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     # roundoff on it, where all nodes coincide
     dx = None if prepend else np.maximum(np.subtract.outer(x, x), 0).astype(dtype)
     Y, G = Y.astype(dtype), G.astype(dtype)
-    pi, B, seam_gap = _newton_pass(params, x.astype(dtype), Y, G, wm1.astype(dtype).tolist(), dx)
+    gaps = [a.astype(dtype).tolist() for a in (wm1, zh - 1)]
+    pi, B, seam_gap = _newton_pass(params, x.astype(dtype), Y, G, *gaps, dx)
     moments = _head_moments(pi, N_MOMENTS) + PoleTail(B, Y, G).factorial_moments(N_MOMENTS)
     info = {"precision_digits": dps, **_certify(params, moments[:, 0], seam_gap)}
     floats = (np.asarray(a, dtype=float) for a in (B, Y, G))

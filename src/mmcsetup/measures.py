@@ -5,7 +5,7 @@ truncated-chain oracle) are interchangeable upstream.  Infinite sums over
 the tail use the tail object's closed forms.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -38,44 +38,20 @@ class PerformanceReport:
     total_cost_onoff: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "e_active": self.e_active,
-            "e_setup": self.e_setup,
-            "switching_rate": self.switching_rate,
-            "e_jobs": self.e_jobs,
-            "phase_marginal": [float(v) for v in self.phase_marginal],
-        }
-        for key in ("cost_onoff", "cost_onidle", "total_cost_onoff"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        """Every field in declaration order, the phase marginal as a list;
+        an unset cost is left out."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["phase_marginal"] = [float(v) for v in self.phase_marginal]
+        return {k: v for k, v in out.items() if v is not None}
 
     @staticmethod
     def csv_header() -> list:
-        return [
-            "e_active",
-            "e_setup",
-            "switching_rate",
-            "e_jobs",
-            "cost_onoff",
-            "cost_onidle",
-            "total_cost_onoff",
-        ]
+        """The scalar fields: every field but the phase marginal."""
+        return [f.name for f in fields(PerformanceReport) if f.name != "phase_marginal"]
 
     def csv_row(self) -> list:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        return [
-            fmt(self.e_active),
-            fmt(self.e_setup),
-            fmt(self.switching_rate),
-            fmt(self.e_jobs),
-            fmt(self.cost_onoff),
-            fmt(self.cost_onidle),
-            fmt(self.total_cost_onoff),
-        ]
+        values = (getattr(self, k) for k in self.csv_header())
+        return ["" if v is None else repr(float(v)) for v in values]
 
 
 def _setup_expectation(dist, params: QueueParams) -> float:

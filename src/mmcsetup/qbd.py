@@ -1,44 +1,39 @@
 """Matrix-analytic solver: level = job count, phase = running servers.
 
-The chain is a quasi-birth-and-death process that is level-independent from
-level c upward and level-dependent below.  The homogeneous rate matrix R is
-upper triangular with known diagonal r_{i,i} = 1/zhat_i.  Each column above
-the diagonal solves one small upper-triangular system in terms of the
-columns before it, with positive pivots formed from the root gaps
-zhat_i - 1 and 1 - z_k, nonpositive off-diagonals and a nonnegative
-right-hand side.  No iteration, no cancellation: the construction stays
-accurate in double precision at slow setup and when the zhat_i collide, on
-the line alpha = mu (1 - rho).
+The chain is a quasi-birth-and-death process, level-independent from level
+c upward and level-dependent below.  Every function takes the QueueParams,
+and no generator block is formed whole: level_q0 is the within-level block,
+times_qm1 multiplies by the service block, and the arrival block is lam*I.
 
-The first-passage matrix G takes no solve: Q1 = lam*I, so G = R*Qm1/lam,
-a column scaling of R (g_{i,i} = z_i, and g_{c,c} = 1 because from phase c
-the level process is a stable M/M/1 whose descent is certain).  Boundary
-levels get their own rectangular R^{(i)} from a backward sweep that inverts
-one upper-triangular M-matrix per level in place, by recursive halving (two
-dtrmm products per corner, dtrtri on blocks of at most 64),
-subtraction-free as well: each diagonal comes from the known row sums, and
-every corner is a sum of same-signed products (see level_rate_matrices).
-Each R^{(i)} is held as its packed upper triangle, (i+1)(i+2)/2 floats
-(about 86 MB in all at c = 400, against 171 MB dense).  The boundary
-G^{(n)} are read off the same way and never stored: G^{(n)} is
-R^{(n)}*Qm1^{(n)}/lam over a unit last row (see g_levels).
-QbdSolution.rlevels and QbdSolution.glevels are lazy sequences (see
-LevelView): each read of level n returns a fresh dense R^{(n)} or G^{(n)},
-so iterating them holds one level at a time.
+The rate matrix R is upper triangular with diagonal r_{i,i} = 1/zhat_i.
+Each column above the diagonal solves one small upper-triangular system in
+terms of the columns before it, with positive pivots formed from the root
+gaps zhat_i - 1 and 1 - z_k, nonpositive off-diagonals and a nonnegative
+right-hand side.  No iteration, no cancellation: R stays accurate at slow
+setup and on the line alpha = mu (1 - rho), where the zhat_i collide.  The
+first-passage matrix G = R*Qm1/lam is a column scaling of R (see g_matrix).
+
+Boundary levels get their own rectangular R^{(i)} from a backward sweep
+that inverts one upper-triangular M-matrix per level in place, by recursive
+halving, subtraction-free as well (see level_rate_matrices).  Each R^{(i)}
+is held as its packed upper triangle (about 86 MB in all at c = 400,
+against 171 MB dense); the boundary G^{(n)} are read off them and never
+stored (see g_levels).  QbdSolution.rlevels and QbdSolution.glevels are
+lazy sequences (see LevelView) that form one dense level per read.
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
-pi_{c+k} = pi_c R^k with the normalization summed exactly through
-(I - R)^{-1}, one more triangular solve.
+pi_{c+k} = pi_c R^k.  One (I - R)^{-1} per solve, its diagonal formed from
+the root gaps (see tail_inverse), sums the tail exactly, both for the
+normalisation and for the GeometricTail's sums.
 
 scipy's BLAS and LAPACK handles are imported by the function that uses
-them, once per call (once per level read for the packed R^{(n)}) and never
-inside the sweep or the recursion, so importing mmcsetup (and the gf route)
-does not load scipy.
+them, never inside the sweep or the recursion, so importing mmcsetup (and
+the gf route) does not load scipy.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -49,117 +44,48 @@ from .model import QueueParams, validate
 
 __all__ = [
     "LevelView",
-    "QbdBlocks",
     "QbdSolution",
-    "build_blocks",
+    "level_q0",
+    "times_qm1",
     "rate_matrix",
     "level_rate_matrices",
     "g_matrix",
     "g_levels",
     "rate_matrix_from_g",
+    "tail_inverse",
     "residuals",
     "solve",
 ]
 
 
-@dataclass(frozen=True)
-class QbdBlocks:
-    """Generator blocks: q1/q0/qm1 are the homogeneous (c+1)-square blocks.
-
-    Each is formed on its first read.  The sweep and the G levels use only
-    times_qm1, which reads params alone, so solving and reading glevels
-    allocate none of them (three dense (c+1)-squares, 3.9 MB at c = 400).
-    """
-
-    params: QueueParams
-
-    @cached_property
-    def q1(self) -> np.ndarray:
-        return self.params.lam * np.eye(self.params.c + 1)
-
-    @cached_property
-    def q0(self) -> np.ndarray:
-        p = self.params
-        i = np.arange(p.c + 1, dtype=float)
-        q0 = np.zeros((p.c + 1, p.c + 1))
-        setup = (p.c - i) * p.alpha
-        q0[np.arange(p.c), np.arange(1, p.c + 1)] = setup[: p.c]
-        np.fill_diagonal(q0, -(p.lam + i * p.mu + setup))
-        return q0
-
-    @cached_property
-    def qm1(self) -> np.ndarray:
-        return np.diag(np.arange(self.params.c + 1) * self.params.mu)
-
-    def level_q1(self, n: int) -> np.ndarray:
-        """Arrival block from level n to n+1: [lam*I | 0] while n < c."""
-        p = self.params
-        if n >= p.c:
-            return self.q1
-        out = np.zeros((n + 1, n + 2))
-        out[:, : n + 1] = p.lam * np.eye(n + 1)
-        return out
-
-    def level_q0(self, n: int) -> np.ndarray:
-        """Within-level block at level n (setup completions + diagonal)."""
-        p = self.params
-        if n >= p.c:
-            return self.q0
-        i = np.arange(n + 1, dtype=float)
-        out = np.zeros((n + 1, n + 1))
-        # all c - i off servers are warming only once j - i >= c - i; below
-        # level c just j - i of them are
-        setup = (n - i) * p.alpha
-        out[np.arange(n), np.arange(1, n + 1)] = setup[:n]
-        np.fill_diagonal(out, -(p.lam + i * p.mu + setup))
-        return out
-
-    def level_qm1(self, n: int) -> np.ndarray:
-        """Service block from level n to n-1, rectangular while n <= c."""
-        p = self.params
-        if n > p.c:
-            return self.qm1
-        out = np.zeros((n + 1, n))
-        idx = np.arange(1, n)
-        out[idx, idx] = idx * p.mu
-        # a departure from the all-busy corner (i = j = n) shuts one server
-        out[n, n - 1] = n * p.mu
-        return out
-
-    def times_qm1(
-        self, r: np.ndarray, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """r @ level_qm1(n) without forming the block: a column scaling by
-        the service rates, plus, below level c, the corner column.  out, if
-        given, receives the product."""
-        p = self.params
-        if n > p.c:
-            return np.multiply(r, np.arange(p.c + 1) * p.mu, out=out)
-        out = np.multiply(r[:, :n], p.mu * np.arange(n), out=out)
-        out[:, n - 1] += r[:, n] * (n * p.mu)
-        return out
-
-    def assemble(self, j_max: int) -> np.ndarray:
-        """Dense generator for levels 0..j_max with arrivals cut at the top."""
-        p = self.params
-        sizes = [min(j, p.c) + 1 for j in range(j_max + 1)]
-        offs = np.concatenate(([0], np.cumsum(sizes)))
-        q = np.zeros((offs[-1], offs[-1]))
-        for j in range(j_max + 1):
-            a, b = offs[j], offs[j + 1]
-            q[a:b, a:b] += self.level_q0(j)
-            if j < j_max:
-                q[a:b, b : offs[j + 2]] += self.level_q1(j)
-            else:
-                q[a:b, a:b] += p.lam * np.eye(sizes[j])
-            if j >= 1:
-                q[a:b, offs[j - 1] : a] += self.level_qm1(j)
-        return q
+def level_q0(params: QueueParams, n: int) -> np.ndarray:
+    """Within-level generator block Q0^(n): setup completions above the
+    diagonal, minus each phase's total outflow on it.  For n >= c this is
+    the homogeneous Q0, (c+1)-square."""
+    m = min(n, params.c)
+    i = np.arange(m + 1, dtype=float)
+    out = np.zeros((m + 1, m + 1))
+    # below level c only j - i of the c - i off servers are warming; from
+    # level c on, all of them are
+    setup = (m - i) * params.alpha
+    out[np.arange(m), np.arange(1, m + 1)] = setup[:m]
+    np.fill_diagonal(out, -(params.lam + i * params.mu + setup))
+    return out
 
 
-def build_blocks(params: QueueParams) -> QbdBlocks:
-    validate(params)
-    return QbdBlocks(params)
+def times_qm1(
+    params: QueueParams, r: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """r @ Qm1^(n), the service block from level n to n-1, without forming
+    the block: a column scaling by the service rates, plus, below level c,
+    the corner column (a departure from the all-busy corner i = j = n shuts
+    one server).  out, if given, receives the product."""
+    mu = params.mu
+    if n > params.c:
+        return np.multiply(r, np.arange(params.c + 1) * mu, out=out)
+    out = np.multiply(r[:, :n], mu * np.arange(n), out=out)
+    out[:, n - 1] += r[:, n] * (n * mu)
+    return out
 
 
 def rate_matrix(params: QueueParams) -> np.ndarray:
@@ -198,7 +124,7 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     return r
 
 
-def g_matrix(blocks: QbdBlocks, r_hom: np.ndarray) -> np.ndarray:
+def g_matrix(params: QueueParams, r_hom: np.ndarray) -> np.ndarray:
     """First-passage matrix G for the homogeneous part, row-stochastic.
 
     g_{i,j} is the probability that, starting one level up in phase i, the
@@ -208,7 +134,7 @@ def g_matrix(blocks: QbdBlocks, r_hom: np.ndarray) -> np.ndarray:
     scaling of R.  It is upper triangular with g_{0,0} = 0,
     g_{i,i} = z_i (Vieta) and g_{c,c} = 1.
     """
-    return blocks.times_qm1(r_hom, blocks.params.c + 1) / blocks.params.lam
+    return times_qm1(params, r_hom, params.c + 1) / params.lam
 
 
 _LEAF = 64  # largest block _invert_lower hands to LAPACK's dtrtri whole
@@ -279,7 +205,7 @@ def _unpack(packed: list, n: int) -> np.ndarray:
     return a.T[:n]
 
 
-def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> LevelView:
+def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
@@ -302,15 +228,14 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> LevelView:
     from scipy.linalg.blas import dtrmm
     from scipy.linalg.lapack import dtrtri, dtrttp
 
-    p = blocks.params
-    lam, mu, alpha, c = p.lam, p.mu, p.alpha, p.c
+    lam, mu, alpha, c = params.lam, params.mu, params.alpha, params.c
     packed: list = [None] * (c + 1)
     work = np.empty((c + 1) ** 2)
     scaled = np.empty((c + 1) ** 2)
     r_next = r_hom
     for i in range(c, 0, -1):
         a = work[: (i + 1) ** 2].reshape(i + 1, i + 1)
-        blocks.times_qm1(r_next, i + 1, out=a)
+        times_qm1(params, r_next, i + 1, out=a)
         # the setup rates of Q0^(i); its diagonal is replaced below
         sup = np.arange(i)
         a[sup, sup + 1] += (i - sup) * alpha
@@ -328,15 +253,15 @@ def level_rate_matrices(blocks: QbdBlocks, r_hom: np.ndarray) -> LevelView:
     return LevelView(partial(_unpack, packed), range(c + 1))
 
 
-def _g_level(blocks: QbdBlocks, rlevels: Sequence, n: int) -> np.ndarray:
+def _g_level(params: QueueParams, rlevels: Sequence, n: int) -> np.ndarray:
     gn = np.empty((n + 1, n))
-    np.divide(blocks.times_qm1(rlevels[n], n), blocks.params.lam, out=gn[:n])
+    np.divide(times_qm1(params, rlevels[n], n), params.lam, out=gn[:n])
     gn[n] = 0.0
     gn[n, n - 1] = 1.0
     return gn
 
 
-def g_levels(blocks: QbdBlocks, rlevels: Sequence) -> LevelView:
+def g_levels(params: QueueParams, rlevels: Sequence) -> LevelView:
     """Boundary matrices G^(1)..G^(c); each is (n+1) x n and row-stochastic.
 
     Read off the boundary rate matrices, with no solve (Latouche &
@@ -350,10 +275,10 @@ def g_levels(blocks: QbdBlocks, rlevels: Sequence) -> LevelView:
     rlevels is any sequence of dense R^(n); each G^(n) is formed from
     rlevels[n] when it is read (see LevelView).
     """
-    return LevelView(partial(_g_level, blocks, rlevels), range(blocks.params.c + 1))
+    return LevelView(partial(_g_level, params, rlevels), range(params.c + 1))
 
 
-def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
+def rate_matrix_from_g(params: QueueParams, g_hom: np.ndarray) -> np.ndarray:
     """R = Q1 * (-Q0 - Q1*G)^{-1}, used as a certificate.
 
     -Q0 - lam*G is upper triangular, so this is one triangular solve.  With
@@ -362,9 +287,28 @@ def rate_matrix_from_g(blocks: QbdBlocks, g_hom: np.ndarray) -> np.ndarray:
     """
     from scipy.linalg import solve_triangular
 
-    p = blocks.params
-    m = -blocks.q0 - p.lam * g_hom
-    return solve_triangular(m, p.lam * np.eye(p.c + 1), check_finite=False)
+    lam, c = params.lam, params.c
+    m = -level_q0(params, c) - lam * g_hom
+    return solve_triangular(m, lam * np.eye(c + 1), check_finite=False)
+
+
+def tail_inverse(params: QueueParams, r_hom: np.ndarray) -> np.ndarray:
+    """(I - R)^{-1}, so that sum_{m >= 0} pi_c R^m = pi_c (I - R)^{-1}.
+
+    I - R is an upper-triangular M-matrix, so LAPACK's triangular inverse
+    sums same-signed terms only and the inverse stays nonnegative.  Its
+    diagonal 1 - 1/zhat_i is taken as zhat_gap_i / (1 + zhat_gap_i), with no
+    subtraction next to 1 to cost the tail sums digits at slow setup.
+    """
+    from scipy.linalg.lapack import dtrtri
+
+    gap = quadratic_roots(params).zhat_gap
+    a = np.eye(params.c + 1) - r_hom
+    np.fill_diagonal(a, (gap / (1 + gap)).astype(float))
+    inv, info = dtrtri(a, lower=0)
+    if info != 0:
+        raise InternalInconsistencyError(f"I - R singular (dtrtri info {info})")
+    return inv
 
 
 def _boundary_gap(params: QueueParams, r1: np.ndarray) -> float:
@@ -378,6 +322,7 @@ class QbdSolution:
 
     params: QueueParams
     R: np.ndarray
+    tail_inv: np.ndarray  # (I - R)^{-1}, see tail_inverse
     rlevels: Sequence
     G: np.ndarray
     levels: tuple
@@ -387,25 +332,22 @@ class QbdSolution:
     def distribution(self) -> JointDistribution:
         if self._dist is None:
             c = self.params.c
-            boundary = np.zeros((c + 1, max(c, 1)))
+            boundary = np.zeros((c + 1, c))
             for j in range(c):
                 boundary[: j + 1, j] = self.levels[j]
-            tail = GeometricTail(self.levels[c], self.R)
+            tail = GeometricTail(self.levels[c], self.R, self.tail_inv)
             self._dist = JointDistribution(
-                self.params, boundary[:, :c], tail, "qbd", dict(self.info)
+                self.params, boundary, tail, "qbd", dict(self.info)
             )
         return self._dist
 
     @property
     def glevels(self) -> LevelView | None:
-        """G^(1)..G^(c) from rlevels by g_levels, or None without G.
-
-        Never stored: each glevels[n] is a fresh dense array formed from
-        rlevels[n] when it is read, so iterating holds one level at a time.
-        """
+        """G^(1)..G^(c), formed from rlevels one per read (g_levels), or
+        None without G."""
         if self.G is None:
             return None
-        return g_levels(build_blocks(self.params), self.rlevels)
+        return g_levels(self.params, self.rlevels)
 
 
 def _split(a):
@@ -439,7 +381,7 @@ def _bracket(q0, r, rates):
 
     Qm1 scales column j of r by rates[j]; a column of r beyond q0's (the
     all-busy corner of a boundary Qm1^(n)) folds onto the last one, as in
-    QbdBlocks.times_qm1.
+    times_qm1.
     """
     n = q0.shape[1]
     p, e = _two_product(r, rates[: r.shape[1]])
@@ -489,16 +431,16 @@ def residuals(sol: QbdSolution) -> dict:
     tolerances.
     """
     p = sol.params
-    blocks = build_blocks(p)
     L = np.longdouble  # for the O(c) and O(c^2) sums only
     rates = p.mu * np.arange(p.c + 2)
+    q0, q1 = level_q0(p, p.c), p.lam * np.eye(p.c + 1)
 
     def infnorm(a, axis=1) -> float:
         return float(np.abs(a).sum(axis=axis).max())
 
     # Q0 + R*Qm1 is also the level-c bracket below
-    hi, lo = _bracket(blocks.q0, sol.R, rates)
-    out = {"quad_R": infnorm(_exact_product(blocks.q1, sol.R, hi, lo))}
+    hi, lo = _bracket(q0, sol.R, rates)
+    out = {"quad_R": infnorm(_exact_product(q1, sol.R, hi, lo))}
 
     roots = quadratic_roots(p)
     out["r_diag"] = float(
@@ -511,10 +453,10 @@ def residuals(sol: QbdSolution) -> dict:
     norms, rows = [], []
     for i in range(p.c, 0, -1):
         if i < p.c:
-            hi, lo = _bracket(blocks.level_q0(i), r_above, rates)
+            hi, lo = _bracket(level_q0(p, i), r_above, rates)
         r_above = sol.rlevels[i]
         # Q1^(i-1) = lam*[I | 0] is a corner of Q1
-        prod = _exact_product(blocks.q1[:i, : i + 1], r_above, hi, lo)
+        prod = _exact_product(q1[:i, : i + 1], r_above, hi, lo)
         norms.append(infnorm(prod))
         if sol.G is not None:
             # G^(n)'s rows but the last (a unit row) sum to R^(n)*v_n/lam,
@@ -525,14 +467,14 @@ def residuals(sol: QbdSolution) -> dict:
 
     if sol.G is not None:
         # Qm1 + (Q0 + lam*G)*G, transposed so the pair is the right factor
-        hi, lo = _bracket(blocks.q0, sol.G, np.full(p.c + 1, p.lam))
-        prod = _exact_product(blocks.qm1.T, sol.G.T, hi.T, lo.T)
+        hi, lo = _bracket(q0, sol.G, np.full(p.c + 1, p.lam))
+        prod = _exact_product(np.diag(rates[: p.c + 1]), sol.G.T, hi.T, lo.T)
         out["quad_G"] = infnorm(prod, axis=0)
         g = sol.G.astype(L)
         out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
         out["g_diag"] = float(np.abs(np.diagonal(sol.G) - roots.z).max())
         out["r_from_g"] = float(
-            np.abs(sol.R - rate_matrix_from_g(blocks, sol.G)).max()
+            np.abs(sol.R - rate_matrix_from_g(p, sol.G)).max()
         )
         out["glevel_rows"] = float(np.max(np.abs(np.concatenate(rows))))
     return out
@@ -544,13 +486,10 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     with_g=False skips G, and with it glevels, when only probabilities are
     needed; R alone determines the stationary vectors.
     """
-    from scipy.linalg import solve_triangular
-
     validate(params)
     c = params.c
-    blocks = build_blocks(params)
     r_hom = rate_matrix(params)
-    rlev = level_rate_matrices(blocks, r_hom)
+    rlev = level_rate_matrices(params, r_hom)
 
     # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
     # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
@@ -564,9 +503,9 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     pi = [np.ones(1)]
     for i in range(1, c + 1):
         pi.append(pi[-1] @ rlev[i])
-    # I - R is upper triangular: sum_k pi_c R^k = pi_c (I - R)^{-1}
-    tail_sums = solve_triangular(np.eye(c + 1) - r_hom, pi[c], trans="T")
-    total = sum(float(v.sum()) for v in pi[:c]) + float(tail_sums.sum())
+    tail_inv = tail_inverse(params, r_hom)
+    tail_sum = float((pi[c] @ tail_inv).sum())  # sum_k pi_c R^k
+    total = sum(float(v.sum()) for v in pi[:c]) + tail_sum
     levels = tuple(v / total for v in pi)
 
     info = {
@@ -574,5 +513,5 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
         "spectral_radius": float(np.diagonal(r_hom).max()),
         "boundary_certificate": float(gap),
     }
-    g_hom = g_matrix(blocks, r_hom) if with_g else None
-    return QbdSolution(params, r_hom, rlev, g_hom, levels, info)
+    g_hom = g_matrix(params, r_hom) if with_g else None
+    return QbdSolution(params, r_hom, tail_inv, rlev, g_hom, levels, info)

@@ -26,6 +26,7 @@ __all__ = [
     "write_csv",
     "csv_text",
     "crossover_finder",
+    "report_gap",
     "solve_distribution",
 ]
 
@@ -109,11 +110,14 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _report_gap(reports: list[PerformanceReport]) -> float:
+def report_gap(reports: list[PerformanceReport]) -> float:
+    """Largest spread of any scalar report field across the reports; an
+    unset cost reads 0."""
     if len(reports) < 2:
         return 0.0
-    rows = [[0.0 if v == "" else float(v) for v in r.csv_row()] for r in reports]
-    arr = np.asarray(rows)
+    names = PerformanceReport.csv_header()
+    values = [[getattr(r, k) for k in names] for r in reports]
+    arr = np.array([[0.0 if v is None else float(v) for v in row] for row in values])
     return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
 
 
@@ -143,7 +147,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         try:
             dists = [solve_distribution(p, m) for m in analytic]
             reports = [full_report(d, p, costs) for d in dists]
-            gap = _report_gap(reports)
+            gap = report_gap(reports)
             if reports:
                 rep = reports[0]
                 for name in PerformanceReport.csv_header():
@@ -234,9 +238,14 @@ def crossover_finder(
 
     The on-off power cost is nonincreasing in alpha, so the sign change is
     unique when it exists; same sign at both ends raises NoCrossing.
-    Every bisection step is one solve by `method`.
+    The bracket must satisfy 0 < lo < hi (InvalidConfig otherwise, before
+    any solve).  Every bisection step is one solve by `method`.
     """
     validate(params)
+    if not 0 < lo < hi:  # nan fails too
+        raise InvalidConfigError(
+            f"crossover bracket needs 0 < lo < hi, got lo={lo!r}, hi={hi!r}"
+        )
     baseline = mmc.onidle_cost(params, costs)
 
     def gap(a: float) -> float:

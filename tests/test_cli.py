@@ -194,6 +194,16 @@ def test_crossover_command(capsys):
     assert abs(d["gap_at_root"]) < 1e-4 * d["cost_onidle"]
 
 
+def test_crossover_reversed_bracket_is_an_error(capsys):
+    code, d = run_json(
+        capsys,
+        "crossover", "--lambda", "5", "--c", "10", "--lo", "1000", "--hi", "0.0001",
+    )
+    assert code == 2
+    assert d["error"] == "InvalidConfig"
+    assert "0 < lo < hi" in d["message"]
+
+
 def test_simulate_command(capsys):
     code, d = run_json(
         capsys,

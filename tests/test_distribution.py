@@ -3,7 +3,8 @@ import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import ctmc, distribution, gf, measures, qbd
-from mmcsetup.distribution import GeometricTail, PoleTail
+from mmcsetup.distribution import PoleTail
+from mmcsetup.gf import quadratic_roots
 from mmcsetup.model import QueueParams
 
 POINTS = [
@@ -95,12 +96,21 @@ def test_to_dict_roundtrip_fields():
     ids=["c5", "c100", "c400", "slow", "fast"],
 )
 def test_geometric_tail_inverse_is_nonnegative(rho, alpha, c):
-    # (I - R)^{-1} by a triangular inverse against the general LU inverse
-    R = qbd.rate_matrix(QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c))
-    N = GeometricTail(np.ones(c + 1), R)._N
-    ref = np.linalg.inv(np.eye(c + 1) - R)
+    # (I - R)^{-1} by a triangular inverse against the general LU inverse of
+    # the same matrix, whose diagonal 1 - 1/zhat_i is formed from the root
+    # gaps; 1 - r_ii by subtraction is off by 6.6e-15 at the slow point
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    R = qbd.rate_matrix(p)
+    N = qbd.tail_inverse(p, R)
+    gap = quadratic_roots(p).zhat_gap
+    a = np.eye(c + 1) - R
+    np.fill_diagonal(a, (gap / (1 + gap)).astype(float))
+    ref = np.linalg.inv(a)
     assert np.all(N >= 0.0)
     assert np.all(np.abs(N - ref) <= 1e-14 * np.abs(ref))
+    # N_ii = zhat_i / (zhat_i - 1) within three roundings
+    want = ((1 + gap) / gap).astype(float)
+    assert np.all(np.abs(np.diagonal(N) - want) <= 2.0**-51 * want)
 
 
 def _reference_walk(tail, n):

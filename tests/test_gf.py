@@ -284,6 +284,8 @@ def test_boundary_column_c_is_first_tail_level(p):
         (0.5, 0.5, 20, 1e-13),  # confluent
         (0.3, 1e-3, 300, 2e-13),
         (0.95, 1e-3, 100, 1e-12),  # slow setup
+        (0.95, 1e-3, 398, 1e-13),
+        (0.5, 1e-5, 40, 1e-13),
     ],
 )
 def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
@@ -304,10 +306,27 @@ def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
     assert worst <= tol
 
 
+@pytest.mark.parametrize(
+    "rho, alpha, c", [(0.95, 1e-3, 100), (0.5, 1e-5, 40), (0.95, 1e-4, 60)]
+)
+def test_tail_sums_match_30_digits(rho, alpha, c):
+    # slow setup: both routes' sum0 and sum1 against a 30-digit gf solve
+    # (its tail coefficients are rounded once, then summed in nonnegative
+    # terms).  Taking the diagonal of I - R as 1 - 1/zhat_i, a subtraction
+    # next to 1, costs qbd's sums 2.4e-13 .. 1.3e-11 here
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    ref = gf.solve(p, dps=30).distribution().tail
+    for d in (gf.solve(p).distribution(), qbd_solution(p).distribution()):
+        for got, want in ((d.tail.sum0(), ref.sum0()), (d.tail.sum1(), ref.sum1())):
+            keep = want > 1e-290
+            gap = np.abs(got - want)[keep] / want[keep]
+            assert np.max(gap) <= 1e-13, d.source
+
+
 def test_default_path_loads_no_mpmath():
     # a fresh interpreter: gf.solve, the measures and the CLI's solve run in
-    # float64 only, and load no scipy either (only qbd, ctmc and
-    # GeometricTail import scipy.linalg, when they run)
+    # float64 only, and load no scipy either (only qbd and ctmc import
+    # scipy.linalg, when they run)
     run_fresh(
         "-c",
         "import sys\n"

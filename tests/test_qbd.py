@@ -22,18 +22,64 @@ def rq(rho, alpha, c):
     return QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
 
 
+# Dense generator blocks, the reference the solver's block-free products are
+# checked against; the within-level block Q0^(n) is the solver's own.
+
+
+def level_q1(p, n):
+    """Arrival block from level n to n+1: [lam*I | 0] while n < c."""
+    rows, cols = min(n, p.c) + 1, min(n + 1, p.c) + 1
+    out = np.zeros((rows, cols))
+    out[:, :rows] = p.lam * np.eye(rows)
+    return out
+
+
+def level_qm1(p, n):
+    """Service block from level n to n-1, rectangular while n <= c."""
+    if n > p.c:
+        return np.diag(np.arange(p.c + 1) * p.mu)
+    out = np.zeros((n + 1, n))
+    idx = np.arange(1, n)
+    out[idx, idx] = idx * p.mu
+    # a departure from the all-busy corner (i = j = n) shuts one server
+    out[n, n - 1] = n * p.mu
+    return out
+
+
+def homogeneous(p):
+    """(Q1, Q0, Qm1), the (c+1)-square blocks from level c on."""
+    return level_q1(p, p.c), qbd.level_q0(p, p.c), level_qm1(p, p.c + 1)
+
+
+def assemble(p, j_max):
+    """Dense generator for levels 0..j_max with arrivals cut at the top."""
+    sizes = [min(j, p.c) + 1 for j in range(j_max + 1)]
+    offs = np.concatenate(([0], np.cumsum(sizes)))
+    q = np.zeros((offs[-1], offs[-1]))
+    for j in range(j_max + 1):
+        a, b = offs[j], offs[j + 1]
+        q[a:b, a:b] += qbd.level_q0(p, j)
+        if j < j_max:
+            q[a:b, b : offs[j + 2]] += level_q1(p, j)
+        else:
+            q[a:b, a:b] += p.lam * np.eye(sizes[j])
+        if j >= 1:
+            q[a:b, offs[j - 1] : a] += level_qm1(p, j)
+    return q
+
+
 def test_block_shapes_and_values():
-    blocks = qbd.build_blocks(P112)
-    assert np.array_equal(blocks.qm1, np.diag([0.0, 1.0, 2.0]))
-    assert np.array_equal(blocks.q1, np.eye(3))
+    q1, q0, qm1 = homogeneous(P112)
+    assert np.array_equal(qm1, np.diag([0.0, 1.0, 2.0]))
+    assert np.array_equal(q1, np.eye(3))
     # q_j = lambda + (c-j) alpha + j mu on the homogeneous diagonal
-    assert blocks.q0[0, 0] == -3.0
-    assert blocks.q0[2, 2] == -3.0
-    assert blocks.q0[0, 1] == 2.0  # (c - i) alpha setups upward
+    assert q0[0, 0] == -3.0
+    assert q0[2, 2] == -3.0
+    assert q0[0, 1] == 2.0  # (c - i) alpha setups upward
 
 
 def test_assembled_generator_row_sums():
-    gen = qbd.build_blocks(P112).assemble(30)
+    gen = assemble(P112, 30)
     assert np.max(np.abs(gen.sum(axis=1))) < 1e-12
 
 
@@ -41,7 +87,7 @@ def test_assembled_generator_matches_transition_rates():
     # the block assembly and the state-space enumeration must be the same chain
     p = QueueParams(lam=0.8, mu=1.1, alpha=0.6, c=3)
     j_max = 12
-    gen = qbd.build_blocks(p).assemble(j_max)
+    gen = assemble(p, j_max)
     states = list(iter_states(p, j_max))
     index = {s: k for k, s in enumerate(states)}
     ref = np.zeros_like(gen)
@@ -77,14 +123,14 @@ def test_rate_matrix_nonnegative_triangular():
 
 def test_quadratic_residual_R():
     p = QueueParams(lam=3.0, mu=1.0, alpha=0.4, c=6)
-    blocks = qbd.build_blocks(p)
+    q1, q0, qm1 = homogeneous(p)
     r = qbd.rate_matrix(p)
-    res = blocks.q1 + r @ blocks.q0 + r @ r @ blocks.qm1
+    res = q1 + r @ q0 + r @ r @ qm1
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_g_matrix_values():
-    g = qbd.g_matrix(qbd.build_blocks(P112), qbd.rate_matrix(P112))
+    g = qbd.g_matrix(P112, qbd.rate_matrix(P112))
     assert g[0, 0] == 0.0
     assert g[1, 1] == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-14)
     # only the row-stochastic root of (g-1)(lambda g - c mu) = 0 closes the
@@ -94,24 +140,23 @@ def test_g_matrix_values():
 
 def test_g_matrix_row_stochastic():
     for p in (P112, QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)):
-        g = qbd.g_matrix(qbd.build_blocks(p), qbd.rate_matrix(p))
+        g = qbd.g_matrix(p, qbd.rate_matrix(p))
         assert np.max(np.abs(g.sum(axis=1) - 1.0)) < 1e-10
         assert np.all(g >= 0)
 
 
 def test_quadratic_residual_G():
     p = QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)
-    blocks = qbd.build_blocks(p)
-    g = qbd.g_matrix(blocks, qbd.rate_matrix(p))
-    res = blocks.qm1 + blocks.q0 @ g + blocks.q1 @ g @ g
+    q1, q0, qm1 = homogeneous(p)
+    g = qbd.g_matrix(p, qbd.rate_matrix(p))
+    res = qm1 + q0 @ g + q1 @ g @ g
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_r_from_g_identity():
     p = QueueParams(lam=4.9, mu=1.0, alpha=0.07, c=7)
-    blocks = qbd.build_blocks(p)
     r1 = qbd.rate_matrix(p)
-    r2 = qbd.rate_matrix_from_g(blocks, qbd.g_matrix(blocks, r1))
+    r2 = qbd.rate_matrix_from_g(p, qbd.g_matrix(p, r1))
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
@@ -211,23 +256,21 @@ def test_level_g_matrices_match_dense_solve(c):
     p = QueueParams(lam=0.6 * c, mu=1.0, alpha=0.4, c=c)
     sol = qbd_solution(p)
     glevels = sol.glevels
-    blocks = qbd.build_blocks(p)
     g_next = sol.G
     for n in range(c, 0, -1):
-        m = -blocks.level_q0(n) - p.lam * g_next[: n + 1, :]
-        ref = np.linalg.solve(m, blocks.level_qm1(n))
+        m = -qbd.level_q0(p, n) - p.lam * g_next[: n + 1, :]
+        ref = np.linalg.solve(m, level_qm1(p, n))
         assert np.max(np.abs(glevels[n] - ref)) <= 1e-12
         g_next = ref
 
 
 def test_times_qm1_matches_block_product():
     p = QueueParams(lam=1.5, mu=0.7, alpha=0.4, c=4)
-    blocks = qbd.build_blocks(p)
     rng = np.random.default_rng(7)
     for n in range(1, p.c + 2):
-        qm1 = blocks.level_qm1(n)
+        qm1 = level_qm1(p, n)
         r = rng.random((3, qm1.shape[0]))
-        assert np.allclose(blocks.times_qm1(r, n), r @ qm1, rtol=1e-15, atol=0.0)
+        assert np.allclose(qbd.times_qm1(p, r, n), r @ qm1, rtol=1e-15, atol=0.0)
 
 
 def test_solve_works_at_confluent_point():
@@ -248,8 +291,8 @@ def test_boundary_gap_is_checked(monkeypatch):
     # forms each R^(n) on access, so the defect goes into a dense list
     sweep = qbd.level_rate_matrices
 
-    def broken(blocks, r_hom):
-        out = list(sweep(blocks, r_hom))
+    def broken(params, r_hom):
+        out = list(sweep(params, r_hom))
         out[1][0, 1] = np.nan
         return out
 
@@ -269,16 +312,15 @@ def test_boundary_residual_is_relative_gap():
     assert qbd.residuals(sol)["boundary"] == pytest.approx(1e-9, rel=1e-6)
 
 
-def reference_level_rate_matrices(blocks, r_hom):
+def reference_level_rate_matrices(p, r_hom):
     """The sweep qbd.level_rate_matrices replaced, kept as a reference: a
     fresh bracket per level with the dense Q0^(i), inverted whole by one
     LAPACK dtrtri call."""
-    p = blocks.params
     out = [None] * (p.c + 1)
     r_next = r_hom
     for i in range(p.c, 0, -1):
-        a = blocks.times_qm1(r_next, i + 1)
-        a += blocks.level_q0(i)
+        a = qbd.times_qm1(p, r_next, i + 1)
+        a += qbd.level_q0(p, i)
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, -(p.mu * np.arange(i + 1) + a.sum(axis=1)))
         inv_t, info = dtrtri(a.T, lower=1, overwrite_c=1)
@@ -288,10 +330,8 @@ def reference_level_rate_matrices(blocks, r_hom):
 
 
 def sweep_and_reference(p):
-    blocks = qbd.build_blocks(p)
     r_hom = qbd.rate_matrix(p)
-    new = qbd.level_rate_matrices(blocks, r_hom)
-    return blocks, new, reference_level_rate_matrices(blocks, r_hom)
+    return qbd.level_rate_matrices(p, r_hom), reference_level_rate_matrices(p, r_hom)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +341,7 @@ def sweep_and_reference(p):
 )
 def test_level_rate_matrices_match_reference(p):
     # 65 splits once into 32 + 33 and 130 twice, into 32 + 33 again
-    _, new, ref = sweep_and_reference(p)
+    new, ref = sweep_and_reference(p)
     for i in range(1, p.c + 1):
         # zeros of the reference stay exactly zero
         assert np.all(np.abs(new[i] - ref[i]) <= 1e-13 * np.abs(ref[i])), i
@@ -311,11 +351,44 @@ def test_level_rate_matrices_match_reference(p):
 @pytest.mark.parametrize("p", [rq(0.5, 0.7, 63), P112], ids=["c63", "P112"])
 def test_level_rate_matrices_leaf_is_bit_identical(p):
     # every level has at most 64 phases: one dtrtri call, same bracket bits
-    blocks, new, ref = sweep_and_reference(p)
-    g_new, g_ref = qbd.g_levels(blocks, new), qbd.g_levels(blocks, ref)
+    new, ref = sweep_and_reference(p)
+    g_new, g_ref = qbd.g_levels(p, new), qbd.g_levels(p, ref)
     for i in range(1, p.c + 1):
         assert np.array_equal(new[i], ref[i]), i
         assert np.array_equal(g_new[i], g_ref[i]), i
+
+
+def test_i_minus_r_is_inverted_once(monkeypatch):
+    # the normalisation and the tail's sum0, sum1 and rows share one
+    # (I - R)^{-1}: count every triangular inverse or solve of I - R
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    p = rq(0.5, 0.7, 6)
+    off = np.triu(qbd.rate_matrix(p), 1)
+    calls = []
+
+    def counted(orig):
+        def run(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape == off.shape and any(
+                np.array_equal(np.triu(m, 1), -off) for m in (a, a.T)
+            ):
+                calls.append(orig.__name__)
+            return orig(a, *args, **kwargs)
+
+        return run
+
+    for mod, name in (
+        (scipy.linalg, "solve_triangular"),
+        (scipy.linalg.lapack, "dtrtri"),
+        (scipy.linalg.lapack, "dtrtrs"),
+    ):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    dist = qbd.solve(p).distribution()
+    dist.tail.sum0(), dist.tail.sum1(), dist.tail.rows([p.c - 1, p.c], 5)
+    dist.mean_jobs(), dist.tail.row_tail(2, 3)
+    assert len(calls) == 1, calls
 
 
 def test_solution_pickles_with_its_lazy_levels():
@@ -331,9 +404,9 @@ def test_solve_without_g_builds_no_g_level(monkeypatch):
     calls = []
     g_levels = qbd.g_levels
 
-    def counted(blocks, rlevels):
-        calls.append(blocks.params.c)
-        return g_levels(blocks, rlevels)
+    def counted(params, rlevels):
+        calls.append(params.c)
+        return g_levels(params, rlevels)
 
     monkeypatch.setattr(qbd, "g_levels", counted)
     p = rq(0.5, 0.7, 8)
@@ -356,13 +429,13 @@ def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
     dense = sum(i * (i + 1) * 8 for i in range(1, c + 1))
     # each G^(n) is one column scaling of R^(n) by times_qm1
     calls = []
-    times_qm1 = qbd.QbdBlocks.times_qm1
+    times_qm1 = qbd.times_qm1
 
-    def counted(self, r, n, out=None):
+    def counted(params, r, n, out=None):
         calls.append(n)
-        return times_qm1(self, r, n, out)
+        return times_qm1(params, r, n, out)
 
-    monkeypatch.setattr(qbd.QbdBlocks, "times_qm1", counted)
+    monkeypatch.setattr(qbd, "times_qm1", counted)
     small = qbd.solve(rq(0.5, 0.7, 10))  # scipy's imports, outside the count
     list(small.glevels)
     tracemalloc.start()
@@ -445,15 +518,14 @@ def reference_residuals(sol):
     each bracket is rounded once in longdouble and multiplied by numpy's
     longdouble matmul."""
     p = sol.params
-    blocks = qbd.build_blocks(p)
     L = np.longdouble
-    q1, q0, qm1 = blocks.q1.astype(L), blocks.q0.astype(L), blocks.qm1.astype(L)
+    q1, q0, qm1 = (q.astype(L) for q in homogeneous(p))
     r = sol.R.astype(L)
 
     def infnorm(a) -> float:
         return float(np.abs(a).sum(axis=1).max())
 
-    out = {"quad_R": infnorm(q1 + r @ (q0 + blocks.times_qm1(r, p.c + 1)))}
+    out = {"quad_R": infnorm(q1 + r @ (q0 + qbd.times_qm1(p, r, p.c + 1)))}
     roots = quadratic_roots(p)
     out["r_diag"] = float(
         np.abs(np.diagonal(sol.R) * roots.zhat.astype(L) - 1.0).max()
@@ -462,8 +534,8 @@ def reference_residuals(sol):
     rnext = r
     for i in range(p.c, 0, -1):
         ri = sol.rlevels[i].astype(L)
-        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
-        lev = max(lev, infnorm(blocks.level_q1(i - 1) + ri @ a))
+        a = qbd.level_q0(p, i) + qbd.times_qm1(p, rnext, i + 1)
+        lev = max(lev, infnorm(level_q1(p, i - 1) + ri @ a))
         rnext = ri
     out["level_R"] = lev
     out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels[1]))
@@ -472,7 +544,7 @@ def reference_residuals(sol):
     out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())
     out["g_diag"] = float(np.abs(np.diagonal(sol.G) - roots.z).max())
     out["r_from_g"] = float(
-        np.abs(sol.R - qbd.rate_matrix_from_g(blocks, sol.G)).max()
+        np.abs(sol.R - qbd.rate_matrix_from_g(p, sol.G)).max()
     )
     out["glevel_rows"] = max(
         float(np.abs(g.astype(L).sum(axis=1) - 1.0).max()) for g in sol.glevels[1:]
@@ -485,20 +557,20 @@ def roundoff_scales(sol):
     the scale of longdouble roundoff in the reference; for glevel_rows, the
     float64 roundoff of residuals' own row sums."""
     p = sol.params
-    blocks = qbd.build_blocks(p)
+    q0 = qbd.level_q0(p, p.c)
 
     def scale(x, y):
         rows = (np.abs(x) @ np.abs(y)).sum(axis=1)
         return 4 * y.shape[0] * 2.0**-64 * float(rows.max())
 
-    out = {"quad_R": scale(sol.R, blocks.q0 + blocks.times_qm1(sol.R, p.c + 1))}
+    out = {"quad_R": scale(sol.R, q0 + qbd.times_qm1(p, sol.R, p.c + 1))}
     out["level_R"] = 0.0
     rnext = sol.R
     for i in range(p.c, 0, -1):
-        a = blocks.level_q0(i) + blocks.times_qm1(rnext, i + 1)
+        a = qbd.level_q0(p, i) + qbd.times_qm1(p, rnext, i + 1)
         out["level_R"] = max(out["level_R"], scale(sol.rlevels[i], a))
         rnext = sol.rlevels[i]
-    out["quad_G"] = scale(blocks.q0 + p.lam * sol.G, sol.G)
+    out["quad_G"] = scale(q0 + p.lam * sol.G, sol.G)
     # residuals sums a row of G^(n) as the float64 matvec R^(n) v_n / lam,
     # the reference sums the rounded G^(n) entries: rows of nonnegative
     # terms that sum to 1, so they part by about n + 4 float64 roundoffs
@@ -580,10 +652,10 @@ def test_bracket_pair_is_exact():
     # and each boundary one with its corner column
     p = QueueParams(lam=2.8, mu=1.3, alpha=0.45, c=4)
     sol = qbd.solve(p)
-    blocks = qbd.build_blocks(p)
     rates = p.mu * np.arange(p.c + 2)
-    cases = [(blocks.q0, sol.R, blocks.qm1)] + [
-        (blocks.level_q0(i), sol.rlevels[i + 1], blocks.level_qm1(i + 1))
+    _, q0, qm1 = homogeneous(p)
+    cases = [(q0, sol.R, qm1)] + [
+        (qbd.level_q0(p, i), sol.rlevels[i + 1], level_qm1(p, i + 1))
         for i in range(1, p.c)
     ]
     for q0, r, qm1 in cases:

@@ -83,4 +83,4 @@ def test_three_routes_agree(rho, alpha, c, confluent):
 
     # the gap a sweep row is flagged at, over every report field
     reports = [full_report(d, p, CostParams()) for d in dists]
-    assert sweeps._report_gap(reports) <= sweeps.METHOD_GAP_LIMIT
+    assert sweeps.report_gap(reports) <= sweeps.METHOD_GAP_LIMIT

@@ -143,3 +143,29 @@ def test_crossover_requires_sign_change():
     p = QueueParams(lam=10.0, mu=1.0, alpha=1.0, c=20)
     with pytest.raises(NoCrossingError):
         sweeps.crossover_finder(p, CostParams(c_idle=0.0))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1000.0, 1e-4), (1.0, 1.0), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0)]
+)
+def test_crossover_rejects_a_bracket_not_ascending(monkeypatch, lo, hi):
+    # a reversed bracket would bisect zero times and return its midpoint as
+    # a crossing; it is refused before any solve
+    def no_solve(*args):
+        raise AssertionError("solved before the bracket was checked")
+
+    monkeypatch.setattr(sweeps, "solve_distribution", no_solve)
+    p = QueueParams(lam=5.0, mu=1.0, alpha=1.0, c=10)
+    with pytest.raises(InvalidConfigError):
+        sweeps.crossover_finder(p, CostParams(), lo=lo, hi=hi)
+
+
+@pytest.mark.parametrize("rho, alpha, c", [(0.95, 1e-4, 200), (0.5, 1e-5, 40)])
+def test_slow_setup_row_is_not_flagged(rho, alpha, c):
+    # gf and qbd reports agree within the sweep's flag limit at slow setup,
+    # where E[jobs] is about 7e4 and the limit is absolute
+    sp = spec(grid=(alpha,), params=QueueParams(lam=rho * c, mu=1.0, alpha=1.0, c=c),
+              methods=("gf", "qbd"))
+    (row,) = sweeps.run_sweep(sp)
+    assert row["error"] == ""
+    assert row["method_gap"] <= sweeps.METHOD_GAP_LIMIT
