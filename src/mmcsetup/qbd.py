@@ -21,8 +21,10 @@ against 171 MB dense); the boundary G^{(n)} are read off them and never
 stored (see g_levels).  QbdSolution.rlevels and QbdSolution.glevels are
 lazy sequences (see LevelView) that form one dense level per read.
 
-Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, then
-pi_{c+k} = pi_c R^k.  One (I - R)^{-1} per solve, its diagonal formed from
+Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, each
+product read off the packed triangle by BLAS dtpmv (solve unpacks only
+R^{(1)}, for the level-0 balance check), then pi_{c+k} = pi_c R^k.  One
+(I - R)^{-1} per solve, its diagonal formed from
 the root gaps (see tail_inverse), sums the tail exactly, both for the
 normalisation and for the GeometricTail's sums.
 
@@ -112,9 +114,11 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     # pivots[i, k] for every i < k at once
     gaps = np.add.outer(roots.zhat_gap, roots.z_gap)
     pivots = (gaps * (lam * zh) / zh[:, None]).astype(float)
+    work = np.empty(c * c)  # each column's system matrix, reused
     for k in range(1, c + 1):
-        m = (-k * mu) * r[:k, :k]
-        np.fill_diagonal(m, pivots[:k, k])
+        flat = work[: k * k]
+        m = np.multiply(r[:k, :k], -k * mu, out=flat.reshape(k, k))
+        flat[:: k + 1] = pivots[:k, k]
         # LAPACK reads the C-order upper triangle m in place as the transpose
         # of a lower-triangular Fortran array
         rhs = (c - k + 1) * alpha * r[:k, k - 1]
@@ -194,15 +198,40 @@ class LevelView(Sequence):
         return None if n == 0 else self._form(n)
 
 
-def _unpack(packed: list, n: int) -> np.ndarray:
-    """Dense R^(n) from its packed (n+1)-square triangle: the last row of the
-    unpacked square is dropped, and its strict lower triangle is zero."""
-    # imported per read, not bound into the view, so a solution still pickles
-    from scipy.linalg.lapack import dtpttr
+class _Packed:
+    """R^(1)..R^(c) as packed triangles: tri[n] holds, row by row, the upper
+    triangle of the (n+1)-square whose first n rows are R^(n) (LAPACK's
+    column-major lower packing of its transpose, (n+1)(n+2)/2 floats).
+    Called with n, it forms the dense R^(n)."""
 
-    a, _ = dtpttr(n + 1, packed[n], uplo="L")
-    # the Fortran lower triangle read as C order is the upper one
-    return a.T[:n]
+    __slots__ = ("tri",)
+
+    def __init__(self, tri: list):
+        self.tri = tri
+
+    def __call__(self, n: int) -> np.ndarray:
+        # imported per read, not bound into the view, so a solution still
+        # pickles
+        from scipy.linalg.lapack import dtpttr
+
+        a, _ = dtpttr(n + 1, self.tri[n], uplo="L")
+        # the Fortran lower triangle read as C order is the upper one; the
+        # last row of the unpacked square is dropped
+        return a.T[:n]
+
+    def forward(self) -> list:
+        """pi_0 = (1) and pi_i = pi_(i-1) R^(i) up to level c, unnormalised.
+
+        pi_i = [pi_(i-1), 0] S_i for the square S_i whose first i rows are
+        R^(i): BLAS dtpmv multiplies that column by the packed lower
+        triangle S_i^T, so no level is unpacked."""
+        from scipy.linalg.blas import dtpmv
+
+        pi = [np.ones(1)]
+        for n in range(1, len(self.tri)):
+            x = np.append(pi[-1], 0.0)
+            pi.append(dtpmv(n + 1, self.tri[n], x, lower=1, overwrite_x=1))
+        return pi
 
 
 def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
@@ -210,12 +239,14 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
     A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
-    the first i rows of A^{-1}.  A is built in one reused workspace and
+    the first i rows of A^{-1}.  A is built in one reused workspace, its
+    setup rates and diagonal written through strided views of it, and
     inverted there by _invert_lower (a recursive blocked inverse, in place);
     -lam*A^{-1} goes to a second reused buffer, whose first i rows are the
     R^(i) the next level reads, and is kept as its packed upper triangle
     ((i+1)(i+2)/2 floats, LAPACK dtrttp), half the dense size.  The result
-    unpacks one R^(i) per access (dtpttr; see LevelView).
+    unpacks one R^(i) per access (dtpttr; see LevelView); solve's forward
+    pass reads the packed triangles themselves (dtpmv) and unpacks none.
 
     The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
@@ -234,23 +265,28 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
     scaled = np.empty((c + 1) ** 2)
     r_next = r_hom
     for i in range(c, 0, -1):
-        a = work[: (i + 1) ** 2].reshape(i + 1, i + 1)
-        times_qm1(params, r_next, i + 1, out=a)
-        # the setup rates of Q0^(i); its diagonal is replaced below
-        sup = np.arange(i)
-        a[sup, sup + 1] += (i - sup) * alpha
-        np.fill_diagonal(a, 0.0)
-        np.fill_diagonal(a, -(mu * np.arange(i + 1) + a.sum(axis=1)))
-        if np.any(np.abs(np.diagonal(a)) < 1e-14):
+        n = i + 1
+        flat = work[: n * n]
+        a = flat.reshape(n, n)
+        times_qm1(params, r_next, n, out=a)
+        # the setup rates of Q0^(i) go on the superdiagonal; the diagonal is
+        # zeroed, then formed from the row sums.  The diagonal is computed
+        # out of place: numpy 2.4's in-place np.negative on a view with a
+        # stride of 8 elements has returned wrong values.
+        flat[1 :: n + 1] += (i - np.arange(i)) * alpha
+        flat[:: n + 1] = 0.0
+        diag = -(mu * np.arange(n) + a.sum(axis=1))
+        if not np.abs(diag).min() >= 1e-14:  # a nan trips it too
             raise InternalInconsistencyError(
                 f"singular diagonal in boundary solve at level {i}"
             )
+        flat[:: n + 1] = diag
         # the transpose of a C-order upper triangle is a Fortran lower one
         _invert_lower(dtrtri, dtrmm, a.T)
-        b = np.multiply(a, -lam, out=scaled[: (i + 1) ** 2].reshape(i + 1, i + 1))
+        b = np.multiply(a, -lam, out=scaled[: n * n].reshape(n, n))
         packed[i], _ = dtrttp(b.T, uplo="L")
         r_next = b[:i]
-    return LevelView(partial(_unpack, packed), range(c + 1))
+    return LevelView(_Packed(packed), range(c + 1))
 
 
 def _g_level(params: QueueParams, rlevels: Sequence, n: int) -> np.ndarray:
@@ -500,9 +536,7 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
             f"level-0 balance gap {gap!r} after the boundary sweep"
         )
 
-    pi = [np.ones(1)]
-    for i in range(1, c + 1):
-        pi.append(pi[-1] @ rlev[i])
+    pi = rlev._form.forward()  # the sweep's packed levels
     tail_inv = tail_inverse(params, r_hom)
     tail_sum = float((pi[c] @ tail_inv).sum())  # sum_k pi_c R^k
     total = sum(float(v.sum()) for v in pi[:c]) + tail_sum

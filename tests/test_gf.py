@@ -282,8 +282,8 @@ def test_boundary_column_c_is_first_tail_level(p):
         (0.5, 0.7, 200, 1e-13),
         (0.5, 0.7, 400, 1e-13),
         (0.5, 0.5, 20, 1e-13),  # confluent
-        (0.3, 1e-3, 300, 2e-13),
-        (0.95, 1e-3, 100, 1e-12),  # slow setup
+        (0.3, 1e-3, 300, 1e-13),
+        (0.95, 1e-3, 100, 1e-13),  # slow setup
         (0.95, 1e-3, 398, 1e-13),
         (0.5, 1e-5, 40, 1e-13),
     ],

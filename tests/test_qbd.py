@@ -4,13 +4,14 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
-from mmcsetup import qbd
+from mmcsetup import gf, qbd
 from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.gf import quadratic_roots
 from mmcsetup.model import QueueParams, State, iter_states, transition_rates
@@ -119,6 +120,48 @@ def test_rate_matrix_nonnegative_triangular():
     r = qbd.rate_matrix(p)
     assert np.all(r >= 0)
     assert np.max(np.abs(np.tril(r, -1))) == 0.0
+
+
+def reference_rate_matrix(p, dps=40):
+    """R by the same column recursion in mpmath at dps digits, on roots from
+    gf._roots: column k above the diagonal solves, from the bottom up,
+    r_ik (lam + k mu + (c-k) alpha - k mu (r_ii + r_kk))
+        = (c-k+1) alpha r_i,k-1 + k mu sum_{i<j<k} r_ij r_jk,
+    with the pivot formed by subtraction (40 digits leave ample room)."""
+    with mpmath.workdps(dps):
+        one = mpmath.mpf(1)
+        z, zhat = gf._roots(p, one)
+        lam, mu, alpha, c = one * p.lam, one * p.mu, one * p.alpha, p.c
+        r = [[0 * one] * (c + 1) for _ in range(c + 1)]
+        for k in range(c + 1):
+            r[k][k] = 1 / zhat[k]
+        for k in range(1, c + 1):
+            q = lam + k * mu + (c - k) * alpha
+            for i in range(k - 1, -1, -1):
+                rhs = (c - k + 1) * alpha * r[i][k - 1]
+                rhs += k * mu * mpmath.fsum(r[i][j] * r[j][k] for j in range(i + 1, k))
+                r[i][k] = rhs / (q - k * mu * (r[i][i] + r[k][k]))
+        return r
+
+
+@pytest.mark.parametrize(
+    "p, tol",
+    # (0.95, 1e-4, 40) reads 1.1e-12: the long-double root gap 1 - z_39
+    # (1.0e-4) is off by 6.5e-14 relative, and each of the 39 back
+    # substitutions above it adds its pivot's error; (0.5, 1e-5, 40) reads
+    # 3.2e-13
+    [(rq(0.95, 1e-4, 40), 2e-12), (rq(0.5, 1e-5, 40), 1e-12)],
+    ids=["rho0.95", "rho0.5"],
+)
+def test_rate_matrix_matches_40_digits_at_slow_setup(p, tol):
+    # entry by entry, relative; the strict lower triangle is exactly zero
+    got, ref = qbd.rate_matrix(p), reference_rate_matrix(p)
+    worst = 0.0
+    for i in range(p.c + 1):
+        assert not np.any(got[i, :i]), i
+        for k in range(i, p.c + 1):
+            worst = max(worst, float(abs(got[i, k] - ref[i][k]) / ref[i][k]))
+    assert worst <= tol
 
 
 def test_quadratic_residual_R():
@@ -301,6 +344,15 @@ def test_boundary_gap_is_checked(monkeypatch):
         qbd.solve(P112)
 
 
+def test_nan_in_the_sweep_is_a_singular_diagonal():
+    # a nan in R reaches level c's row sums, so its diagonal is not a pivot
+    p = rq(0.5, 0.7, 8)
+    r_hom = qbd.rate_matrix(p)
+    r_hom[2, 5] = np.nan
+    with pytest.raises(InternalInconsistencyError, match="level 8"):
+        qbd.level_rate_matrices(p, r_hom)
+
+
 def test_boundary_residual_is_relative_gap():
     # the residual report and solve's check share one definition of the
     # level-0 balance gap, |mu*R^(1)[0,1] - lam| / lam
@@ -457,6 +509,30 @@ def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
     assert view_peak < 50_000, view_peak
     assert formed_by_slice == 0 and calls == list(range(1, c + 1))
     assert len(rows) == c and max(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [65, 130])
+def test_forward_pass_reads_the_packed_levels(monkeypatch, c):
+    # solve forms pi_i = pi_(i-1) R^(i) from the packed triangles; the only
+    # level it unpacks (dtpttr, of the (n+1)-square) is R^(1), for the
+    # level-0 balance check
+    import scipy.linalg.lapack
+
+    unpacked = []
+    dtpttr = scipy.linalg.lapack.dtpttr
+
+    def counted(n, *args, **kwargs):
+        unpacked.append(n - 1)
+        return dtpttr(n, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtpttr", counted)
+    sol = qbd.solve(rq(0.5, 0.7, c))
+    assert unpacked == [1]
+    # each level against the dense product with the level below, both
+    # normalised by the same total
+    for i in range(1, c + 1):
+        want = sol.levels[i - 1] @ sol.rlevels[i]
+        assert np.all(np.abs(sol.levels[i] - want) <= 1e-14 * want), i
 
 
 def exact_lower_inverse(l):
