@@ -54,13 +54,13 @@ BALANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RootTable:
-    """Roots of f_i per phase: z[i] inside (0,1), zhat[i] above 1.
+    """Roots of f_i per phase: z[i] in [0, 1], zhat[i] above 1.
 
-    z[0] = 0 and zhat[0] = (lambda + c alpha)/lambda are the degenerate
-    i = 0 pair; z[c] = 1 and zhat[c] = c mu / lambda exactly.  The gaps
-    zhat_gap = zhat - 1 and z_gap = 1 - z stay long doubles, so each keeps
-    its digits when its root is near 1, and 1 + zhat_gap is zhat in long
-    double.
+    z[0] = 0 exactly, and zhat[0] = (lambda + c alpha)/lambda and
+    zhat[c] = c mu / lambda are the outer roots of the degenerate pairs.  The
+    gaps zhat_gap = zhat - 1 and z_gap = 1 - z (0 exactly at i = c) stay
+    long doubles from `_roots`' closed form, so each keeps its digits when
+    its root is near 1, and 1 + zhat_gap is zhat in long double.
     """
 
     z: np.ndarray
@@ -69,41 +69,35 @@ class RootTable:
     z_gap: np.ndarray
 
 
-def _roots(params: QueueParams, one) -> tuple[np.ndarray, np.ndarray]:
-    """(z, zhat) in the number type of `one`: Newton-polished long doubles
-    for the float64 pass, mpmath numbers at the working precision for a
-    pinned-precision pass."""
+def _roots(params: QueueParams, one):
+    """(z, zhat, zhat - 1, 1 - z) in the number type of `one`, with no
+    subtraction (Higham 2002, section 1.8).  With b = (i mu - lam) +
+    (c-i) alpha the gaps are d / (2 lam) and 2 (c-i) alpha / d for
+    d = |b| + sqrt(b^2 + 4 lam (c-i) alpha) > 0, the larger being zhat - 1
+    when b >= 0, and z = i mu / (lam zhat) (Vieta)."""
     c = params.c
     lam, mu, alpha = one * params.lam, one * params.mu, one * params.alpha
     # arrays lead: an mpmath number on the left would first try, and
     # expensively fail, to convert the whole array
     i = np.arange(c + 1) * one
-    s = i * mu + (c - i) * alpha + lam
-    sq = np.sqrt(s * s - i * (4 * lam * mu))
-    zhat = (s + sq) / (2 * lam)  # stable: no subtraction
-    z = i * (2 * mu) / (s + sq)
-    for _ in range(3):
-        for arr in (z, zhat):
-            f = s * arr - arr * lam * arr - i * mu
-            fp = s - arr * (2 * lam)
-            step = np.where(fp != 0, f / np.where(fp != 0, fp, 1), 0)
-            arr -= step
-    zhat[0] = (lam + c * alpha) / lam
-    z[0] = 0 * one
-    zhat[c] = c * mu / lam
-    z[c] = one
-    return z, zhat
+    setup = (c - i) * alpha
+    b = (i * mu - lam) + setup
+    d = np.abs(b) + np.sqrt(b * b + setup * (4 * lam))
+    big, small = d / (2 * lam), setup * 2 / d
+    zhat_gap, z_gap = np.where(b >= 0, [big, small], [small, big])
+    zhat = zhat_gap + 1
+    return i * mu / (zhat * lam), zhat, zhat_gap, z_gap
 
 
 def quadratic_roots(params: QueueParams) -> RootTable:
-    """All 2(c+1) roots, Newton-polished in extended precision.
+    """All 2(c+1) roots and their gaps to 1, from `_roots` in long double.
 
     No separation check: coincident outer roots (the confluent line) are
     fine for every caller.
     """
     validate(params)
-    z, zhat = _roots(params, np.longdouble(1))
-    return RootTable(z.astype(float), zhat.astype(float), zhat - 1, 1 - z)
+    z, zhat, zhat_gap, z_gap = _roots(params, np.longdouble(1))
+    return RootTable(z.astype(float), zhat.astype(float), zhat_gap, z_gap)
 
 
 def _falling(p, n: int):
@@ -218,13 +212,13 @@ def _newton_pass(params, x, Y, G, wm1, zg, dx):
         store(i, row, coef, coef[0] * yi[0] + sum(coef[1:]))
 
     def weighted(values, top):
-        # values[i] 2**(exps[i] - top), in two factors so that neither
-        # leaves float64's range where the product stays inside it
-        return np.array(
-            [v * two ** ((e - top) // 2) * two ** (e - top - (e - top) // 2)
-             for v, e in zip(values, exps)],
-            dtype=x.dtype,
-        )
+        # values[i] 2**(exps[i] - top), in two factors so that neither leaves
+        # float64's range where the product stays inside it; a zero stays zero
+        try:
+            return np.array([v and v * two ** ((e - top) // 2) * two ** (e - top - (e - top) // 2)
+                             for v, e in zip(values, exps)], dtype=x.dtype)
+        except OverflowError:
+            raise InternalInconsistencyError("gf row scales span past float64's range") from None
 
     # the seam cut lambda sum_i pi_{i,c-1} = mu sum_i i pi_{i,c}, weighted
     # relative to its own largest term: at low load the levels near c can
@@ -301,17 +295,17 @@ def _certify(params: QueueParams, masses: np.ndarray, seam_gap: float) -> dict:
 
 def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     c = params.c
-    z, zh = _roots(params, one)
+    z, zh, zh_gap, z_gap = _roots(params, one)
     dtype = float if dps is None else object
     x = 1 / zh
     prepend = bool(zh[0] < zh[c])  # nodes x_k decrease: below the line
-    Y, G = _node_lists(x, (zh - 1) / zh, prepend)
-    wm1 = np.concatenate([[0 * one], (1 - z[1:]) / z[1:]])
+    Y, G = _node_lists(x, zh_gap / zh, prepend)
+    wm1 = np.concatenate([[0 * one], z_gap[1:] / z[1:]])
     # x_i - x_l >= 0 for l < i above the line; the clamp only absorbs
     # roundoff on it, where all nodes coincide
     dx = None if prepend else np.maximum(np.subtract.outer(x, x), 0).astype(dtype)
     Y, G = Y.astype(dtype), G.astype(dtype)
-    gaps = [a.astype(dtype).tolist() for a in (wm1, zh - 1)]
+    gaps = [a.astype(dtype).tolist() for a in (wm1, zh_gap)]
     pi, B, seam_gap = _newton_pass(params, x.astype(dtype), Y, G, *gaps, dx)
     moments = _head_moments(pi, N_MOMENTS) + PoleTail(B, Y, G).factorial_moments(N_MOMENTS)
     info = {"precision_digits": dps, **_certify(params, moments[:, 0], seam_gap)}

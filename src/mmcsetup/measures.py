@@ -49,10 +49,6 @@ class PerformanceReport:
         """The scalar fields: every field but the phase marginal."""
         return [f.name for f in fields(PerformanceReport) if f.name != "phase_marginal"]
 
-    def csv_row(self) -> list:
-        values = (getattr(self, k) for k in self.csv_header())
-        return ["" if v is None else repr(float(v)) for v in values]
-
 
 def _setup_expectation(dist, params: QueueParams) -> float:
     """E[servers in setup] = sum min(j - i, c - i) pi_{i,j}.

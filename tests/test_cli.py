@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -83,6 +84,19 @@ def test_unstable_is_a_clean_error(capsys):
     assert d["error"] == "Unstable"
 
 
+def test_light_load_gf_exits_cleanly(capsys):
+    # at light load one gf row spans more than float64's exponent range;
+    # exact zeros there once raised a bare OverflowError (exit 1)
+    code, d = run_json(capsys, "solve", "--rho", "0.001", "--alpha", "1e5", "--c", "400")
+    assert code == 0
+    assert d["report"]["e_active"] == pytest.approx(0.4, rel=1e-12)
+    # a point gf cannot certify is one JSON error line and exit 2
+    code, out = run(capsys, "solve", "--rho", "0.002", "--alpha", "1", "--c", "400")
+    assert code == 2
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"] == "InternalInconsistency"
+
+
 def test_lambda_rho_mutually_exclusive(capsys):
     code, d = run_json(
         capsys,
@@ -120,6 +134,19 @@ def test_sweep_stdout_and_file(capsys, tmp_path):
     lines = text.strip().splitlines()
     assert lines[3].startswith("index,var,value")
     assert len(lines) == 3 + 1 + 3
+
+
+def test_sweep_light_load_failure_marks_its_row_only(capsys):
+    code, text = run(
+        capsys, "sweep", "--rho", "0.001", "--c", "400", "--var", "alpha",
+        "--grid", "4.4,1e5",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(text.splitlines()[3:]))
+    assert [row["value"] for row in rows] == ["4.4", "100000.0"]
+    assert rows[0]["error"] == "InternalInconsistency"
+    assert rows[1]["error"] == ""
+    assert float(rows[1]["e_active"]) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_sweep_grid_spec_forms(capsys):

@@ -230,8 +230,9 @@ def test_broken_pass_fails_its_balance_gaps(monkeypatch):
     roots = gf._roots
 
     def skewed(params, one):
-        z, zhat = roots(params, one)
-        return z, zhat * (1 + 1e-9 * one)
+        z, zhat, zhat_gap, z_gap = roots(params, one)
+        skew = zhat * (1e-9 * one)
+        return z, zhat + skew, zhat_gap + skew, z_gap
 
     monkeypatch.setattr(gf, "_roots", skewed)
     with pytest.raises(InternalInconsistencyError):
@@ -286,6 +287,9 @@ def test_boundary_column_c_is_first_tail_level(p):
         (0.95, 1e-3, 100, 1e-13),  # slow setup
         (0.95, 1e-3, 398, 1e-13),
         (0.5, 1e-5, 40, 1e-13),
+        (0.3, 1e-8, 60, 1e-13),
+        (0.999, 1e-8, 100, 1e-13),
+        (0.999, 1e-8, 5, 1e-13),
     ],
 )
 def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
@@ -307,7 +311,15 @@ def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
 
 
 @pytest.mark.parametrize(
-    "rho, alpha, c", [(0.95, 1e-3, 100), (0.5, 1e-5, 40), (0.95, 1e-4, 60)]
+    "rho, alpha, c",
+    [
+        (0.95, 1e-3, 100),
+        (0.5, 1e-5, 40),
+        (0.95, 1e-4, 60),
+        (0.3, 1e-8, 60),
+        (0.999, 1e-8, 100),
+        (0.999, 1e-8, 5),
+    ],
 )
 def test_tail_sums_match_30_digits(rho, alpha, c):
     # slow setup: both routes' sum0 and sum1 against a 30-digit gf solve

@@ -95,10 +95,6 @@ def test_report_serialization():
     rep = measures.performance(gf_solution(p).distribution(), p)
     d = rep.to_dict()
     assert "cost_onoff" not in d  # costs unset until priced
-    full = measures.full_report(gf_solution(p).distribution(), p, CostParams())
-    row = full.csv_row()
-    assert len(row) == len(measures.PerformanceReport.csv_header())
-    assert all(isinstance(v, str) for v in row)
 
 
 def test_brute_force_tail_flag_agrees():

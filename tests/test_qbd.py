@@ -122,15 +122,67 @@ def test_rate_matrix_nonnegative_triangular():
     assert np.max(np.abs(np.tril(r, -1))) == 0.0
 
 
+def reference_roots(p):
+    """(z, zhat) of every f_i by the plain quadratic formula in mpmath, at
+    the caller's working precision: the subtractions in it cost at most
+    about 16 of 40 digits at the points tested."""
+    lam, mu, alpha, c = (mpmath.mpf(v) for v in (p.lam, p.mu, p.alpha, p.c))
+    z, zhat = [], []
+    for i in range(p.c + 1):
+        s = lam + i * mu + (c - i) * alpha
+        sq = mpmath.sqrt(s * s - 4 * lam * i * mu)
+        z.append((s - sq) / (2 * lam))
+        zhat.append((s + sq) / (2 * lam))
+    return z, zhat
+
+
+def exact_mpf(v):
+    """The long double or float v as an mpmath number, exactly."""
+    num, den = v.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, c",
+    [
+        (0.95, 1e-4, 40),
+        (0.3, 1e-8, 60),
+        (0.999, 1e-8, 100),
+        (0.01, 1e-8, 400),
+        (0.5, 0.5, 50),  # confluent
+        (0.001, 1e5, 400),
+    ],
+)
+def test_root_gaps_match_40_digits(rho, alpha, c):
+    # z, zhat and both long-double gaps to 1, per phase, relative; exact
+    # zeros (z_0 and 1 - z_c) must come out exactly zero
+    p = rq(rho, alpha, c)
+    roots = quadratic_roots(p)
+    with mpmath.workdps(40):
+        z, zhat = reference_roots(p)
+        want = {
+            "z": z,
+            "zhat": zhat,
+            "zhat_gap": [v - 1 for v in zhat],
+            "z_gap": [1 - v for v in z],
+        }
+        for name, ref in want.items():
+            got = getattr(roots, name)
+            for i in range(c + 1):
+                err = abs(exact_mpf(got[i]) - ref[i])
+                assert err <= 1e-15 * abs(ref[i]), (name, i)
+
+
 def reference_rate_matrix(p, dps=40):
-    """R by the same column recursion in mpmath at dps digits, on roots from
-    gf._roots: column k above the diagonal solves, from the bottom up,
+    """R by the same column recursion in mpmath at dps digits, on the roots
+    of `reference_roots`: column k above the diagonal solves, from the
+    bottom up,
     r_ik (lam + k mu + (c-k) alpha - k mu (r_ii + r_kk))
         = (c-k+1) alpha r_i,k-1 + k mu sum_{i<j<k} r_ij r_jk,
     with the pivot formed by subtraction (40 digits leave ample room)."""
     with mpmath.workdps(dps):
         one = mpmath.mpf(1)
-        z, zhat = gf._roots(p, one)
+        _, zhat = reference_roots(p)
         lam, mu, alpha, c = one * p.lam, one * p.mu, one * p.alpha, p.c
         r = [[0 * one] * (c + 1) for _ in range(c + 1)]
         for k in range(c + 1):
@@ -145,15 +197,15 @@ def reference_rate_matrix(p, dps=40):
 
 
 @pytest.mark.parametrize(
-    "p, tol",
-    # (0.95, 1e-4, 40) reads 1.1e-12: the long-double root gap 1 - z_39
-    # (1.0e-4) is off by 6.5e-14 relative, and each of the 39 back
-    # substitutions above it adds its pivot's error; (0.5, 1e-5, 40) reads
-    # 3.2e-13
-    [(rq(0.95, 1e-4, 40), 2e-12), (rq(0.5, 1e-5, 40), 1e-12)],
+    "p",
+    # both read 1.1e-12 / 3.2e-13 while the root gaps zhat - 1 and 1 - z
+    # were taken by subtraction from long-double roots: each of the c back
+    # substitutions added its pivot's error; from the closed-form gaps they
+    # read 3.1e-15 / 1.4e-15
+    [rq(0.95, 1e-4, 40), rq(0.5, 1e-5, 40)],
     ids=["rho0.95", "rho0.5"],
 )
-def test_rate_matrix_matches_40_digits_at_slow_setup(p, tol):
+def test_rate_matrix_matches_40_digits_at_slow_setup(p):
     # entry by entry, relative; the strict lower triangle is exactly zero
     got, ref = qbd.rate_matrix(p), reference_rate_matrix(p)
     worst = 0.0
@@ -161,7 +213,7 @@ def test_rate_matrix_matches_40_digits_at_slow_setup(p, tol):
         assert not np.any(got[i, :i]), i
         for k in range(i, p.c + 1):
             worst = max(worst, float(abs(got[i, k] - ref[i][k]) / ref[i][k]))
-    assert worst <= tol
+    assert worst <= 1e-14
 
 
 def test_quadratic_residual_R():
