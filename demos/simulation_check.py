@@ -11,7 +11,7 @@ from mmcsetup.model import QueueParams
 
 params = QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10)
 
-analytic = measures.performance(gf.solve(params).distribution(), params)
+analytic = measures.full_report(gf.solve(params).distribution(), params)
 estimate = sim.simulate(sim.SimConfig(params=params, n_events=1_000_000, seed=42))
 report = sim.validate_against(analytic, estimate)
 

@@ -19,14 +19,7 @@ from .errors import (
     TruncationInsufficientError,
     UnstableError,
 )
-from .measures import (
-    DecompositionReport,
-    PerformanceReport,
-    costs,
-    decomposition,
-    full_report,
-    performance,
-)
+from .measures import DecompositionReport, PerformanceReport, decomposition, full_report
 from .model import CostParams, QueueParams, State, transition_rates, validate
 from .sim import SimConfig, SimEstimate, simulate, validate_against
 from .sweeps import SweepSpec, crossover_finder, run_sweep, solve_distribution
@@ -42,8 +35,6 @@ __all__ = [
     "JointDistribution",
     "PerformanceReport",
     "DecompositionReport",
-    "performance",
-    "costs",
     "full_report",
     "decomposition",
     "SimConfig",

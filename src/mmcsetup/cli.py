@@ -35,13 +35,13 @@ from .model import (
 from .sim import SimConfig, simulate, validate_against
 from .sweeps import (
     ANALYTIC_METHODS,
+    SWEPT_VARS,
     SweepSpec,
     crossover_finder,
     csv_text,
     report_gap,
     run_sweep,
     solve_distribution,
-    write_csv,
 )
 
 __all__ = ["main", "entry"]
@@ -62,17 +62,36 @@ def _add_model_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--config", help="key = value parameter file; flags override it")
 
 
+def _add_sim_flags(ap: argparse.ArgumentParser) -> None:
+    ap.add_argument("--events", type=int, default=1_000_000)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--batches", type=int, default=20)
+    ap.add_argument("--warmup", type=float, default=0.1)
+
+
 def _build_params(args, need_alpha: bool = True) -> tuple[QueueParams, CostParams]:
-    """Flags merged over the config file; model.resolve_params does the rest."""
+    """Flags layered over the config file, checked and merged by resolve_params."""
     flags = {k: v for k, v in vars(args).items() if v is not None and k in CONFIG_KEYS}
-    if "lambda" in flags and "rho" in flags:
-        raise InvalidConfigError("--lambda and --rho are mutually exclusive")
     raw = read_config(args.config) if args.config else {}
-    if "lambda" in flags or "rho" in flags:
-        # a flag lambda or rho replaces whichever of the two the file gave
-        raw.pop("lambda", None)
-        raw.pop("rho", None)
-    return resolve_params({**raw, **flags}, need_alpha)
+    return resolve_params(raw, flags, need_alpha=need_alpha)
+
+
+def _sim_config(args, params: QueueParams) -> SimConfig:
+    """The simulator run the flags ask for; only `simulate` has the trace flags."""
+    return SimConfig(
+        params=params,
+        n_events=args.events,
+        warmup_fraction=args.warmup,
+        seed=args.seed,
+        n_batches=args.batches,
+        trace_limit=getattr(args, "trace_limit", 0),
+        trace_path=getattr(args, "trace", None),
+    )
+
+
+def _methods(text: str) -> tuple:
+    """A comma list of methods; 'all' stands for every analytic one."""
+    return ANALYTIC_METHODS if text == "all" else tuple(text.split(","))
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -86,38 +105,27 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     params, costs = _build_params(args)
-    methods = ANALYTIC_METHODS if args.method == "all" else (args.method,)
+    methods = _methods(args.method)
     dists = {m: solve_distribution(params, m) for m in methods}
     reports = {m: full_report(d, params, costs) for m, d in dists.items()}
-    report = reports[methods[0]]
-    extra = {}
-    if args.method == "all":
-        extra = {
-            "methods": list(methods),
-            "method_max_gap": report_gap(list(reports.values())),
-            "e_jobs_by_method": {m: r.e_jobs for m, r in reports.items()},
-        }
-
     payload = {
         "params": params_to_dict(params),
         "costs": asdict(costs),
         "method": args.method,
-        "report": report.to_dict(),
-        **extra,
+        "report": reports[methods[0]].to_dict(),
     }
+    if args.method == "all":
+        payload["methods"] = list(methods)
+        payload["method_max_gap"] = report_gap(list(reports.values()))
+        payload["e_jobs_by_method"] = {m: r.e_jobs for m, r in reports.items()}
     solution = dists[methods[0]].to_dict()
     if args.out:
-        with open(args.out + ".report.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        with open(args.out + ".solution.json", "w") as fh:
-            json.dump(solution, fh, indent=2)
-            fh.write("\n")
-        print(json.dumps({"report": args.out + ".report.json",
-                          "solution": args.out + ".solution.json"}))
+        paths = {"report": args.out + ".report.json", "solution": args.out + ".solution.json"}
+        _emit(payload, paths["report"])
+        _emit(solution, paths["solution"])
+        print(json.dumps(paths))
     else:
-        payload["solution"] = solution
-        print(json.dumps(payload, indent=2))
+        _emit({**payload, "solution": solution}, None)
     return 0
 
 
@@ -144,54 +152,38 @@ def _parse_grid(text: str) -> tuple:
 
 def _cmd_sweep(args) -> int:
     params, costs = _build_params(args, need_alpha=(args.var != "alpha"))
-    methods = tuple(args.method.split(",")) if args.method else ("gf",)
-    if methods == ("all",):
-        methods = ANALYTIC_METHODS
     spec = SweepSpec(
         var=args.var,
         grid=_parse_grid(args.grid),
         params=params,
         costs=costs,
-        methods=methods,
+        methods=_methods(args.method),
         seed=args.seed,
         sim_events=args.events,
     )
     rows = run_sweep(spec)
+    text = csv_text(spec, rows)
     if args.out:
-        write_csv(spec, rows, args.out)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
         n_err = sum(1 for r in rows if r["error"])
         print(json.dumps({"csv": args.out, "points": len(rows), "errors": n_err}))
     else:
-        sys.stdout.write(csv_text(spec, rows))
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_crossover(args) -> int:
     params, costs = _build_params(args, need_alpha=False)
     res = crossover_finder(params, costs, lo=args.lo, hi=args.hi, rel_tol=args.rel_tol)
-    payload = {
-        "params": params_to_dict(params),
-        "costs": asdict(costs),
-        **res.to_dict(),
-    }
-    _emit(payload, args.out)
+    _emit({"params": params_to_dict(params), "costs": asdict(costs), **res.to_dict()}, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     params, _ = _build_params(args)
-    cfg = SimConfig(
-        params=params,
-        n_events=args.events,
-        warmup_fraction=args.warmup,
-        seed=args.seed,
-        n_batches=args.batches,
-        trace_limit=args.trace_limit,
-        trace_path=args.trace,
-    )
-    est = simulate(cfg)
-    payload = {"params": params_to_dict(params), **est.to_dict()}
-    _emit(payload, args.out)
+    est = simulate(_sim_config(args, params))
+    _emit({"params": params_to_dict(params), **est.to_dict()}, args.out)
     return 0
 
 
@@ -199,15 +191,7 @@ def _cmd_validate(args) -> int:
     params, costs = _build_params(args)
     dist = solve_distribution(params, args.method)
     report = full_report(dist, params, costs)
-    cfg = SimConfig(
-        params=params,
-        n_events=args.events,
-        warmup_fraction=args.warmup,
-        seed=args.seed,
-        n_batches=args.batches,
-    )
-    est = simulate(cfg)
-    ver = validate_against(report, est)
+    ver = validate_against(report, simulate(_sim_config(args, params)))
     payload = {
         "params": params_to_dict(params),
         "method": args.method,
@@ -233,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep, CSV output")
     _add_model_flags(p_sweep)
-    p_sweep.add_argument("--var", required=True, choices=["alpha", "rho", "c", "ratio"])
+    p_sweep.add_argument("--var", required=True, choices=SWEPT_VARS)
     p_sweep.add_argument("--grid", required=True,
                          help="comma list, or log:lo:hi:n, or lin:lo:hi:n")
     p_sweep.add_argument("--method", default="gf",
@@ -255,10 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="discrete-event simulation")
     _add_model_flags(p_sim)
-    p_sim.add_argument("--events", type=int, default=1_000_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--batches", type=int, default=20)
-    p_sim.add_argument("--warmup", type=float, default=0.1)
+    _add_sim_flags(p_sim)
     p_sim.add_argument("--trace", help="event-trace CSV path (debugging)")
     p_sim.add_argument("--trace-limit", type=int, default=0,
                        help="events to trace into --trace; give the two together")
@@ -268,10 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="analytic vs simulation comparison")
     _add_model_flags(p_val)
     p_val.add_argument("--method", default="gf", choices=ANALYTIC_METHODS)
-    p_val.add_argument("--events", type=int, default=1_000_000)
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--batches", type=int, default=20)
-    p_val.add_argument("--warmup", type=float, default=0.1)
+    _add_sim_flags(p_val)
     p_val.add_argument("--out")
     p_val.set_defaults(func=_cmd_validate)
 

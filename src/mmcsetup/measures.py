@@ -5,7 +5,7 @@ truncated-chain oracle) are interchangeable upstream.  Infinite sums over
 the tail use the tail object's closed forms.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -17,8 +17,6 @@ from .model import CostParams, QueueParams
 __all__ = [
     "PerformanceReport",
     "DecompositionReport",
-    "performance",
-    "costs",
     "full_report",
     "decomposition",
 ]
@@ -26,23 +24,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    """Steady-state server and job counts, plus optional cost figures."""
+    """Steady-state server and job counts, and the three power costs."""
 
     e_active: float
     e_setup: float
     switching_rate: float
     e_jobs: float
     phase_marginal: np.ndarray
-    cost_onoff: float | None = None
-    cost_onidle: float | None = None
-    total_cost_onoff: float | None = None
+    cost_onoff: float
+    cost_onidle: float
+    total_cost_onoff: float
 
     def to_dict(self) -> dict:
-        """Every field in declaration order, the phase marginal as a list;
-        an unset cost is left out."""
+        """Every field in declaration order, the phase marginal as a list."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["phase_marginal"] = [float(v) for v in self.phase_marginal]
-        return {k: v for k, v in out.items() if v is not None}
+        return out
 
     @staticmethod
     def csv_header() -> list:
@@ -83,8 +80,15 @@ def _switch_sides(dist, params: QueueParams, e_setup: float):
     return side_alpha, side_mu
 
 
-def performance(dist, params: QueueParams) -> PerformanceReport:
-    """Core report: E[A], E[S], E[S_r], E[L] and the phase marginal."""
+def full_report(
+    dist, params: QueueParams, cost_params: CostParams = CostParams()
+) -> PerformanceReport:
+    """E[A], E[S], E[S_r], E[L], the phase marginal and the three costs.
+
+    The two sides of the switching balance must agree to 1e-10 relative,
+    or InternalInconsistency is raised.  The costs follow the displayed
+    formulas, priced at `cost_params`.
+    """
     marginal = dist.phase_marginals()
     e_active = float((np.arange(params.c + 1) * marginal).sum())
     e_setup = _setup_expectation(dist, params)
@@ -95,35 +99,17 @@ def performance(dist, params: QueueParams) -> PerformanceReport:
             f"switching balance violated: alpha side {side_alpha!r}, "
             f"mu side {side_mu!r}"
         )
+    on_off = cost_params.c_active * e_active + cost_params.c_setup * e_setup
     return PerformanceReport(
         e_active=e_active,
         e_setup=e_setup,
         switching_rate=side_mu,
         e_jobs=e_jobs,
         phase_marginal=marginal,
-    )
-
-
-def costs(
-    report: PerformanceReport, cost_params: CostParams, params: QueueParams
-) -> PerformanceReport:
-    """Fill the three cost fields from the displayed formulas."""
-    on_off = cost_params.c_active * report.e_active + cost_params.c_setup * report.e_setup
-    return replace(
-        report,
         cost_onoff=on_off,
         cost_onidle=onidle_cost(params, cost_params),
-        total_cost_onoff=on_off + cost_params.c_switch * report.switching_rate,
+        total_cost_onoff=on_off + cost_params.c_switch * side_mu,
     )
-
-
-def full_report(
-    dist, params: QueueParams, cost_params: CostParams | None = None
-) -> PerformanceReport:
-    report = performance(dist, params)
-    if cost_params is not None:
-        report = costs(report, cost_params, params)
-    return report
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def read_config(path: str) -> dict[str, float]:
 
     Keeps ``rho`` as written so a caller merging in overrides (say a new c
     from the command line) can recompute lambda afterwards. Unknown keys are
-    an error so typos don't pass silently.
+    an error so typos don't pass silently; resolve_params checks the values.
     """
     raw: dict[str, float] = {}
     with open(path) as fh:
@@ -145,22 +145,33 @@ def read_config(path: str) -> dict[str, float]:
                 raw[key] = float(val.strip())
             except ValueError:
                 raise InvalidConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from None
-    if "lambda" in raw and "rho" in raw:
-        raise InvalidConfigError(f"{path}: give lambda or rho, not both")
-    if "c" in raw and not raw["c"].is_integer():
-        raise InvalidConfigError(f"{path}: c must be an integer, got {raw['c']}")
     return raw
 
 
-def resolve_params(raw: dict, need_alpha: bool = True) -> tuple[QueueParams, CostParams]:
-    """Parameter objects from a dict keyed like a config file.
+def resolve_params(*layers: dict, need_alpha: bool = True) -> tuple[QueueParams, CostParams]:
+    """Parameter objects from dicts keyed like a config file.
 
-    mu defaults to 1 and the costs to CostParams().  A ``rho`` is turned into
-    lambda = rho * c * mu only here, so a caller that merged overrides of c
-    or mu into ``raw`` keeps the stated traffic intensity.  With
-    need_alpha=False a missing alpha becomes a placeholder 1, for callers
-    that sweep or solve for it.
+    Later layers override earlier ones (a config file, then the flags), and
+    a layer's lambda or rho replaces both of an earlier layer's.  Each layer
+    is checked on its own: lambda or rho but not both, an integral c, and
+    finite nonnegative cost weights.  mu defaults to 1 and the costs to
+    CostParams().  A ``rho`` becomes lambda = rho * c * mu only after the
+    merge, so an override of c or mu keeps the stated traffic intensity.
+    With need_alpha=False a missing alpha becomes a placeholder 1, for
+    callers that sweep or solve for it.
     """
+    raw: dict = {}
+    for layer in layers:
+        if "lambda" in layer and "rho" in layer:
+            raise InvalidConfigError("give lambda or rho, not both")
+        if "c" in layer and not float(layer["c"]).is_integer():
+            raise InvalidConfigError(f"c must be an integer, got {layer['c']}")
+        for key in COST_KEYS:
+            if key in layer and not 0 <= layer[key] < math.inf:  # nan fails too
+                raise InvalidConfigError(f"cost {key} must be finite and >= 0, got {layer[key]!r}")
+        if "lambda" in layer or "rho" in layer:
+            raw = {k: v for k, v in raw.items() if k not in ("lambda", "rho")}
+        raw.update(layer)
     if "c" not in raw:
         raise InvalidConfigError("c is required (config key c or flag --c)")
     c, mu = int(raw["c"]), raw.get("mu", 1.0)

@@ -15,15 +15,14 @@ import numpy as np
 
 from . import ctmc, gf, mmc, qbd
 from .errors import InvalidConfigError, NoCrossingError, QueueModelError
-from .measures import PerformanceReport, full_report, performance
-from .model import CostParams, QueueParams, validate
+from .measures import PerformanceReport, full_report
+from .model import CostParams, QueueParams, params_to_dict, validate
 from .sim import SimConfig, simulate
 
 __all__ = [
     "SweepSpec",
     "CrossoverResult",
     "run_sweep",
-    "write_csv",
     "csv_text",
     "crossover_finder",
     "report_gap",
@@ -111,20 +110,18 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
 
 
 def report_gap(reports: list[PerformanceReport]) -> float:
-    """Largest spread of any scalar report field across the reports; an
-    unset cost reads 0."""
+    """Largest spread of any scalar report field across the reports."""
     if len(reports) < 2:
         return 0.0
     names = PerformanceReport.csv_header()
-    values = [[getattr(r, k) for k in names] for r in reports]
-    arr = np.array([[0.0 if v is None else float(v) for v in row] for row in values])
+    arr = np.array([[float(getattr(r, k)) for k in names] for r in reports])
     return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every grid point.
 
-    Returns the rows as dicts keyed by `sweep_columns(spec)`; write_csv
+    Returns the rows as dicts keyed by `sweep_columns(spec)`; csv_text
     writes them.
     """
     validate_spec(spec)
@@ -136,11 +133,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "index": idx,
             "var": spec.var,
             "value": x,
-            "lambda": p.lam,
-            "mu": p.mu,
-            "alpha": p.alpha,
-            "c": p.c,
-            "rho": p.rho,
+            **params_to_dict(p),
             "method": analytic[0] if analytic else "sim",
             "error": "",
         }
@@ -170,44 +163,26 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def write_csv(spec: SweepSpec, rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        _emit_csv(spec, rows, fh)
-
-
 def csv_text(spec: SweepSpec, rows: list[dict]) -> str:
+    """The sweep as CSV text: three comment lines, the header, then one
+    line per row."""
     buf = io.StringIO()
-    _emit_csv(spec, rows, buf)
-    return buf.getvalue()
-
-
-def _emit_csv(spec: SweepSpec, rows: list[dict], fh) -> None:
     cols = sweep_columns(spec)
-    fh.write(f"# sweep var={spec.var} methods={','.join(spec.methods)}\n")
-    fh.write(
-        "# fixed: lambda={} mu={} alpha={} c={} | costs: active={} setup={} "
-        "idle={} switch={} | seed={}\n".format(
-            spec.params.lam,
-            spec.params.mu,
-            spec.params.alpha,
-            spec.params.c,
-            spec.costs.c_active,
-            spec.costs.c_setup,
-            spec.costs.c_idle,
-            spec.costs.c_switch,
-            spec.seed,
-        )
+    p, k = spec.params, spec.costs
+    buf.write(f"# sweep var={spec.var} methods={','.join(spec.methods)}\n")
+    buf.write(
+        f"# fixed: lambda={p.lam} mu={p.mu} alpha={p.alpha} c={p.c} | costs: active={k.c_active} "
+        f"setup={k.c_setup} idle={k.c_idle} switch={k.c_switch} | seed={spec.seed}\n"
     )
-    fh.write("# columns: " + " ".join(cols) + "\n")
-    writer = csv.writer(fh, lineterminator="\n")
+    buf.write("# columns: " + " ".join(cols) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
         writer.writerow([_cell(row.get(col, "")) for col in cols])
+    return buf.getvalue()
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, float):
         return repr(float(v))  # plain float repr even for numpy scalars
     return str(v)
@@ -238,20 +213,22 @@ def crossover_finder(
 
     The on-off power cost is nonincreasing in alpha, so the sign change is
     unique when it exists; same sign at both ends raises NoCrossing.
-    The bracket must satisfy 0 < lo < hi (InvalidConfig otherwise, before
-    any solve).  Every bisection step is one solve by `method`.
+    The bracket must satisfy 0 < lo < hi and rel_tol must be > 0
+    (InvalidConfig otherwise, before any solve).  Every bisection step is
+    one solve by `method`.
     """
     validate(params)
     if not 0 < lo < hi:  # nan fails too
         raise InvalidConfigError(
             f"crossover bracket needs 0 < lo < hi, got lo={lo!r}, hi={hi!r}"
         )
+    if not rel_tol > 0:  # nan fails too
+        raise InvalidConfigError(f"crossover rel_tol must be > 0, got {rel_tol!r}")
     baseline = mmc.onidle_cost(params, costs)
 
     def gap(a: float) -> float:
         p = replace(params, alpha=a)
-        rep = performance(solve_distribution(p, method), p)
-        return costs.c_active * rep.e_active + costs.c_setup * rep.e_setup - baseline
+        return full_report(solve_distribution(p, method), p, costs).cost_onoff - baseline
 
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:

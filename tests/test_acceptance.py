@@ -324,7 +324,7 @@ def test_criterion_6_figure_shapes():
 
 def test_criterion_7_simulation_consistency():
     p = QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10)
-    rep = measures.performance(gf_solution(p).distribution(), p)
+    rep = measures.full_report(gf_solution(p).distribution(), p)
     est = sim.simulate(sim.SimConfig(params=p, n_events=1_000_000, seed=0))
     ver = sim.validate_against(rep, est)
     worst = max(

@@ -76,6 +76,19 @@ def test_solve_out_prefix(capsys, tmp_path):
     assert sol["source"] == "gf"
 
 
+def test_solve_out_writes_what_stdout_prints(capsys, tmp_path):
+    point = ("solve", "--rho", "0.5", "--alpha", "0.7", "--c", "3", "--method", "all")
+    code, printed = run_json(capsys, *point)
+    assert code == 0
+    prefix = tmp_path / "run2"
+    code, paths = run_json(capsys, *point, "--out", str(prefix))
+    assert code == 0
+    assert paths == {"report": f"{prefix}.report.json", "solution": f"{prefix}.solution.json"}
+    solution = printed.pop("solution")
+    assert (tmp_path / "run2.report.json").read_text() == json.dumps(printed, indent=2) + "\n"
+    assert (tmp_path / "run2.solution.json").read_text() == json.dumps(solution, indent=2) + "\n"
+
+
 def test_unstable_is_a_clean_error(capsys):
     code, d = run_json(
         capsys, "solve", "--lambda", "3", "--mu", "1", "--alpha", "1", "--c", "2"
@@ -107,6 +120,42 @@ def test_lambda_rho_mutually_exclusive(capsys):
     assert d["error"] == "InvalidConfig"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lambda = 1\nrho = 0.5\nalpha = 1\nc = 2\n",  # both, whatever the flags say
+        "rho = 0.5\nalpha = 1\nc = 2.5\n",  # a flag c does not mend the file's
+    ],
+)
+def test_bad_config_file_fails_under_overriding_flags(capsys, tmp_path, text):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(text)
+    code, d = run_json(capsys, "solve", "--config", str(cfg), "--lambda", "1", "--c", "2")
+    assert code == 2
+    assert d["error"] == "InvalidConfig"
+
+
+def test_flag_lambda_replaces_config_rho(capsys, tmp_path):
+    cfg = tmp_path / "model.conf"
+    cfg.write_text("rho = 0.5\nalpha = 1.0\nc = 4\n")
+    code, d = run_json(capsys, "solve", "--config", str(cfg), "--lambda", "1")
+    assert code == 0
+    assert d["params"]["lambda"] == 1.0
+    assert d["params"]["rho"] == 0.25
+
+
+@pytest.mark.parametrize("key, value", [("ci", "nan"), ("cs", "inf"), ("ca", "-1"), ("csw", "-inf")])
+def test_bad_cost_weight_flag_is_rejected(capsys, key, value):
+    # a nan weight once printed "c_idle": NaN, which is not JSON, with exit 0
+    for cmd in (("solve", "--alpha", "1"), ("crossover",)):
+        code, out = run(capsys, *cmd, "--rho", "0.5", "--c", "4", f"--{key}={value}")
+        assert code == 2
+        (line,) = out.splitlines()
+        d = json.loads(line)
+        assert d["error"] == "InvalidConfig"
+        assert d["message"].startswith(f"cost {key} must be finite and >= 0")
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "model.toml"
     cfg.write_text("rho = 0.5\nmu = 1.0\nalpha = 1.0\nc = 4\nci = 0.6\n")
@@ -134,6 +183,17 @@ def test_sweep_stdout_and_file(capsys, tmp_path):
     lines = text.strip().splitlines()
     assert lines[3].startswith("index,var,value")
     assert len(lines) == 3 + 1 + 3
+
+
+def test_sweep_out_writes_what_stdout_prints(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    args = ("sweep", "--rho", "0.5", "--c", "3", "--var", "ratio", "--grid", "0.5,2",
+            "--alpha", "0.7", "--method", "all")
+    code, text = run(capsys, *args)
+    assert code == 0
+    code, _ = run(capsys, *args, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == text.encode()
 
 
 def test_sweep_light_load_failure_marks_its_row_only(capsys):
@@ -229,6 +289,16 @@ def test_crossover_reversed_bracket_is_an_error(capsys):
     assert code == 2
     assert d["error"] == "InvalidConfig"
     assert "0 < lo < hi" in d["message"]
+
+
+def test_crossover_nan_rel_tol_is_an_error(capsys):
+    # it once exited 0 with the bracket midpoint and iterations 0
+    code, out = run(capsys, "crossover", "--rho", "0.5", "--c", "4", "--rel-tol", "nan")
+    assert code == 2
+    (line,) = out.splitlines()
+    d = json.loads(line)
+    assert d["error"] == "InvalidConfig"
+    assert "rel_tol" in d["message"]
 
 
 def test_simulate_command(capsys):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,23 +15,23 @@ P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
 def test_active_servers_is_littles_law():
     # E[A] = lambda/mu regardless of the setup rate
     for p in (P112, QueueParams(lam=4.2, mu=1.4, alpha=0.05, c=6)):
-        rep = measures.performance(gf_solution(p).distribution(), p)
+        rep = measures.full_report(gf_solution(p).distribution(), p)
         assert rep.e_active == pytest.approx(p.lam / p.mu, rel=1e-10)
 
 
 def test_mean_jobs_matches_oracle_sum():
     o = oracle_distribution(P112)
     direct = sum(j * o.prob(i, j) for j in range(300) for i in range(min(j, 2) + 1))
-    rep = measures.performance(gf_solution(P112).distribution(), P112)
+    rep = measures.full_report(gf_solution(P112).distribution(), P112)
     assert rep.e_jobs == pytest.approx(direct, abs=1e-9)
 
 
 def test_switching_rate_two_sided_identity():
-    # alpha E[S] vs the service-side count at (1,1,1,3): the performance
+    # alpha E[S] vs the service-side count at (1,1,1,3): the full_report
     # call itself certifies the identity to 1e-10 and would raise otherwise
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3)
     for d in (gf_solution(p).distribution(), qbd_solution(p).distribution()):
-        rep = measures.performance(d, p)
+        rep = measures.full_report(d, p)
         assert rep.switching_rate == pytest.approx(p.alpha * rep.e_setup, rel=1e-10)
 
 
@@ -36,7 +39,7 @@ def test_switching_rate_light_traffic():
     # rho -> 0: every arrival triggers one off->on->off cycle, so the
     # switching rate approaches lambda (oracle at rho = 0.01)
     p = QueueParams(lam=0.02, mu=1.0, alpha=1.0, c=2)
-    rep = measures.performance(oracle_distribution(p), p)
+    rep = measures.full_report(oracle_distribution(p), p)
     assert rep.switching_rate == pytest.approx(p.lam, rel=0.05)
 
 
@@ -45,7 +48,7 @@ def test_switching_rate_increases_with_c():
     rates = []
     for c in (40, 50):
         p = QueueParams(lam=0.5 * c, mu=1.0, alpha=1e6, c=c)
-        rep = measures.performance(qbd_solution(p).distribution(), p)
+        rep = measures.full_report(qbd_solution(p).distribution(), p)
         rates.append(rep.switching_rate)
     assert rates[1] > rates[0]
 
@@ -54,7 +57,7 @@ def test_server_accounting():
     # E[A] + E[S] + E[off] = c with E[off] counted per state
     p = QueueParams(lam=2.8, mu=1.0, alpha=0.25, c=4)
     d = gf_solution(p).distribution()
-    rep = measures.performance(d, p)
+    rep = measures.full_report(d, p)
     e_off = 0.0
     for j in range(2000):
         lvl = d.level(j)
@@ -91,17 +94,21 @@ def test_setup_free_limits():
 
 
 def test_report_serialization():
+    # every field, priced at the CostParams() defaults when none are given
     p = P112
-    rep = measures.performance(gf_solution(p).distribution(), p)
+    rep = measures.full_report(gf_solution(p).distribution(), p)
     d = rep.to_dict()
-    assert "cost_onoff" not in d  # costs unset until priced
+    assert list(d) == [f.name for f in fields(measures.PerformanceReport)]
+    assert d["cost_onidle"] == mmc.onidle_cost(p, CostParams())
+    assert d["cost_onoff"] == rep.e_active + rep.e_setup
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 def test_brute_force_tail_flag_agrees():
     # the tail's closed-form sums against a plain sum over 4000 levels
     p = QueueParams(lam=1.9, mu=1.0, alpha=0.6, c=3)
     d = gf_solution(p).distribution()
-    exact = measures.performance(d, p)
+    exact = measures.full_report(d, p)
     e_setup = e_jobs = 0.0
     for j in range(4000):
         vec = d.level(j)

@@ -125,6 +125,9 @@ def test_config_roundtrip(tmp_path):
         "lambda = 1\nc = 2\nalpha = 1\nbogus = 3\n",  # unknown key
         "lambda = 1\nlambda = 2\nc = 2\nalpha = 1\n",  # duplicate
         "what even is this\n",
+        "lambda = 1\nc = 2\nalpha = 1\ncs = inf\n",  # cost weights are finite and >= 0
+        "lambda = 1\nc = 2\nalpha = 1\nci = nan\n",
+        "lambda = 1\nc = 2\nalpha = 1\ncsw = -0.5\n",
     ],
 )
 def test_config_rejects(tmp_path, text):

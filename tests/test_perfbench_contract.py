@@ -28,7 +28,7 @@ def perfbench():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("workload", ["gf_closed_form", "qbd_ladder", "figure_sweep"])
+@pytest.mark.parametrize("workload", ["gf_closed_form", "qbd_ladder", "figure_sweep", "sim_validate"])
 def test_traced_tiny_workload_passes_its_oracle(perfbench, workload):
     tracing, workloads = perfbench
     tracer = tracing.Tracer()

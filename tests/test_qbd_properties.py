@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmcsetup import gf, qbd, sweeps
-from mmcsetup.measures import full_report, performance
+from mmcsetup.measures import full_report
 from mmcsetup.model import CostParams, QueueParams
 
 MU = 1.0
@@ -41,7 +41,7 @@ def test_qbd_solution_properties(rho, alpha, c, confluent):
     assert min(float(v.min()) for v in sol.levels) >= 0.0
     assert float(sol.R.min()) >= 0.0
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
-    assert performance(dist, p).e_active == pytest.approx(p.lam / p.mu, rel=1e-12)
+    assert full_report(dist, p).e_active == pytest.approx(p.lam / p.mu, rel=1e-12)
     # np.max, unlike max(), keeps a nan from any level
     glevel_rows = np.max([np.abs(g.sum(axis=1) - 1.0).max() for g in sol.glevels[1:]])
     assert glevel_rows <= 1e-12

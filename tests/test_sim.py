@@ -29,7 +29,7 @@ def test_deterministic_under_seed():
 
 def test_matches_analytic_within_bands():
     est = run(P112)
-    rep = measures.performance(gf_solution(P112).distribution(), P112)
+    rep = measures.full_report(gf_solution(P112).distribution(), P112)
     ver = sim.validate_against(rep, est)
     assert ver.passed, [r for r in ver.rows if not r["ok"]]
     # every comparison carries a positive half-width
@@ -40,7 +40,7 @@ def test_detects_wrong_model():
     # analytic report for a 5% slower arrival stream must be flagged
     est = run(P112, n_events=400_000)
     p_wrong = QueueParams(lam=0.95, mu=1.0, alpha=1.0, c=2)
-    rep = measures.performance(gf_solution(p_wrong).distribution(), p_wrong)
+    rep = measures.full_report(gf_solution(p_wrong).distribution(), p_wrong)
     ver = sim.validate_against(rep, est)
     failed = {r["metric"] for r in ver.rows if not r["ok"]}
     assert "e_jobs" in failed
@@ -95,7 +95,7 @@ def test_estimate_to_dict_round():
 
 def test_validation_report_to_dict():
     est = run(P112)
-    rep = measures.performance(gf_solution(P112).distribution(), P112)
+    rep = measures.full_report(gf_solution(P112).distribution(), P112)
     d = sim.validate_against(rep, est).to_dict()
     assert d["passed"] is True
     rows = d["metrics"]

