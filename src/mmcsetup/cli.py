@@ -231,9 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crossover",
                              help="alpha where on-off cost equals always-on cost")
     _add_model_flags(p_cross)
-    p_cross.add_argument("--lo", type=float, default=1e-4)
-    p_cross.add_argument("--hi", type=float, default=1e3)
-    p_cross.add_argument("--rel-tol", type=float, default=1e-6)
+    p_cross.add_argument("--lo", type=float, default=1e-4,
+                         help="lower end of the alpha bracket; needs 0 < lo < hi (default 1e-4)")
+    p_cross.add_argument("--hi", type=float, default=1e3,
+                         help="upper end of the alpha bracket; the costs must cross "
+                              "between lo and hi (default 1e3)")
+    p_cross.add_argument("--rel-tol", type=float, default=1e-6,
+                         help="> 0; stop once the bracket [a, b] has b - a <= "
+                              "rel_tol * (a + b) / 2, and report its midpoint (default 1e-6)")
     p_cross.add_argument("--out")
     p_cross.set_defaults(func=_cmd_crossover)
 

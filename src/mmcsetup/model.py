@@ -46,13 +46,24 @@ class CostParams:
 
     c_active prices a serving server, c_setup a warming one, c_idle an idle
     but powered server (only the always-on baseline has those), and c_switch
-    prices each completed off->on switch rather than a time average.
+    prices each completed off->on switch rather than a time average.  Each
+    weight must be finite and >= 0 (InvalidConfig at construction).
     """
 
     c_active: float = 1.0
     c_setup: float = 1.0
     c_idle: float = 0.6
     c_switch: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, v in self.__dict__.items():
+            check_cost_weight(name, v)
+
+
+def check_cost_weight(name: str, v: float) -> None:
+    """Raise InvalidConfig unless the cost weight is finite and >= 0."""
+    if not 0 <= v < math.inf:  # nan fails too
+        raise InvalidConfigError(f"cost {name} must be finite and >= 0, got {v!r}")
 
 
 def validate(params: QueueParams) -> None:
@@ -167,8 +178,8 @@ def resolve_params(*layers: dict, need_alpha: bool = True) -> tuple[QueueParams,
         if "c" in layer and not float(layer["c"]).is_integer():
             raise InvalidConfigError(f"c must be an integer, got {layer['c']}")
         for key in COST_KEYS:
-            if key in layer and not 0 <= layer[key] < math.inf:  # nan fails too
-                raise InvalidConfigError(f"cost {key} must be finite and >= 0, got {layer[key]!r}")
+            if key in layer:
+                check_cost_weight(key, layer[key])
         if "lambda" in layer or "rho" in layer:
             raw = {k: v for k, v in raw.items() if k not in ("lambda", "rho")}
         raw.update(layer)

@@ -336,20 +336,22 @@ def test_tail_sums_match_30_digits(rho, alpha, c):
 
 
 def test_default_path_loads_no_mpmath():
-    # a fresh interpreter: gf.solve, the measures and the CLI's solve run in
-    # float64 only, and load no scipy either (only qbd and ctmc import
-    # scipy.linalg, when they run)
+    # a fresh interpreter: gf.solve, the measures, a gf crossover and the
+    # CLI's solve and crossover run in float64 only, and load no scipy either
+    # (only qbd and ctmc import scipy.linalg, when they run)
     run_fresh(
         "-c",
         "import sys\n"
         "import mmcsetup, mmcsetup.cli\n"
-        "from mmcsetup import cli, gf, measures\n"
+        "from mmcsetup import cli, gf, measures, sweeps\n"
         "from mmcsetup.model import QueueParams\n"
         "p = QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10)\n"
         "d = gf.solve(p).distribution()\n"
         "measures.full_report(d, p)\n"
         "measures.decomposition(d, p)\n"
+        "sweeps.crossover_finder(p)\n"
         "cli.main(['solve', '--lambda', '8', '--mu', '1', '--alpha', '0.5', '--c', '10'])\n"
+        "cli.main(['crossover', '--rho', '0.5', '--c', '4'])\n"
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"

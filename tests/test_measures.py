@@ -6,7 +6,7 @@ import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import measures, mmc
-from mmcsetup.errors import DegenerateConditionError
+from mmcsetup.errors import DegenerateConditionError, InvalidConfigError
 from mmcsetup.model import CostParams, QueueParams
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
@@ -83,6 +83,15 @@ def test_costs_with_switching_price():
     assert rep.total_cost_onoff == pytest.approx(
         rep.cost_onoff + 2.0 * rep.switching_rate, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_costs_refuse_a_bad_weight(bad):
+    # full_report(d, p, CostParams(c_idle=nan)) once returned cost_onidle nan
+    p = QueueParams(lam=2.0, mu=1.0, alpha=1.0, c=4)
+    d = gf_solution(p).distribution()
+    with pytest.raises(InvalidConfigError, match="c_idle"):
+        measures.full_report(d, p, CostParams(c_idle=bad))
 
 
 def test_setup_free_limits():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -135,3 +136,14 @@ def test_config_rejects(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InvalidConfigError):
         resolve_params(read_config(str(path)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["c_active", "c_setup", "c_idle", "c_switch"])
+def test_cost_params_reject_bad_weights(name, bad):
+    # library callers build CostParams directly, past resolve_params' check
+    with pytest.raises(InvalidConfigError, match=f"cost {name} must be finite and >= 0"):
+        CostParams(**{name: bad})
+    with pytest.raises(InvalidConfigError):
+        replace(CostParams(), **{name: bad})
+    assert getattr(CostParams(**{name: 0.0}), name) == 0.0

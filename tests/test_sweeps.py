@@ -1,9 +1,15 @@
 from dataclasses import replace
+import math
 
 import pytest
 
-from mmcsetup import mmc, qbd, sweeps
-from mmcsetup.errors import InvalidConfigError, NoCrossingError, UnstableError
+from mmcsetup import gf, mmc, qbd, sweeps
+from mmcsetup.errors import (
+    InternalInconsistencyError,
+    InvalidConfigError,
+    NoCrossingError,
+    UnstableError,
+)
 from mmcsetup.measures import full_report
 from mmcsetup.model import CostParams, QueueParams
 
@@ -176,3 +182,109 @@ def test_crossover_rejects_bad_rel_tol_before_solving(monkeypatch, rel_tol):
     with pytest.raises(InvalidConfigError, match="rel_tol"):
         sweeps.crossover_finder(p, rel_tol=rel_tol)
     assert calls == []
+
+
+FIGURE_POINTS = [(0.5, 10), (0.8, 10)]
+
+
+def tight_bisection(p, costs, lo=1e-4, hi=1e3, rel_tol=1e-10):
+    """Linear bisection on alpha with gf, the reference for the search."""
+    base = mmc.onidle_cost(p, costs)
+
+    def gap(a):
+        q = replace(p, alpha=a)
+        return full_report(gf.solve(q).distribution(), q, costs).cost_onoff - base
+
+    g_lo = gap(lo)
+    while hi - lo > rel_tol * 0.5 * (lo + hi):
+        mid = 0.5 * (lo + hi)
+        if (gap(mid) > 0) == (g_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rho, c", FIGURE_POINTS)
+def test_crossover_takes_few_solves(monkeypatch, rho, c):
+    # both ends, the search steps and the final midpoint; linear bisection
+    # on alpha took 34-36
+    calls = []
+    solve = sweeps.solve_distribution
+    monkeypatch.setattr(sweeps, "solve_distribution", lambda *a: calls.append(a) or solve(*a))
+    res = sweeps.crossover_finder(QueueParams(lam=rho * c, mu=1.0, alpha=1.0, c=c))
+    assert len(calls) <= 12
+    assert res.iterations == len(calls) - 3
+
+
+@pytest.mark.parametrize("rho, c", FIGURE_POINTS)
+def test_crossover_matches_tight_bisection(rho, c):
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=1.0, c=c)
+    res = sweeps.crossover_finder(p)
+    ref = tight_bisection(p, CostParams())
+    assert abs(res.alpha_cross - ref) <= 2e-6 * ref
+
+
+def itp_bound(lo, hi, rel_tol):
+    return math.ceil(math.log2(math.log(hi / lo) / (2 * math.atanh(rel_tol / 2)))) + 1
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 0.1])
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda a: math.tanh(1e6 * (a - 0.3)),  # a near-step
+        lambda a: math.tanh(1e6 * (2.5 - a)),
+        lambda a: a - 1.0000001e-4,  # a root next to either end
+        lambda a: 999.9999 - a,
+        lambda a: a - 37.0,  # linear
+        lambda a: 1.0 - 2.0 * a,
+    ],
+)
+def test_log_root_keeps_the_bisection_bound(f, rel_tol):
+    lo, hi = 1e-4, 1e3
+    a, b, steps = sweeps._log_root(f, lo, hi, f(lo), f(hi), rel_tol)
+    assert steps <= itp_bound(lo, hi, rel_tol)
+    assert lo <= a <= b <= hi
+    assert b - a <= rel_tol * 0.5 * (a + b)
+    assert a == b or (f(a) > 0) != (f(b) > 0)
+
+
+def test_crossover_huge_rel_tol_takes_no_step(monkeypatch):
+    # rel_tol >= 2 holds for any positive bracket: the ends, then the midpoint
+    calls = []
+    solve = sweeps.solve_distribution
+    monkeypatch.setattr(sweeps, "solve_distribution", lambda *a: calls.append(a) or solve(*a))
+    p = QueueParams(lam=5.0, mu=1.0, alpha=1.0, c=10)
+    res = sweeps.crossover_finder(p, rel_tol=5.0, lo=0.01, hi=100.0)
+    assert res.iterations == 0
+    assert res.alpha_cross == 0.5 * (0.01 + 100.0)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("call, bad", [(1, math.nan), (2, -math.inf), (3, math.nan), (5, math.inf)])
+def test_crossover_stops_on_a_non_finite_gap(monkeypatch, call, bad):
+    # a nan gap at an end once read as NoCrossing, and mid-search it moved
+    # the bracket silently; call 1 prices lo, call 2 hi, then the search
+    seen = []
+
+    def report(dist, p, costs):
+        seen.append(p.alpha)
+        rep = full_report(dist, p, costs)
+        return replace(rep, cost_onoff=bad) if len(seen) == call else rep
+
+    monkeypatch.setattr(sweeps, "full_report", report)
+    p = QueueParams(lam=5.0, mu=1.0, alpha=1.0, c=10)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        sweeps.crossover_finder(p)
+    assert len(seen) == call
+    assert f"alpha={seen[-1]!r}" in str(exc.value)
+    assert repr(bad - mmc.onidle_cost(p, CostParams())) in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_crossover_refuses_a_bad_cost_weight(bad):
+    # c_idle = nan once raised NoCrossing (nan), and inf NoCrossing (-inf)
+    p = QueueParams(lam=2.0, mu=1.0, alpha=1.0, c=4)
+    with pytest.raises(InvalidConfigError, match="c_idle"):
+        sweeps.crossover_finder(p, CostParams(c_idle=bad))
