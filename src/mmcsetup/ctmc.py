@@ -21,7 +21,7 @@ import numpy as np
 
 from .distribution import ExplicitTail, JointDistribution
 from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError
-from .model import QueueParams, State, transition_rates, validate
+from .model import QueueParams, State, transition_rates
 
 
 def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
@@ -34,11 +34,16 @@ def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
     guarantee should rely on the a-posteriori mass certificate in
     solve_truncated (see solve_adaptive).
     """
-    validate(params)
+    _check_tol(tol)
     lam, c, alpha = params.lam, params.c, params.alpha
     r = max(params.rho, lam / (lam + c * alpha))
     k0 = max(1, math.ceil((math.log(tol) + math.log1p(-r)) / math.log(r)))
     return max(params.c + 2 * k0, params.c + 5)
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:  # nan fails too
+        raise InvalidConfigError(f"ctmc tol must be finite and > 0, got {tol!r}")
 
 
 def _index(c: int, i: int, j: int) -> int:
@@ -87,9 +92,9 @@ def solve_truncated(
 
     Raises TruncationInsufficientError if the mass sitting in the two
     boundary-distorted top levels exceeds tol, i.e. the cap was too low for
-    the requested accuracy.
+    the requested accuracy.  tol must be finite and > 0 (InvalidConfig).
     """
-    validate(params)
+    _check_tol(tol)
     c = params.c
     if j_max is None:
         j_max = choose_truncation(params)
@@ -147,7 +152,6 @@ def solve_adaptive(
     (3c + 4) * 8 bytes per state, exceeds max_band_bytes (2 GiB by default)
     raises TruncationInsufficientError before it is built.
     """
-    validate(params)
     if j_max is None:
         j_max = choose_truncation(params, tol)
     while True:

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidStateError
 from .model import QueueParams, params_to_dict
 
 
@@ -278,7 +279,7 @@ class JointDistribution:
         """Probability vector over phases i at level j (length min(j, c) + 1)."""
         c = self.params.c
         if j < 0:
-            raise ValueError(f"level must be >= 0, got {j}")
+            raise InvalidStateError(f"level must be >= 0, got {j}")
         if j < c:
             return self.boundary[: j + 1, j]
         return self.tail.level(j - c)

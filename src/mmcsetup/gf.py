@@ -44,7 +44,7 @@ import numpy as np
 
 from .distribution import JointDistribution, PoleTail
 from .errors import InternalInconsistencyError
-from .model import QueueParams, validate
+from .model import QueueParams
 
 # highest factorial moment order computed per row
 N_MOMENTS = 4
@@ -95,7 +95,6 @@ def quadratic_roots(params: QueueParams) -> RootTable:
     No separation check: coincident outer roots (the confluent line) are
     fine for every caller.
     """
-    validate(params)
     z, zhat, zhat_gap, z_gap = _roots(params, np.longdouble(1))
     return RootTable(z.astype(float), zhat.astype(float), zhat_gap, z_gap)
 
@@ -319,7 +318,6 @@ def solve(params: QueueParams, dps: int | None = None) -> GfSolution:
     dps: run the same pass over mpmath numbers at this many digits instead
         (boundary and moments are then returned as mpmath numbers).
     """
-    validate(params)
     if dps is None:
         return _solve(params, np.longdouble(1), None)
     import mpmath as mp

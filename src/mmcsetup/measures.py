@@ -86,15 +86,15 @@ def full_report(
     """E[A], E[S], E[S_r], E[L], the phase marginal and the three costs.
 
     The two sides of the switching balance must agree to 1e-10 relative,
-    or InternalInconsistency is raised.  The costs follow the displayed
-    formulas, priced at `cost_params`.
+    or InternalInconsistency is raised, nan included.  The costs follow the
+    displayed formulas, priced at `cost_params`.
     """
     marginal = dist.phase_marginals()
     e_active = float((np.arange(params.c + 1) * marginal).sum())
     e_setup = _setup_expectation(dist, params)
     e_jobs = dist.mean_jobs()
     side_alpha, side_mu = _switch_sides(dist, params, e_setup)
-    if abs(side_alpha - side_mu) > 1e-10 * max(1.0, abs(side_mu)):
+    if not abs(side_alpha - side_mu) <= 1e-10 * max(1.0, abs(side_mu)):  # nan fails too
         raise InternalInconsistencyError(
             f"switching balance violated: alpha side {side_alpha!r}, "
             f"mu side {side_mu!r}"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .model import CostParams, QueueParams, validate
+from .model import CostParams, QueueParams
 
 
 def erlang_b(c: int, a: float) -> float:
@@ -33,7 +33,6 @@ def erlang_c(c: int, a: float) -> float:
 
 def mean_jobs(params: QueueParams) -> float:
     """Stationary E[number in system] for M/M/c: c rho + C(c,a) rho/(1-rho)."""
-    validate(params)
     a = params.lam / params.mu
     rho = params.rho
     return a + erlang_c(params.c, a) * rho / (1.0 - rho)
@@ -47,7 +46,6 @@ def distribution(params: QueueParams, j_max: int) -> np.ndarray:
     past it; every term is exponentiated after the largest one, which sits
     near j = a, is subtracted.
     """
-    validate(params)
     c = params.c
     a = params.lam / params.mu
     rho = params.rho
@@ -64,7 +62,6 @@ def distribution(params: QueueParams, j_max: int) -> np.ndarray:
 def onidle_cost(params: QueueParams, costs: CostParams) -> float:
     """Mean power cost of keeping all c servers on: busy ones at c_active,
     idle ones at c_idle.  E[busy] = c rho by Little's law."""
-    validate(params)
     e_busy = params.c * params.rho
     return costs.c_active * e_busy + costs.c_idle * (params.c - e_busy)
 

@@ -26,14 +26,17 @@ class State(NamedTuple):
 class QueueParams:
     """Arrival rate, per-server service rate, server count, setup rate.
 
-    Construction is permissive; call :func:`validate` (or any solver, they
-    all do) to enforce positivity and stability.
+    Checked by :func:`validate` when built (``dataclasses.replace`` too), so
+    every instance is a stable queue and no solver checks it again.
     """
 
     lam: float
     mu: float
     c: int
     alpha: float
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @property
     def rho(self) -> float:
@@ -67,7 +70,7 @@ def check_cost_weight(name: str, v: float) -> None:
 
 
 def validate(params: QueueParams) -> None:
-    """Raise if the parameters are out of domain or the queue is unstable."""
+    """The rule QueueParams runs when built: raise InvalidParameter or Unstable."""
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     if not isinstance(c, int) or isinstance(c, bool):
         raise InvalidParameterError(f"c must be an int, got {c!r}")

@@ -42,7 +42,7 @@ import numpy as np
 from .distribution import GeometricTail, JointDistribution
 from .errors import InternalInconsistencyError
 from .gf import quadratic_roots
-from .model import QueueParams, validate
+from .model import QueueParams
 
 __all__ = [
     "LevelView",
@@ -106,7 +106,6 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     """
     from scipy.linalg.lapack import dtrtrs
 
-    validate(params)
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
     r = np.diag(1.0 / roots.zhat)
@@ -522,7 +521,6 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     with_g=False skips G, and with it glevels, when only probabilities are
     needed; R alone determines the stationary vectors.
     """
-    validate(params)
     c = params.c
     r_hom = rate_matrix(params)
     rlev = level_rate_matrices(params, r_hom)

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidConfigError
-from .model import QueueParams, validate
+from .model import QueueParams
 
 __all__ = ["SimConfig", "SimEstimate", "ValidationReport", "simulate", "validate_against"]
 
@@ -71,6 +71,9 @@ class SimConfig:
     trace_limit: int = 0
     trace_path: str | None = None
 
+    def __post_init__(self) -> None:
+        _check_config(self)
+
 
 @dataclass(frozen=True)
 class SimEstimate:
@@ -98,8 +101,13 @@ class SimEstimate:
         return out
 
 
-def _check_config(cfg: SimConfig) -> int:
-    validate(cfg.params)
+def _batching(cfg: SimConfig) -> tuple[int, int]:
+    """Events discarded as warm-up, and events per batch after them."""
+    n_warm = int(cfg.n_events * cfg.warmup_fraction)
+    return n_warm, (cfg.n_events - n_warm) // cfg.n_batches
+
+
+def _check_config(cfg: SimConfig) -> None:
     if cfg.n_batches < 10:
         raise InvalidConfigError(f"need at least 10 batches, got {cfg.n_batches}")
     if not 0.0 <= cfg.warmup_fraction < 1.0:
@@ -111,14 +119,11 @@ def _check_config(cfg: SimConfig) -> int:
             "an event trace needs both a trace path and a trace limit > 0, "
             f"got path {cfg.trace_path!r} and limit {cfg.trace_limit}"
         )
-    n_warm = int(cfg.n_events * cfg.warmup_fraction)
-    batch = (cfg.n_events - n_warm) // cfg.n_batches
-    if batch < 1:
+    if _batching(cfg)[1] < 1:
         raise InvalidConfigError(
             f"{cfg.n_events} events leave no room for {cfg.n_batches} batches "
             f"after warmup"
         )
-    return n_warm
 
 
 def _transitions(u_event: list, state: tuple, p: QueueParams) -> tuple:
@@ -186,10 +191,9 @@ def _check_setup_invariant(states: np.ndarray, c: int, n0: int) -> None:
 
 def simulate(cfg: SimConfig) -> SimEstimate:
     """Run the simulation and return batch-means estimates."""
-    n_warm = _check_config(cfg)
+    n_warm, batch_size = _batching(cfg)
     p = cfg.params
     c, nb = p.c, cfg.n_batches
-    batch_size = (cfg.n_events - n_warm) // nb
     n_total = n_warm + batch_size * nb
 
     rng = np.random.default_rng(cfg.seed)

@@ -22,7 +22,7 @@ from .errors import (
     QueueModelError,
 )
 from .measures import PerformanceReport, full_report
-from .model import CostParams, QueueParams, params_to_dict, validate
+from .model import CostParams, QueueParams, params_to_dict
 from .sim import SimConfig, simulate
 
 __all__ = [
@@ -59,6 +59,9 @@ class SweepSpec:
     seed: int = 0
     sim_events: int = 200_000
 
+    def __post_init__(self) -> None:
+        validate_spec(self)
+
 
 def _point(spec: SweepSpec, x) -> tuple[QueueParams, CostParams]:
     p = spec.params
@@ -88,8 +91,7 @@ def validate_spec(spec: SweepSpec) -> None:
     if bad or not spec.methods:
         raise InvalidConfigError(f"methods must be a nonempty subset of {METHODS}")
     for x in spec.grid:
-        p, _ = _point(spec, x)
-        validate(p)  # rejects unstable grid points up front
+        _point(spec, x)  # building a point checks it, so unstable ones fail here
 
 
 def solve_distribution(params: QueueParams, method: str):
@@ -130,7 +132,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     Returns the rows as dicts keyed by `sweep_columns(spec)`; csv_text
     writes them.
     """
-    validate_spec(spec)
     analytic = [m for m in spec.methods if m != "sim"]
     rows = []
     for idx, x in enumerate(spec.grid):
@@ -227,7 +228,6 @@ def crossover_finder(
     `method`: 7-8 steps at the default bracket, where linear bisection on
     alpha took 30-37.
     """
-    validate(params)
     if not 0 < lo < hi:  # nan fails too
         raise InvalidConfigError(
             f"crossover bracket needs 0 < lo < hi, got lo={lo!r}, hi={hi!r}"

@@ -252,6 +252,20 @@ def test_sweep_log_grid_needs_positive_bounds(capsys, grid):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "flags, tag",
+    [
+        (("--var", "rho", "--lambda", "10", "--alpha", "1"), "Unstable"),
+        (("--var", "alpha", "--lambda", "1", "--alpha", "0"), "InvalidParameter"),
+    ],
+)
+def test_sweep_refuses_an_invalid_flag_it_would_override(capsys, flags, tag):
+    # the flags build the fixed point before the sweep replaces the swept
+    # value, and that point must itself be a valid queue
+    code, d = run_json(capsys, "sweep", *flags, "--c", "2", "--grid", "0.1,0.5")
+    assert code == 2 and d["error"] == tag
+
+
 def test_bad_method_rejected(capsys):
     # solve restricts --method via argparse choices
     with pytest.raises(SystemExit) as exc:

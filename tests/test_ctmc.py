@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -69,6 +71,29 @@ def test_level_dependent_law_is_refused(monkeypatch):
     monkeypatch.setattr(ctmc, "transition_rates", drifting)
     with pytest.raises(InternalInconsistencyError):
         ctmc.solve_truncated(p, j_max=20)
+
+
+@pytest.mark.parametrize(
+    "fn, kw, tol",
+    [
+        ("solve_truncated", {"j_max": 12}, math.nan),
+        ("solve_adaptive", {}, math.nan),
+        ("solve_adaptive", {}, -1.0),
+        ("solve_adaptive", {"j_max": 12}, -1.0),
+        ("choose_truncation", {}, 0.0),
+        ("choose_truncation", {}, math.inf),
+    ],
+)
+def test_bad_tol_is_refused_before_any_solve(monkeypatch, fn, kw, tol):
+    # nan once gave an uncertified law (tail mass 3.5e-3) or a bare
+    # ValueError, and -1 a misleading TruncationInsufficient
+    def no_solve(*args):
+        raise AssertionError("solved with a bad tol")
+
+    monkeypatch.setattr(ctmc, "_generator", no_solve)
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    with pytest.raises(InvalidConfigError, match="ctmc tol must be finite and > 0"):
+        getattr(ctmc, fn)(p, tol=tol, **kw)
 
 
 def test_choose_truncation_moderate_load():

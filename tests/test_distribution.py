@@ -4,6 +4,7 @@ import pytest
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import ctmc, distribution, gf, measures, qbd
 from mmcsetup.distribution import PoleTail
+from mmcsetup.errors import InvalidStateError
 from mmcsetup.gf import quadratic_roots
 from mmcsetup.model import QueueParams
 
@@ -73,6 +74,12 @@ def test_prob_of_impossible_states_is_zero():
     assert d.prob(2, 1) == 0.0  # j < i
     assert d.prob(3, 5) == 0.0  # i > c
     assert d.prob(-1, 0) == 0.0
+
+
+def test_negative_level_is_an_invalid_state():
+    for d in _dists(POINTS[0]):
+        with pytest.raises(InvalidStateError, match="level must be >= 0"):
+            d.level(-1)
 
 
 def test_mean_jobs_cross_method():

@@ -6,7 +6,12 @@ import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
 from mmcsetup import measures, mmc
-from mmcsetup.errors import DegenerateConditionError, InvalidConfigError
+from mmcsetup.distribution import ExplicitTail, JointDistribution
+from mmcsetup.errors import (
+    DegenerateConditionError,
+    InternalInconsistencyError,
+    InvalidConfigError,
+)
 from mmcsetup.model import CostParams, QueueParams
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
@@ -92,6 +97,20 @@ def test_costs_refuse_a_bad_weight(bad):
     d = gf_solution(p).distribution()
     with pytest.raises(InvalidConfigError, match="c_idle"):
         measures.full_report(d, p, CostParams(c_idle=bad))
+
+
+@pytest.mark.parametrize("where", ["boundary", "tail corner"])
+def test_report_refuses_a_nan_in_the_switching_balance(where):
+    # a nan on the mu side once passed the balance check as "not > tol"
+    d = oracle_distribution(P112)
+    boundary, levels = d.boundary.copy(), d.tail.levels.copy()
+    if where == "boundary":
+        boundary[1, 1] = np.nan  # pi_{1,1}, a diagonal state
+    else:
+        levels[0, P112.c] = np.nan  # pi_{c,c}
+    bad = JointDistribution(P112, boundary, ExplicitTail(levels), "oracle")
+    with pytest.raises(InternalInconsistencyError, match="switching balance"):
+        measures.full_report(bad, P112)
 
 
 def test_setup_free_limits():

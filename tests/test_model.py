@@ -50,6 +50,38 @@ def test_validate_bad_params(kwargs):
         validate(QueueParams(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(c=0), "c must be >= 1, got 0"),
+        (dict(c=2.0), "c must be an int, got 2.0"),
+        (dict(lam=math.nan), "lambda must be a finite number, got nan"),
+        (dict(mu=0.0), "mu must be > 0, got 0.0"),
+        (dict(alpha=-0.5), "alpha must be > 0, got -0.5"),
+    ],
+)
+def test_params_check_themselves_when_built(kwargs, message):
+    # no solver re-checks its params, so an instance must not exist unchecked
+    full = dict(lam=1.0, mu=1.0, alpha=1.0, c=2) | kwargs
+    with pytest.raises(InvalidParameterError) as exc:
+        QueueParams(**full)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidParameterError) as exc:
+        replace(QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2), **kwargs)
+    assert str(exc.value) == message
+
+
+def test_unstable_params_fail_when_built():
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    for build in (
+        lambda: QueueParams(lam=3.0, mu=1.0, alpha=1.0, c=2),
+        lambda: replace(p, lam=2.0),
+        lambda: replace(p, c=1),
+    ):
+        with pytest.raises(UnstableError):
+            build()
+
+
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
 
 

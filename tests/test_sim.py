@@ -69,6 +69,20 @@ def test_config_rejections():
         sim.simulate(sim.SimConfig(params=P112, n_events=15))
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(n_batches=5), "need at least 10 batches"),
+        (dict(warmup_fraction=1.0), "warmup fraction must be in"),
+        (dict(n_events=15), "leave no room"),
+        (dict(trace_limit=10), "an event trace needs both"),
+    ],
+)
+def test_config_checks_itself_when_built(kw, message):
+    with pytest.raises(InvalidConfigError, match=message):
+        sim.SimConfig(params=P112, **kw)
+
+
 def test_zero_warmup_allowed():
     est = run(P112, warmup_fraction=0.0, n_events=100_000)
     assert est.n_events == 100_000

@@ -39,6 +39,16 @@ def test_validate_spec_rejections():
             sweeps.validate_spec(spec(var="c", grid=grid))
 
 
+def test_spec_checks_itself_when_built():
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    with pytest.raises(InvalidConfigError, match="unknown sweep variable 'beta'"):
+        sweeps.SweepSpec(var="beta", grid=(0.5,), params=p)
+    with pytest.raises(UnstableError):  # each point is built, so checked
+        sweeps.SweepSpec(var="rho", grid=(0.5, 1.0), params=p)
+    with pytest.raises(InvalidConfigError, match="empty sweep grid"):
+        replace(spec(), grid=())
+
+
 def test_alpha_sweep_rows():
     sp = spec(methods=("gf", "qbd"))
     rows = sweeps.run_sweep(sp)
