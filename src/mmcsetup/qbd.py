@@ -7,19 +7,21 @@ times_qm1 multiplies by the service block, and the arrival block is lam*I.
 
 The rate matrix R is upper triangular with diagonal r_{i,i} = 1/zhat_i.
 Each column above the diagonal solves one small upper-triangular system in
-terms of the columns before it, with positive pivots formed from the root
-gaps zhat_i - 1 and 1 - z_k, nonpositive off-diagonals and a nonnegative
-right-hand side.  No iteration, no cancellation: R stays accurate at slow
+terms of the columns before it, taken as R's own entries above a negative
+diagonal formed from the root gaps zhat_i - 1 and 1 - z_k, with a
+nonpositive right-hand side, on R's packed upper triangle in place (see
+rate_matrix).  No iteration, no cancellation: R stays accurate at slow
 setup and on the line alpha = mu (1 - rho), where the zhat_i collide.  The
 first-passage matrix G = R*Qm1/lam is a column scaling of R (see g_matrix).
 
 Boundary levels get their own rectangular R^{(i)} from a backward sweep
 that inverts one upper-triangular M-matrix per level in place, by recursive
 halving, subtraction-free as well (see level_rate_matrices).  Each R^{(i)}
-is held as its packed upper triangle (about 86 MB in all at c = 400,
-against 171 MB dense); the boundary G^{(n)} are read off them and never
-stored (see g_levels).  QbdSolution.rlevels and QbdSolution.glevels are
-lazy sequences (see LevelView) that form one dense level per read.
+is held as its packed upper triangle, all of them slices of one store
+(about 86 MB at c = 400, against 171 MB dense); the boundary G^{(n)} are
+read off them and never stored (see g_levels).  QbdSolution.rlevels and
+QbdSolution.glevels are lazy sequences (see LevelView) that form one dense
+level per read.
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, each
 product read off the packed triangle by BLAS dtpmv (solve unpacks only
@@ -90,6 +92,9 @@ def times_qm1(
     return out
 
 
+_SHORT = 16  # rate_matrix solves columns of at most this many unknowns directly
+
+
 def rate_matrix(params: QueueParams) -> np.ndarray:
     """Minimal nonnegative R with lam*I + R*Q0 + R^2*Qm1 = 0.
 
@@ -98,32 +103,57 @@ def rate_matrix(params: QueueParams) -> np.ndarray:
     i < k, whose matrix diag(q_k - k*mu*(r_ii + r_kk)) - k*mu*triu(R[:k,:k], 1)
     needs only the columns already built.  By f_k(zhat_k) = 0 and Vieta
     (k*mu = lam*zhat_k*z_k) its pivots are
-    lam*zhat_k*((zhat_i - 1) + (1 - z_k))/zhat_i, formed in long double from
-    the two root gaps without a subtraction (Higham 2002, ch. 1) and rounded
-    once.  Its off-diagonals are nonpositive and the right-hand side
-    (c-k+1)*alpha*R[:k, k-1] is nonnegative, so back substitution only ever
-    adds nonnegative terms.
+    lam*zhat_k*((zhat_i - 1) + (1 - z_k))/zhat_i, and the right-hand side is
+    (c-k+1)*alpha*R[:k, k-1].  The system is solved divided by -k*mu, as
+    (S + D) x = b: S = triu(R[:k,:k], 1) itself, D the pivots / (-k*mu),
+    formed in long double from the two root gaps without a subtraction
+    (Higham 2002, ch. 1) and rounded once, and b <= 0, so the solve only
+    ever adds same-signed terms.
+
+    R is built as its packed upper triangle, column by column (BLAS packed
+    U), so column k's matrix is the packed prefix holding columns 0..k-1:
+    D is written onto that prefix's diagonal and BLAS solves there in place,
+    with no copy of R[:k,:k].  dtpsv starts each unknown from its b_i and
+    adds the other terms to it one at a time, each rounded at b_i's scale
+    where b dominates (fast setup): R read 1.5e-14 from a 40-digit R that
+    way at (rho, alpha, c) = (0.3, 1e3, 150), against 4.0e-15 from dense
+    solves.  A column of more than _SHORT unknowns is therefore taken as
+    x = x0 - z, x0 = b/D and (S + D) z = S*x0 (BLAS dtpmv with the diagonal
+    zeroed): x0 >= 0, S*x0 >= 0 and z <= 0, so every sum stays same-signed
+    and b's scale is rounded once (3.1e-15 at that point).  The diagonal
+    1/zhat goes back when R is unpacked.
     """
-    from scipy.linalg.lapack import dtrtrs
+    from scipy.linalg.blas import dtpmv, dtpsv
 
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
     roots = quadratic_roots(params)
-    r = np.diag(1.0 / roots.zhat)
     zh = 1 + roots.zhat_gap
-    # pivots[i, k] for every i < k at once
-    gaps = np.add.outer(roots.zhat_gap, roots.z_gap)
-    pivots = (gaps * (lam * zh) / zh[:, None]).astype(float)
-    work = np.empty(c * c)  # each column's system matrix, reused
+    # D for column k is pivots[k-1, :k]; every column's at once
+    gaps = np.add.outer(roots.z_gap[1:], roots.zhat_gap)
+    scale = lam * zh[1:] / (-mu * np.arange(1, c + 1))
+    pivots = (gaps * scale[:, None] / zh).astype(float)
+    diag = np.arange(1, c + 2).cumsum() - 1  # slot of r_jj, j(j+3)/2
+    rdiag = 1.0 / roots.zhat
+    ap = np.zeros((c + 1) * (c + 2) // 2)
+    ap[diag] = rdiag
     for k in range(1, c + 1):
-        flat = work[: k * k]
-        m = np.multiply(r[:k, :k], -k * mu, out=flat.reshape(k, k))
-        flat[:: k + 1] = pivots[:k, k]
-        # LAPACK reads the C-order upper triangle m in place as the transpose
-        # of a lower-triangular Fortran array
-        rhs = (c - k + 1) * alpha * r[:k, k - 1]
-        r[:k, k], info = dtrtrs(m.T, rhs, lower=1, trans=1)
-        if info != 0:
-            raise InternalInconsistencyError(f"zero pivot {info} in a column solve")
+        s = k * (k + 1) // 2  # column k starts here
+        # b from column k-1, its diagonal r_{k-1,k-1} included
+        f = (c - k + 1) * alpha / (-k * mu)
+        x = np.multiply(ap[s - k : s], f, out=ap[s : s + k])
+        d = pivots[k - 1, :k]
+        if k > _SHORT:  # keep x0 = b/D, and form S*x0 in its place
+            x0 = np.divide(x, d, out=x).copy()
+            ap[diag[:k]] = 0.0
+            dtpmv(k, ap, x, overwrite_x=1)
+        ap[diag[:k]] = d
+        dtpsv(k, ap, x, overwrite_x=1)
+        if k > _SHORT:
+            np.subtract(x0, x, out=x)
+    ap[diag] = rdiag
+    r = np.zeros((c + 1, c + 1))
+    # packed U is the transpose's lower triangle, row by row
+    r.T[np.tri(c + 1, dtype=bool)] = ap
     return r
 
 
@@ -198,22 +228,30 @@ class LevelView(Sequence):
 
 
 class _Packed:
-    """R^(1)..R^(c) as packed triangles: tri[n] holds, row by row, the upper
+    """R^(1)..R^(c) as packed triangles in one store of
+    (c+1)(c+2)(c+3)/6 - 1 floats.  Level n holds, row by row, the upper
     triangle of the (n+1)-square whose first n rows are R^(n) (LAPACK's
-    column-major lower packing of its transpose, (n+1)(n+2)/2 floats).
-    Called with n, it forms the dense R^(n)."""
+    column-major lower packing of its transpose, (n+1)(n+2)/2 floats),
+    from offset n(n+1)(n+2)/6 - 1.  Called with n, it forms the dense
+    R^(n)."""
 
-    __slots__ = ("tri",)
+    __slots__ = ("store", "c")
 
-    def __init__(self, tri: list):
-        self.tri = tri
+    def __init__(self, c: int):
+        self.store = np.empty((c + 1) * (c + 2) * (c + 3) // 6 - 1)
+        self.c = c
+
+    def tri(self, n: int) -> np.ndarray:
+        """Level n's packed triangle, a view of the store."""
+        start = n * (n + 1) * (n + 2) // 6 - 1
+        return self.store[start : start + (n + 1) * (n + 2) // 2]
 
     def __call__(self, n: int) -> np.ndarray:
         # imported per read, not bound into the view, so a solution still
         # pickles
         from scipy.linalg.lapack import dtpttr
 
-        a, _ = dtpttr(n + 1, self.tri[n], uplo="L")
+        a, _ = dtpttr(n + 1, self.tri(n), uplo="L")
         # the Fortran lower triangle read as C order is the upper one; the
         # last row of the unpacked square is dropped
         return a.T[:n]
@@ -227,9 +265,9 @@ class _Packed:
         from scipy.linalg.blas import dtpmv
 
         pi = [np.ones(1)]
-        for n in range(1, len(self.tri)):
+        for n in range(1, self.c + 1):
             x = np.append(pi[-1], 0.0)
-            pi.append(dtpmv(n + 1, self.tri[n], x, lower=1, overwrite_x=1))
+            pi.append(dtpmv(n + 1, self.tri(n), x, lower=1, overwrite_x=1))
         return pi
 
 
@@ -238,14 +276,16 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
     A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
-    the first i rows of A^{-1}.  A is built in one reused workspace, its
-    setup rates and diagonal written through strided views of it, and
-    inverted there by _invert_lower (a recursive blocked inverse, in place);
-    -lam*A^{-1} goes to a second reused buffer, whose first i rows are the
-    R^(i) the next level reads, and is kept as its packed upper triangle
-    ((i+1)(i+2)/2 floats, LAPACK dtrttp), half the dense size.  The result
-    unpacks one R^(i) per access (dtpttr; see LevelView); solve's forward
-    pass reads the packed triangles themselves (dtpmv) and unpacks none.
+    the first i rows of A^{-1}.  A is built in one of two reused buffers,
+    its setup rates and diagonal written through strided views of it, and
+    inverted there by _invert_lower (a recursive blocked inverse, in place).
+    The inverse stays unscaled: it is packed (LAPACK dtrttp) and scaled by
+    -lam into level i's slice of one store (see _Packed), half the dense
+    size, and the next level's A is formed from it in the other buffer as
+    (A^{-1} * -lam) * Qm1, the roundings of times_qm1 applied to R^(i).
+    The result unpacks one R^(i) per access (dtpttr; see LevelView); solve's
+    forward pass reads the packed triangles themselves (dtpmv) and unpacks
+    none.
 
     The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
@@ -259,22 +299,29 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
     from scipy.linalg.lapack import dtrtri, dtrttp
 
     lam, mu, alpha, c = params.lam, params.mu, params.alpha, params.c
-    packed: list = [None] * (c + 1)
-    work = np.empty((c + 1) ** 2)
-    scaled = np.empty((c + 1) ** 2)
-    r_next = r_hom
+    packed = _Packed(c)
+    work = np.empty((2, (c + 1) ** 2))
+    rates = mu * np.arange(c + 1)
+    setup = np.arange(c, 0, -1) * alpha  # level i's are the last i
+    x = None  # the level above's A^{-1}
     for i in range(c, 0, -1):
         n = i + 1
-        flat = work[: n * n]
+        flat = work[i % 2, : n * n]
         a = flat.reshape(n, n)
-        times_qm1(params, r_next, n, out=a)
+        if x is None:
+            times_qm1(params, r_hom, n, out=a)
+        else:
+            # times_qm1(params, R^(i+1), n) with R^(i+1) = -lam * x[:n]
+            np.multiply(x[:n, :n], -lam, out=a)
+            a *= rates[:n]
+            a[:, n - 1] += (x[:n, n] * -lam) * rates[n]
         # the setup rates of Q0^(i) go on the superdiagonal; the diagonal is
         # zeroed, then formed from the row sums.  The diagonal is computed
         # out of place: numpy 2.4's in-place np.negative on a view with a
         # stride of 8 elements has returned wrong values.
-        flat[1 :: n + 1] += (i - np.arange(i)) * alpha
+        flat[1 :: n + 1] += setup[c - i :]
         flat[:: n + 1] = 0.0
-        diag = -(mu * np.arange(n) + a.sum(axis=1))
+        diag = -(rates[:n] + a.sum(axis=1))
         if not np.abs(diag).min() >= 1e-14:  # a nan trips it too
             raise InternalInconsistencyError(
                 f"singular diagonal in boundary solve at level {i}"
@@ -282,10 +329,10 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
         flat[:: n + 1] = diag
         # the transpose of a C-order upper triangle is a Fortran lower one
         _invert_lower(dtrtri, dtrmm, a.T)
-        b = np.multiply(a, -lam, out=scaled[: n * n].reshape(n, n))
-        packed[i], _ = dtrttp(b.T, uplo="L")
-        r_next = b[:i]
-    return LevelView(_Packed(packed), range(c + 1))
+        tri, _ = dtrttp(a.T, uplo="L")
+        np.multiply(tri, -lam, out=packed.tri(i))
+        x = a
+    return LevelView(packed, range(c + 1))
 
 
 def _g_level(params: QueueParams, rlevels: Sequence, n: int) -> np.ndarray:

@@ -108,6 +108,10 @@ def _batching(cfg: SimConfig) -> tuple[int, int]:
 
 
 def _check_config(cfg: SimConfig) -> None:
+    if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
+        raise InvalidConfigError(
+            f"seed must be a nonnegative integer, got {cfg.seed!r}"
+        )
     if cfg.n_batches < 10:
         raise InvalidConfigError(f"need at least 10 batches, got {cfg.n_batches}")
     if not 0.0 <= cfg.warmup_fraction < 1.0:

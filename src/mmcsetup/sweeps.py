@@ -92,6 +92,14 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidConfigError(f"methods must be a nonempty subset of {METHODS}")
     for x in spec.grid:
         _point(spec, x)  # building a point checks it, so unstable ones fail here
+    if "sim" in spec.methods:
+        # the rows' simulator settings differ only in the queue, which the
+        # loop above has checked
+        _sim_config(spec, spec.params)
+
+
+def _sim_config(spec: SweepSpec, params: QueueParams) -> SimConfig:
+    return SimConfig(params=params, n_events=spec.sim_events, seed=spec.seed)
 
 
 def solve_distribution(params: QueueParams, method: str):
@@ -159,9 +167,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             row["onidle_e_jobs"] = base["e_jobs"]
             row["onidle_e_busy"] = base["e_busy"]
             if "sim" in spec.methods:
-                est = simulate(
-                    SimConfig(params=p, n_events=spec.sim_events, seed=spec.seed)
-                )
+                est = simulate(_sim_config(spec, p))
                 row["sim_e_jobs"] = est.e_jobs
                 row["sim_hw_jobs"] = est.hw_jobs
         except QueueModelError as exc:

@@ -327,6 +327,16 @@ def test_simulate_command(capsys):
     assert abs(d["e_jobs"] - 2.0914) < 6 * d["hw_jobs"]
 
 
+def test_simulate_refuses_a_negative_seed(capsys):
+    code, out = run(
+        capsys,
+        "simulate", "--rho", "0.5", "--c", "4", "--alpha", "1",
+        "--events", "20000", "--seed", "-1",
+    )
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "InvalidConfig"
+
+
 def test_simulate_trace_needs_limit(capsys, tmp_path):
     path = tmp_path / "out.csv"
     code, d = run_json(

@@ -198,12 +198,19 @@ def reference_rate_matrix(p, dps=40):
 
 @pytest.mark.parametrize(
     "p",
-    # both read 1.1e-12 / 3.2e-13 while the root gaps zhat - 1 and 1 - z
-    # were taken by subtraction from long-double roots: each of the c back
-    # substitutions added its pivot's error; from the closed-form gaps they
-    # read 3.1e-15 / 1.4e-15
-    [rq(0.95, 1e-4, 40), rq(0.5, 1e-5, 40)],
-    ids=["rho0.95", "rho0.5"],
+    # the first two read 1.1e-12 / 3.2e-13 while the root gaps zhat - 1 and
+    # 1 - z were taken by subtraction from long-double roots: each of the c
+    # back substitutions added its pivot's error; now 1.5e-15 / 1.2e-15.
+    # The fast-setup point at c = 150 reads 3.1e-15, and 1.5e-14 without the
+    # split of rate_matrix's longer columns
+    [
+        rq(0.95, 1e-4, 40),
+        rq(0.5, 1e-5, 40),
+        rq(0.5, 0.7, 60),
+        rq(0.3, 1e3, 40),
+        rq(0.3, 1e3, 150),
+    ],
+    ids=["rho0.95", "rho0.5", "c60", "fast", "fast_c150"],
 )
 def test_rate_matrix_matches_40_digits_at_slow_setup(p):
     # entry by entry, relative; the strict lower triangle is exactly zero
@@ -501,6 +508,27 @@ def test_solution_pickles_with_its_lazy_levels():
     assert len(back.rlevels) == len(back.glevels) == 7
     assert all(np.array_equal(a, b) for a, b in zip(sol.rlevels[1:], back.rlevels[1:]))
     assert all(np.array_equal(a, b) for a, b in zip(sol.glevels[1:], back.glevels[1:]))
+
+
+@pytest.mark.parametrize("c", [65, 130])
+def test_packed_levels_share_one_store(c):
+    # R^(1)..R^(c) are slices of one array of (c+1)(c+2)(c+3)/6 - 1 floats,
+    # level n taking (n+1)(n+2)/2 of them from n(n+1)(n+2)/6 - 1 on; a
+    # pickled solution keeps them so
+    sol = qbd.solve(rq(0.5, 0.7, c))
+    back = pickle.loads(pickle.dumps(sol))
+    for packed in (sol.rlevels._form, back.rlevels._form):
+        store = packed.store
+        assert store.shape == ((c + 1) * (c + 2) * (c + 3) // 6 - 1,)
+        tris = [packed.tri(n) for n in range(1, c + 1)]
+        assert all(np.shares_memory(t, store) for t in tris)
+        assert not any(np.shares_memory(a, b) for a, b in zip(tris, tris[1:]))
+        for n, t in enumerate(tris, 1):
+            start = (t.ctypes.data - store.ctypes.data) // store.itemsize
+            assert start == n * (n + 1) * (n + 2) // 6 - 1, n
+            assert t.size == (n + 1) * (n + 2) // 2, n
+    for n in (1, c // 2, c):
+        assert np.array_equal(back.rlevels[n], sol.rlevels[n]), n
 
 
 def test_solve_without_g_builds_no_g_level(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -81,6 +82,17 @@ def test_config_rejections():
 def test_config_checks_itself_when_built(kw, message):
     with pytest.raises(InvalidConfigError, match=message):
         sim.SimConfig(params=P112, **kw)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    # numpy's default_rng raised a bare ValueError for -1 once simulate ran
+    message = "seed must be a nonnegative integer"
+    with pytest.raises(InvalidConfigError, match=message):
+        sim.SimConfig(params=P112, seed=seed)
+    with pytest.raises(InvalidConfigError, match=message):
+        replace(sim.SimConfig(params=P112), seed=seed)
+    assert sim.SimConfig(params=P112, seed=np.int64(3)).seed == 3
 
 
 def test_zero_warmup_allowed():

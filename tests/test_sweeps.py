@@ -49,6 +49,16 @@ def test_spec_checks_itself_when_built():
         replace(spec(), grid=())
 
 
+def test_spec_with_sim_checks_the_simulator_settings():
+    # 10 events leave no room for 20 batches: the spec is refused once,
+    # where every row used to come back with error InvalidConfig
+    with pytest.raises(InvalidConfigError, match="leave no room"):
+        spec(methods=("gf", "sim"), sim_events=10)
+    with pytest.raises(InvalidConfigError, match="seed must be"):
+        replace(spec(methods=("sim",), sim_events=20_000), seed=-1)
+    spec(methods=("gf",), sim_events=10)  # not simulated, so not checked
+
+
 def test_alpha_sweep_rows():
     sp = spec(methods=("gf", "qbd"))
     rows = sweeps.run_sweep(sp)
