@@ -201,16 +201,17 @@ def reference_rate_matrix(p, dps=40):
     # the first two read 1.1e-12 / 3.2e-13 while the root gaps zhat - 1 and
     # 1 - z were taken by subtraction from long-double roots: each of the c
     # back substitutions added its pivot's error; now 1.5e-15 / 1.2e-15.
-    # The fast-setup point at c = 150 reads 3.1e-15, and 1.5e-14 without the
-    # split of rate_matrix's longer columns
+    # The fast-setup point at c = 150 reads 2.9e-15, and 1.5e-14 without the
+    # split of rate_matrix's longer columns; the moderate one 1.5e-15
     [
         rq(0.95, 1e-4, 40),
         rq(0.5, 1e-5, 40),
         rq(0.5, 0.7, 60),
         rq(0.3, 1e3, 40),
         rq(0.3, 1e3, 150),
+        rq(0.5, 0.7, 150),
     ],
-    ids=["rho0.95", "rho0.5", "c60", "fast", "fast_c150"],
+    ids=["rho0.95", "rho0.5", "c60", "fast", "fast_c150", "c150"],
 )
 def test_rate_matrix_matches_40_digits_at_slow_setup(p):
     # entry by entry, relative; the strict lower triangle is exactly zero
