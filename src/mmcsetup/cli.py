@@ -118,6 +118,7 @@ def _cmd_solve(args) -> int:
         payload["methods"] = list(methods)
         payload["method_max_gap"] = report_gap(list(reports.values()))
         payload["e_jobs_by_method"] = {m: r.e_jobs for m, r in reports.items()}
+        payload["info_by_method"] = {m: d.info for m, d in dists.items()}
     solution = dists[methods[0]].to_dict()
     if args.out:
         paths = {"report": args.out + ".report.json", "solution": args.out + ".solution.json"}

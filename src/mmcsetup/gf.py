@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -250,16 +251,31 @@ class GfSolution:
 
     boundary[i, j] is pi_{i,j} for j <= c (column c, the first tail level,
     included for convenience); moments_full[i, n] is the n-th factorial
-    moment of the row-i generating function at 1.  Both hold the pass's
-    numbers: float64, or mpmath numbers when `solve` ran at a pinned
-    precision.  The tail is always float64.
+    moment of the row-i generating function at 1, formed on first read and
+    kept.  Both hold the pass's numbers: float64, or mpmath numbers when
+    `solve` ran at a pinned precision, in which case pass_tail is the
+    pass's own PoleTail over mpmath numbers, so that the moments are formed
+    at the pass's digits.  The tail is always float64.
     """
 
     params: QueueParams
     boundary: np.ndarray
-    moments_full: np.ndarray
     tail: PoleTail
     info: dict = field(default_factory=dict)
+    pass_tail: PoleTail | None = field(default=None, repr=False)
+
+    @cached_property
+    def moments_full(self) -> np.ndarray:
+        dps = self.info["precision_digits"]
+        if dps is None:
+            return self._moments(self.tail)
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            return self._moments(self.pass_tail)
+
+    def _moments(self, tail: PoleTail) -> np.ndarray:
+        return _head_moments(self.boundary, N_MOMENTS) + tail.factorial_moments(N_MOMENTS)
 
     def mean_jobs(self) -> float:
         """E[L] = sum_i (i * P_i(1) + P_i'(1)) from the factorial moments."""
@@ -293,6 +309,9 @@ def _certify(params: QueueParams, masses: np.ndarray, seam_gap: float) -> dict:
 
 
 def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
+    """One pass in the number type of `one`, certified by `_certify` on the
+    row masses (boundary row sums plus tail masses, order 0 of the factorial
+    moments); the higher moments wait for `GfSolution.moments_full`."""
     c = params.c
     z, zh, zh_gap, z_gap = _roots(params, one)
     dtype = float if dps is None else object
@@ -306,10 +325,13 @@ def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     Y, G = Y.astype(dtype), G.astype(dtype)
     gaps = [a.astype(dtype).tolist() for a in (wm1, zh_gap)]
     pi, B, seam_gap = _newton_pass(params, x.astype(dtype), Y, G, *gaps, dx)
-    moments = _head_moments(pi, N_MOMENTS) + PoleTail(B, Y, G).factorial_moments(N_MOMENTS)
-    info = {"precision_digits": dps, **_certify(params, moments[:, 0], seam_gap)}
+    pt = PoleTail(B, Y, G)
+    masses = pi[:, :c].sum(axis=1) + pt.sum0()
+    info = {"precision_digits": dps, **_certify(params, masses, seam_gap)}
+    if dps is None:
+        return GfSolution(params, pi, pt, info)
     floats = (np.asarray(a, dtype=float) for a in (B, Y, G))
-    return GfSolution(params, pi, moments, PoleTail(*floats), info)
+    return GfSolution(params, pi, PoleTail(*floats), info, pt)
 
 
 def solve(params: QueueParams, dps: int | None = None) -> GfSolution:

@@ -161,7 +161,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 for name in PerformanceReport.csv_header():
                     row[name] = getattr(rep, name)
             row["method_gap"] = gap
-            if gap > METHOD_GAP_LIMIT:
+            if not gap <= METHOD_GAP_LIMIT:  # nan disagrees too
                 row["error"] = "MethodDisagreement"
             base = mmc.mmc_baseline(p, costs)
             row["onidle_e_jobs"] = base["e_jobs"]

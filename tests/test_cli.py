@@ -54,6 +54,22 @@ def test_solve_all_methods_agree(capsys):
     assert max(vals) - min(vals) < 1e-9
 
 
+def test_solve_all_methods_reports_each_info(capsys):
+    point = ("solve", "--rho", "0.5", "--alpha", "0.7", "--c", "10")
+    code, d = run_json(capsys, *point, "--method", "all")
+    assert code == 0
+    info = d["info_by_method"]
+    assert list(info) == ["gf", "qbd", "ctmc"]
+    assert info["gf"] == d["solution"]["info"]
+    assert {"precision_digits", "job_flow_gap", "seam_cut_gap"} <= info["gf"].keys()
+    assert {"method", "spectral_radius", "boundary_certificate"} <= info["qbd"].keys()
+    assert {"j_max", "tail_mass", "balance_residual"} <= info["ctmc"].keys()
+    for m in ("gf", "qbd"):
+        code, single = run_json(capsys, *point, "--method", m)
+        assert "info_by_method" not in single
+        assert single["solution"]["info"] == info[m]
+
+
 def test_solve_rho_form(capsys):
     code, d = run_json(
         capsys, "solve", "--rho", "0.5", "--mu", "2", "--alpha", "0.7", "--c", "3"

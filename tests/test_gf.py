@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution, run_fresh
-from mmcsetup import gf, mmc
+from mmcsetup import gf, measures, mmc
+from mmcsetup.distribution import PoleTail
 from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.model import QueueParams
 
@@ -257,6 +258,71 @@ def test_float64_and_pinned_precision_passes_agree():
     tail, ref = slow.distribution().tail, fast.distribution().tail
     for m in range(131):
         np.testing.assert_allclose(tail.level(m), ref.level(m), rtol=1e-12, atol=0.0)
+
+
+def _count_moment_calls(monkeypatch) -> list:
+    calls = []
+    head, tail = gf._head_moments, PoleTail.factorial_moments
+    monkeypatch.setattr(gf, "_head_moments", lambda *a: calls.append("head") or head(*a))
+    monkeypatch.setattr(
+        PoleTail, "factorial_moments", lambda *a: calls.append("tail") or tail(*a)
+    )
+    return calls
+
+
+def test_solve_and_its_measures_form_no_moments(monkeypatch):
+    # the certificates need only the row masses; no consumer of the
+    # distribution reads the factorial moments
+    calls = _count_moment_calls(monkeypatch)
+    p = QueueParams(lam=10.0, mu=1.0, alpha=0.7, c=20)
+    dist = gf.solve(p).distribution()
+    measures.full_report(dist, p)
+    measures.decomposition(dist, p)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "read", [lambda s: s.moments_full, lambda s: s.mean_jobs()], ids=["direct", "mean_jobs"]
+)
+def test_moments_are_formed_once_on_first_read(monkeypatch, read):
+    calls = _count_moment_calls(monkeypatch)
+    sol = gf.solve(QueueParams(lam=2.0, mu=1.0, alpha=0.7, c=4))
+    assert calls == []
+    read(sol)
+    assert calls == ["head", "tail"]
+    first = sol.moments_full
+    read(sol)
+    assert calls == ["head", "tail"]
+    assert sol.moments_full is first
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, c",
+    [(0.5, 0.7, 20), (0.8, 0.1, 20), (0.5, 0.5, 10), (0.3, 1e-8, 60), (0.5, 0.7, 1)],
+    ids=["moderate", "below", "confluent", "slow", "c1"],
+)
+def test_lazy_moments_equal_the_eager_expression(rho, alpha, c):
+    p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
+    sol = gf.solve(p)
+    t = sol.tail
+    eager = gf._head_moments(sol.boundary, gf.N_MOMENTS) + PoleTail(
+        t.coeffs, t.nodes, t.gaps
+    ).factorial_moments(gf.N_MOMENTS)
+    assert np.array_equal(sol.moments_full, eager)
+
+
+def test_moments_read_late_keep_the_pass_precision():
+    # read after solve has left its 40-digit context, the moments are still
+    # formed at 40 digits, not at mpmath's default 15
+    import mpmath as mp
+
+    p = QueueParams(lam=5.0, mu=1.0, alpha=0.7, c=10)
+    got = gf.solve(p, dps=40).moments_full
+    with mp.workdps(60):
+        want = gf.solve(p, dps=60).moments_full
+        worst = max(abs(a - b) / abs(b) for a, b in zip(got.ravel(), want.ravel()) if b)
+        assert all(a == 0 for a, b in zip(got.ravel(), want.ravel()) if not b)
+    assert worst < 1e-35
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,13 @@ def test_alpha_sweep_rows():
     assert len({row["onidle_e_jobs"] for row in rows}) == 1
 
 
+def test_nan_method_gap_is_flagged(monkeypatch):
+    # a gap that is not a number cannot show agreement
+    monkeypatch.setattr(sweeps, "report_gap", lambda reports: math.nan)
+    rows = sweeps.run_sweep(spec(methods=("gf", "qbd")))
+    assert [row["error"] for row in rows] == ["MethodDisagreement"] * 3
+
+
 def test_rho_sweep_rescales_lambda():
     sp = spec(var="rho", grid=(0.3, 0.6))
     rows = sweeps.run_sweep(sp)
