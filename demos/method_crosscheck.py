@@ -18,7 +18,7 @@ params = QueueParams(lam=14.0, mu=1.0, alpha=0.4, c=20)
 d_gf = gf.solve(params).distribution()
 sol_q = qbd.solve(params, with_g=True)
 d_qbd = sol_q.distribution()
-d_ora = ctmc.solve_adaptive(params, tol=1e-13)
+d_ora = ctmc.solve_adaptive(params)
 
 worst_gq = worst_go = 0.0
 for j in range(params.c + 101):

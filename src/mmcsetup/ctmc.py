@@ -24,9 +24,16 @@ from .errors import InternalInconsistencyError, InvalidConfigError, TruncationIn
 from .model import QueueParams, State, transition_rates
 
 
-def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
+# Mass certificate of every oracle solve: the truncated chain's top levels
+# (and any clipped negative mass) must hold at most TOL.
+TOL = 1e-12
+# Largest LU band solve_adaptive will build, (3c + 4) * 8 bytes per state.
+MAX_BAND_BYTES = 2 * 1024**3
+
+
+def choose_truncation(params: QueueParams) -> int:
     """A-priori level cap: smallest k with geometric estimate
-    r^k / (1 - r) < tol, doubled once for safety, floored at c + 5.
+    r^k / (1 - r) < TOL, doubled once for safety, floored at c + 5.
 
     r covers both tail regimes: the rho-geometric decay once all servers
     run, and the lambda / (lambda + c alpha) decay of the zero-active rows
@@ -34,16 +41,10 @@ def choose_truncation(params: QueueParams, tol: float = 1e-12) -> int:
     guarantee should rely on the a-posteriori mass certificate in
     solve_truncated (see solve_adaptive).
     """
-    _check_tol(tol)
     lam, c, alpha = params.lam, params.c, params.alpha
     r = max(params.rho, lam / (lam + c * alpha))
-    k0 = max(1, math.ceil((math.log(tol) + math.log1p(-r)) / math.log(r)))
+    k0 = max(1, math.ceil((math.log(TOL) + math.log1p(-r)) / math.log(r)))
     return max(params.c + 2 * k0, params.c + 5)
-
-
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:  # nan fails too
-        raise InvalidConfigError(f"ctmc tol must be finite and > 0, got {tol!r}")
 
 
 def _index(c: int, i: int, j: int) -> int:
@@ -83,21 +84,13 @@ def _generator(params: QueueParams, j_max: int) -> tuple[np.ndarray, ...]:
     return src, dst, rate, np.bincount(src, weights=rate, minlength=n)
 
 
-def solve_truncated(
-    params: QueueParams,
-    j_max: int | None = None,
-    tol: float = 1e-9,
-) -> JointDistribution:
+def solve_truncated(params: QueueParams, j_max: int) -> JointDistribution:
     """Stationary distribution of the chain truncated at level j_max.
 
     Raises TruncationInsufficientError if the mass sitting in the two
-    boundary-distorted top levels exceeds tol, i.e. the cap was too low for
-    the requested accuracy.  tol must be finite and > 0 (InvalidConfig).
+    boundary-distorted top levels exceeds TOL, i.e. the cap was too low.
     """
-    _check_tol(tol)
     c = params.c
-    if j_max is None:
-        j_max = choose_truncation(params)
     if j_max < c + 5:
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 
@@ -112,14 +105,14 @@ def solve_truncated(
 
     # estimated truncation error: mass at levels >= j_max - 2
     tail_mass = float(tail_levels[-3:].sum())
-    if tail_mass > tol:
+    if tail_mass > TOL:
         raise TruncationInsufficientError(
-            f"mass {tail_mass:.3g} at levels >= {j_max - 2} exceeds tol {tol:.3g}; "
+            f"mass {tail_mass:.3g} at levels >= {j_max - 2} exceeds tol {TOL:.3g}; "
             f"raise j_max (currently {j_max})"
         )
-    if clipped_mass > tol:
+    if clipped_mass > TOL:
         raise InternalInconsistencyError(
-            f"clipped negative mass {clipped_mass:.3g} exceeds tol {tol:.3g}"
+            f"clipped negative mass {clipped_mass:.3g} exceeds tol {TOL:.3g}"
         )
 
     info = {
@@ -138,30 +131,24 @@ def _band_bytes(c: int, j_max: int) -> int:
     return (3 * c + 4) * 8 * _index(c, 0, j_max + 1)
 
 
-def solve_adaptive(
-    params: QueueParams,
-    tol: float = 1e-12,
-    j_max: int | None = None,
-    max_band_bytes: int = 2 * 1024**3,
-) -> JointDistribution:
+def solve_adaptive(params: QueueParams) -> JointDistribution:
     """solve_truncated with the cap doubled until the mass certificate passes.
 
     The a-priori estimate in choose_truncation assumes a rho-geometric tail,
     which slow setups violate; this wrapper keeps doubling j_max until the
-    reported truncation error actually meets tol.  A cap whose LU band,
-    (3c + 4) * 8 bytes per state, exceeds max_band_bytes (2 GiB by default)
-    raises TruncationInsufficientError before it is built.
+    reported truncation error actually meets TOL.  A cap whose LU band,
+    (3c + 4) * 8 bytes per state, exceeds MAX_BAND_BYTES raises
+    TruncationInsufficientError before it is built.
     """
-    if j_max is None:
-        j_max = choose_truncation(params, tol)
+    j_max = choose_truncation(params)
     while True:
         size = _band_bytes(params.c, j_max)
-        if size > max_band_bytes:
+        if size > MAX_BAND_BYTES:
             raise TruncationInsufficientError(
-                f"j_max {j_max} needs a {size} byte band, over max_band_bytes {max_band_bytes}"
+                f"j_max {j_max} needs a {size} byte band, over MAX_BAND_BYTES {MAX_BAND_BYTES}"
             )
         try:
-            return solve_truncated(params, j_max=j_max, tol=tol)
+            return solve_truncated(params, j_max)
         except TruncationInsufficientError:
             j_max *= 2
 

@@ -25,6 +25,15 @@ from .errors import InvalidStateError
 from .model import QueueParams, params_to_dict
 
 
+def falling_factorial(p, n: int):
+    """p (p-1) ... (p-n+1) for an integer or an integer array p; zero once
+    the product crosses zero, 1 at n = 0."""
+    out = 1
+    for t in range(n):
+        out *= p - t
+    return out
+
+
 def _mass(B: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Lambda(u) with u = t / (1 - t): phi_0(u) = y_0, phi_l(u) = 1.  B may
     carry leading axes; y0 is the rows' first node."""
@@ -166,8 +175,7 @@ class PoleTail:
         out = np.zeros((c + 1, n_max + 1), dtype=self.coeffs.dtype)
         for n in range(n_max + 1):
             for r in range(n + 1):
-                falling = np.prod([d - t for t in range(r)], axis=0) if r else 1
-                weight = math.comb(n, r) * math.factorial(n - r) * falling
+                weight = math.comb(n, r) * math.factorial(n - r) * falling_factorial(d, r)
                 out[:, n] += weight * powers[n - r]
         return out
 
@@ -315,10 +323,10 @@ class JointDistribution:
     def total_mass(self) -> float:
         return float(self.boundary.sum() + self.tail.sum0().sum())
 
-    def to_dict(self, n_tail_levels: int = 10) -> dict:
+    def to_dict(self) -> dict:
         levels = {}
         c = self.params.c
-        for j in range(c + n_tail_levels + 1):
+        for j in range(c + 11):  # levels 0..c + 10
             levels[str(j)] = self.level(j).tolist()
         return {
             "params": params_to_dict(self.params),

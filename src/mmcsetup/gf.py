@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import JointDistribution, PoleTail
+from .distribution import JointDistribution, PoleTail, falling_factorial
 from .errors import InternalInconsistencyError
 from .model import QueueParams
 
@@ -98,15 +98,6 @@ def quadratic_roots(params: QueueParams) -> RootTable:
     """
     z, zhat, zhat_gap, z_gap = _roots(params, np.longdouble(1))
     return RootTable(z.astype(float), zhat.astype(float), zhat_gap, z_gap)
-
-
-def _falling(p, n: int):
-    """p (p-1) ... (p-n+1) for an integer or an integer array p; zero once
-    the product crosses zero, 1 at n = 0."""
-    out = 1
-    for t in range(n):
-        out *= p - t
-    return out
 
 
 def _node_lists(x: np.ndarray, gaps: np.ndarray, prepend: bool):
@@ -241,7 +232,7 @@ def _head_moments(pi: np.ndarray, n_max: int) -> np.ndarray:
     c = pi.shape[0] - 1
     d = np.subtract.outer(-np.arange(c + 1), -np.arange(c))  # j - i
     return np.stack(
-        [(pi[:, :c] * _falling(d, n)).sum(axis=1) for n in range(n_max + 1)], axis=1
+        [(pi[:, :c] * falling_factorial(d, n)).sum(axis=1) for n in range(n_max + 1)], axis=1
     )
 
 

@@ -112,6 +112,10 @@ def _check_config(cfg: SimConfig) -> None:
         raise InvalidConfigError(
             f"seed must be a nonnegative integer, got {cfg.seed!r}"
         )
+    for name in ("n_events", "n_batches", "trace_limit"):
+        v = getattr(cfg, name)
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise InvalidConfigError(f"{name} must be an int, got {v!r}")
     if cfg.n_batches < 10:
         raise InvalidConfigError(f"need at least 10 batches, got {cfg.n_batches}")
     if not 0.0 <= cfg.warmup_fraction < 1.0:

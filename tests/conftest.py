@@ -48,8 +48,8 @@ def qbd_solution(p: QueueParams):
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_distribution(p: QueueParams, tol: float = 1e-12):
-    return ctmc.solve_adaptive(p, tol=tol)
+def oracle_distribution(p: QueueParams):
+    return ctmc.solve_adaptive(p)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -73,41 +71,18 @@ def test_level_dependent_law_is_refused(monkeypatch):
         ctmc.solve_truncated(p, j_max=20)
 
 
-@pytest.mark.parametrize(
-    "fn, kw, tol",
-    [
-        ("solve_truncated", {"j_max": 12}, math.nan),
-        ("solve_adaptive", {}, math.nan),
-        ("solve_adaptive", {}, -1.0),
-        ("solve_adaptive", {"j_max": 12}, -1.0),
-        ("choose_truncation", {}, 0.0),
-        ("choose_truncation", {}, math.inf),
-    ],
-)
-def test_bad_tol_is_refused_before_any_solve(monkeypatch, fn, kw, tol):
-    # nan once gave an uncertified law (tail mass 3.5e-3) or a bare
-    # ValueError, and -1 a misleading TruncationInsufficient
-    def no_solve(*args):
-        raise AssertionError("solved with a bad tol")
-
-    monkeypatch.setattr(ctmc, "_generator", no_solve)
-    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
-    with pytest.raises(InvalidConfigError, match="ctmc tol must be finite and > 0"):
-        getattr(ctmc, fn)(p, tol=tol, **kw)
-
-
 def test_choose_truncation_moderate_load():
     # rho = 0.5 must leave at least 40 levels of headroom past c
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
-    assert ctmc.choose_truncation(p, tol=1e-12) >= 2 + 40
+    assert ctmc.choose_truncation(p) >= 2 + 40
 
 
 def test_choose_truncation_heavy_load():
     p5 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
     p9 = QueueParams(lam=1.8, mu=1.0, alpha=1.0, c=2)
-    j9 = ctmc.choose_truncation(p9, tol=1e-12)
+    j9 = ctmc.choose_truncation(p9)
     assert j9 >= 2 + 263  # geometric estimate at rho = 0.9
-    assert j9 > 3 * ctmc.choose_truncation(p5, tol=1e-12)
+    assert j9 > 3 * ctmc.choose_truncation(p5)
 
 
 def test_choose_truncation_floor():
@@ -118,15 +93,15 @@ def test_choose_truncation_floor():
 def test_marginal_matches_gf_small_system():
     # single server at rho = 0.5 (the closed form exists independently)
     p = QueueParams(lam=0.5, mu=1.0, alpha=1.0, c=1)
-    d = ctmc.solve_truncated(p, j_max=400, tol=1e-9)
+    d = ctmc.solve_truncated(p, j_max=400)
     g = gf.solve(p).distribution()
     assert d.prob(0, 0) == pytest.approx(g.prob(0, 0), abs=1e-10)
 
 
 def test_doubling_truncation_is_converged():
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
-    d1 = ctmc.solve_truncated(p, j_max=120, tol=1e-9)
-    d2 = ctmc.solve_truncated(p, j_max=240, tol=1e-9)
+    d1 = ctmc.solve_truncated(p, j_max=120)
+    d2 = ctmc.solve_truncated(p, j_max=240)
     worst = max(
         abs(d1.prob(i, j) - d2.prob(i, j)) for j in range(60) for i in range(min(j, 2) + 1)
     )
@@ -191,11 +166,10 @@ def test_non_generator_raises_instead_of_falling_back():
 
 def test_info_names_ground_and_clipped_mass():
     p = QueueParams(lam=1.4, mu=1.0, alpha=0.7, c=3)
-    tol = 1e-12
-    d = ctmc.solve_adaptive(p, tol=tol)
+    d = ctmc.solve_adaptive(p)
     m = round(p.lam / p.mu)
     assert d.info["ground"] == (m, m)
-    assert 0.0 <= d.info["clipped_mass"] <= tol
+    assert 0.0 <= d.info["clipped_mass"] <= ctmc.TOL
 
 
 def test_marginals_sum_to_one():
@@ -209,13 +183,15 @@ def test_truncation_insufficient_raises():
     # slow setups at heavy load need far more levels than the cap given
     p = QueueParams(lam=1.8, mu=1.0, alpha=0.01, c=2)
     with pytest.raises(TruncationInsufficientError):
-        ctmc.solve_truncated(p, j_max=30, tol=1e-9)
+        ctmc.solve_truncated(p, j_max=30)
 
 
-def test_adaptive_recovers_from_low_guess():
+def test_adaptive_recovers_from_low_guess(monkeypatch):
     p = QueueParams(lam=1.8, mu=1.0, alpha=0.01, c=2)
-    d = ctmc.solve_adaptive(p, tol=1e-10, j_max=16)
-    assert d.info["tail_mass"] < 1e-10
+    monkeypatch.setattr(ctmc, "choose_truncation", lambda params: 16)
+    d = ctmc.solve_adaptive(p)
+    assert d.info["j_max"] > 16  # the first cap failed and was doubled
+    assert d.info["tail_mass"] < ctmc.TOL
     assert d.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -226,19 +202,20 @@ def no_solve(*args, **kwargs):
 def test_adaptive_checks_band_bytes_before_first_solve(monkeypatch):
     # the first guess is about 17k states at 80 bytes each, far over 100 kB
     p = QueueParams(lam=1.8, mu=1.0, alpha=0.01, c=2)
-    j_max = ctmc.choose_truncation(p, 1e-12)
+    j_max = ctmc.choose_truncation(p)
     size = ctmc._band_bytes(p.c, j_max)
     assert size == 80 * ctmc._index(p.c, 0, j_max + 1) > 1_000_000
     monkeypatch.setattr(ctmc, "solve_truncated", no_solve)
+    monkeypatch.setattr(ctmc, "MAX_BAND_BYTES", 100_000)
     with pytest.raises(TruncationInsufficientError, match=f"{size} byte band.*100000"):
-        ctmc.solve_adaptive(p, max_band_bytes=100_000)
+        ctmc.solve_adaptive(p)
 
 
 def test_adaptive_default_cap_refuses_a_huge_band(monkeypatch):
     # slow setup at c = 400: the first guess has 840,897 states and an 8.1 GB
     # band (1,204 rows), refused before anything is allocated
     p = QueueParams(lam=0.3 * 400, mu=1.0, alpha=0.01, c=400)
-    size = ctmc._band_bytes(p.c, ctmc.choose_truncation(p, 1e-12))
+    size = ctmc._band_bytes(p.c, ctmc.choose_truncation(p))
     assert size > 8e9
     monkeypatch.setattr(ctmc, "solve_truncated", no_solve)
     with pytest.raises(TruncationInsufficientError, match=f"{size} byte band"):

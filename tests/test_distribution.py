@@ -90,9 +90,9 @@ def test_mean_jobs_cross_method():
 
 def test_to_dict_roundtrip_fields():
     d = qbd_solution(POINTS[0]).distribution()
-    out = d.to_dict(n_tail_levels=4)
+    out = d.to_dict()
     assert out["source"] == "qbd"
-    assert len(out["levels"]) == 2 + 4 + 1
+    assert len(out["levels"]) == 2 + 10 + 1
     assert out["params"]["c"] == 2
     assert out["total_mass"] == pytest.approx(1.0, abs=1e-12)
 

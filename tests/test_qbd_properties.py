@@ -6,7 +6,8 @@ probabilities and G-level rows off by 1, and a slow-setup point where
 subtractive pivots in R lose digits.  Every draw is also compared with
 the generating-function solver, state by state.  A second test draws small
 systems, plus two heavy-load examples at c = 50, on which all three routes,
-the truncated-chain oracle included, must agree.
+the truncated-chain oracle included, must agree.  A third runs gf and qbd
+at heavy load beyond the draws, rho up to 0.999999.
 """
 
 import numpy as np
@@ -51,12 +52,39 @@ def test_qbd_solution_properties(rho, alpha, c, confluent):
     ref = gf.solve(p).distribution()
     pairs = [(dist.level(j), ref.level(j)) for j in range(c + 11)]
     pairs += [(dist.tail.sum0(), ref.tail.sum0()), (dist.tail.sum1(), ref.tail.sum1())]
+    assert relative_gap(pairs) <= 1e-10
+
+
+def relative_gap(pairs) -> float:
+    """Largest relative difference, entry by entry, over every pair of
+    arrays, on entries above 1e-290 (np.max keeps a nan)."""
     gaps = []
     for a, b in pairs:
         scale = np.maximum(a, b)
         keep = scale > 1e-290
         gaps.append(np.max(np.abs(a - b)[keep] / scale[keep], initial=0.0))
-    assert np.max(gaps) <= 1e-10
+    return float(np.max(gaps))
+
+
+# Heavy load, past the draws' rho <= 0.95, from very slow to very fast
+# setups; c = 400 takes about 1 s a point, so only two points run there
+HEAVY_POINTS = [
+    (rho, alpha, c)
+    for rho in (0.99, 0.9999, 0.999999)
+    for alpha in (1e-8, 1e-3, 1.0, 1e4)
+    for c in (1, 20)
+] + [(0.999999, 1e-3, 400), (0.9999, 1e4, 400)]
+
+
+@pytest.mark.parametrize("rho, alpha, c", HEAVY_POINTS)
+def test_gf_and_qbd_agree_at_heavy_load(rho, alpha, c):
+    p = QueueParams(lam=rho * c * MU, mu=MU, alpha=alpha, c=c)
+    g, q = gf.solve(p), qbd.solve(p)  # each raises if a certificate fails
+    assert max(g.info["job_flow_gap"], g.info["seam_cut_gap"]) <= gf.BALANCE_TOL
+    assert q.info["boundary_certificate"] <= 1e-12
+    a, b = g.distribution(), q.distribution()
+    levels = [*range(c), c, c + 5, c + 50]  # the boundary and three tail levels
+    assert relative_gap([(a.level(j), b.level(j)) for j in levels]) <= 1e-10
 
 
 # alpha stops at 1e-2: the oracle's state count grows like 1 / alpha

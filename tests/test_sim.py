@@ -95,6 +95,19 @@ def test_seed_must_be_a_nonnegative_integer(seed):
     assert sim.SimConfig(params=P112, seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("name", ["n_events", "n_batches", "trace_limit"])
+@pytest.mark.parametrize("value", [20_000.0, 10.5, True, "20"])
+def test_counts_must_be_ints(name, value):
+    # a float count once built, and simulate then raised a bare TypeError
+    with pytest.raises(InvalidConfigError, match=f"{name} must be an int"):
+        sim.SimConfig(params=P112, **{name: value})
+
+
+def test_numpy_int_counts_are_accepted():
+    est = run(P112, n_events=np.int64(20_000), n_batches=np.int64(10))
+    assert est.n_events == 20_000 and est.n_batches == 10
+
+
 def test_zero_warmup_allowed():
     est = run(P112, warmup_fraction=0.0, n_events=100_000)
     assert est.n_events == 100_000

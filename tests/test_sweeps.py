@@ -56,6 +56,10 @@ def test_spec_with_sim_checks_the_simulator_settings():
         spec(methods=("gf", "sim"), sim_events=10)
     with pytest.raises(InvalidConfigError, match="seed must be"):
         replace(spec(methods=("sim",), sim_events=20_000), seed=-1)
+    # 20000.0 events once built, and run_sweep then crashed on a bare
+    # TypeError that no row's QueueModelError catch held
+    with pytest.raises(InvalidConfigError, match="n_events must be an int"):
+        spec(methods=("gf", "sim"), sim_events=20000.0)
     spec(methods=("gf",), sim_events=10)  # not simulated, so not checked
 
 
