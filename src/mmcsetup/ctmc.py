@@ -27,6 +27,8 @@ from .model import QueueParams, State, transition_rates
 # Mass certificate of every oracle solve: the truncated chain's top levels
 # (and any clipped negative mass) must hold at most TOL.
 TOL = 1e-12
+# Largest balance residual max |Q^T pi| accepted from _solve_stationary.
+RESIDUAL_TOL = 1e-13
 # Largest LU band solve_adaptive will build, (3c + 4) * 8 bytes per state.
 MAX_BAND_BYTES = 2 * 1024**3
 
@@ -168,7 +170,7 @@ def _solve_stationary(
     balance residual max |Q^T pi| of the returned pi (formed from the
     transitions: gbsv overwrites the band) and the clipped mass; raises
     InternalInconsistencyError, with no fallback, if the solve is singular,
-    pi is not finite or has no mass, or the residual exceeds 1e-13.
+    pi is not finite or has no mass, or the residual exceeds RESIDUAL_TOL.
     """
     from scipy.linalg.lapack import dgbsv
 
@@ -194,6 +196,6 @@ def _solve_stationary(
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
     residual = float(np.abs(np.bincount(dst, weights=rate * pi[src], minlength=n) - out * pi).max())
-    if residual > 1e-13:
-        raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds 1e-13")
+    if residual > RESIDUAL_TOL:
+        raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds {RESIDUAL_TOL:g}")
     return pi, residual, clipped_mass

@@ -9,10 +9,10 @@ of truncated:
 * GeometricTail  -- matrix-geometric pi_c R^m (QBD solver)
 * ExplicitTail   -- finitely many stored levels (truncated-chain oracle)
 
-All three expose level(m), sum0(), sum1() and row_tail(i, m) where m counts
-levels past c, and rows(idx, n), the first n levels and row tails of the
-phases in idx at once, so downstream measures never care which solver
-produced the distribution.
+All three expose level(m), sum0(), sum1() and rows(idx, n), the first n
+levels and row tails of the phases in idx at once, where m counts levels
+past c, so downstream measures never care which solver produced the
+distribution.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ class PoleTail:
 
     def rows(self, idx, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(levels, tails), read-only, each of shape (n, len(idx)):
-        levels[m, k] = pi_{idx[k], c+m} and tails[m, k] = row_tail(idx[k], m)."""
+        levels[m, k] = pi_{idx[k], c+m} and tails[m, k] =
+        sum_{j >= c+m} pi_{idx[k], j}."""
         return self._walk(tuple(map(int, idx))).read(n)
 
     def _walk(self, key: tuple) -> _RowWalk:
@@ -211,9 +212,6 @@ class GeometricTail:
     def sum1(self) -> np.ndarray:
         return self.pi_c @ self.R @ self._N @ self._N
 
-    def row_tail(self, i: int, m: int) -> float:
-        return float(self.level(m) @ self._N[:, i])
-
     def rows(self, idx, n: int) -> tuple[np.ndarray, np.ndarray]:
         self.level(n - 1)
         levels = np.array(self._levels[:n])
@@ -246,11 +244,6 @@ class ExplicitTail:
     def sum1(self) -> np.ndarray:
         m = np.arange(len(self.levels))
         return m @ self.levels
-
-    def row_tail(self, i: int, m: int) -> float:
-        if m >= len(self.levels):
-            return 0.0
-        return float(self._suffix[m, i])
 
     def rows(self, idx, n: int) -> tuple[np.ndarray, np.ndarray]:
         k = min(n, len(self.levels))
@@ -303,13 +296,6 @@ class JointDistribution:
     def phase_marginals(self) -> np.ndarray:
         """P(i servers on), i = 0..c."""
         return self.boundary.sum(axis=1) + self.tail.sum0()
-
-    def job_marginal(self, j_max: int) -> np.ndarray:
-        """P(j jobs in system) for j = 0..j_max (not renormalized)."""
-        out = np.empty(j_max + 1)
-        for j in range(j_max + 1):
-            out[j] = self.level(j).sum()
-        return out
 
     def mean_jobs(self) -> float:
         """E[L], exact: boundary part plus c*sum0 + sum1 from the tail."""

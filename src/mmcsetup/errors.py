@@ -4,9 +4,6 @@ Everything derives from QueueModelError so callers can catch model-level
 failures with one except clause while letting genuine bugs surface.
 """
 
-from __future__ import annotations
-
-
 class QueueModelError(Exception):
     """Base class for all model and solver errors."""
 
@@ -25,9 +22,9 @@ class UnstableError(QueueModelError):
 
     tag = "Unstable"
 
-    def __init__(self, rho: float, message: str | None = None):
+    def __init__(self, rho: float):
         self.rho = rho
-        super().__init__(message or f"unstable: rho = {rho:.6g} >= 1")
+        super().__init__(f"unstable: rho = {rho:.6g} >= 1")
 
 
 class InvalidStateError(QueueModelError):

@@ -252,7 +252,7 @@ class GfSolution:
     params: QueueParams
     boundary: np.ndarray
     tail: PoleTail
-    info: dict = field(default_factory=dict)
+    info: dict
     pass_tail: PoleTail | None = field(default=None, repr=False)
 
     @cached_property
@@ -267,11 +267,6 @@ class GfSolution:
 
     def _moments(self, tail: PoleTail) -> np.ndarray:
         return _head_moments(self.boundary, N_MOMENTS) + tail.factorial_moments(N_MOMENTS)
-
-    def mean_jobs(self) -> float:
-        """E[L] = sum_i (i * P_i(1) + P_i'(1)) from the factorial moments."""
-        i = np.arange(self.params.c + 1)
-        return float(i @ self.moments_full[:, 0] + self.moments_full[:, 1].sum())
 
     def distribution(self) -> JointDistribution:
         c = self.params.c

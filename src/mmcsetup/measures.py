@@ -21,6 +21,9 @@ __all__ = [
     "decomposition",
 ]
 
+# Largest relative gap accepted between the two sides of the switching balance.
+SWITCHING_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PerformanceReport:
@@ -85,16 +88,16 @@ def full_report(
 ) -> PerformanceReport:
     """E[A], E[S], E[S_r], E[L], the phase marginal and the three costs.
 
-    The two sides of the switching balance must agree to 1e-10 relative,
-    or InternalInconsistency is raised, nan included.  The costs follow the
-    displayed formulas, priced at `cost_params`.
+    The two sides of the switching balance must agree to SWITCHING_TOL
+    relative, or InternalInconsistency is raised, nan included.  The costs
+    follow the displayed formulas, priced at `cost_params`.
     """
     marginal = dist.phase_marginals()
     e_active = float((np.arange(params.c + 1) * marginal).sum())
     e_setup = _setup_expectation(dist, params)
     e_jobs = dist.mean_jobs()
     side_alpha, side_mu = _switch_sides(dist, params, e_setup)
-    if not abs(side_alpha - side_mu) <= 1e-10 * max(1.0, abs(side_mu)):  # nan fails too
+    if not abs(side_alpha - side_mu) <= SWITCHING_TOL * max(1.0, abs(side_mu)):  # nan fails too
         raise InternalInconsistencyError(
             f"switching balance violated: alpha side {side_alpha!r}, "
             f"mu side {side_mu!r}"
@@ -123,16 +126,6 @@ class DecompositionReport:
     convolution: np.ndarray
     tv_gap: float
     support: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dist_qc": self.dist_qc.tolist(),
-            "dist_onidle": self.dist_onidle.tolist(),
-            "dist_res": self.dist_res.tolist(),
-            "convolution": self.convolution.tolist(),
-            "tv_gap": self.tv_gap,
-            "support": self.support,
-        }
 
 
 def decomposition(dist, params: QueueParams) -> DecompositionReport:

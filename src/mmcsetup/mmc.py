@@ -66,10 +66,6 @@ def onidle_cost(params: QueueParams, costs: CostParams) -> float:
     return costs.c_active * e_busy + costs.c_idle * (params.c - e_busy)
 
 
-def mmc_baseline(params: QueueParams, costs: CostParams) -> dict:
-    """Summary dict for the always-on M/M/c with the same lambda, mu, c."""
-    return {
-        "e_jobs": mean_jobs(params),
-        "e_busy": params.c * params.rho,
-        "cost_onidle": onidle_cost(params, costs),
-    }
+def mmc_baseline(params: QueueParams) -> dict:
+    """E[jobs] and E[busy] of the always-on M/M/c with the same lambda, mu, c."""
+    return {"e_jobs": mean_jobs(params), "e_busy": params.c * params.rho}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidConfigError, InvalidParameterError, InvalidStateError, UnstableError
 
@@ -117,13 +117,6 @@ def transition_rates(state: State, params: QueueParams) -> list[tuple[State, flo
     if k > 0:
         out.append((State(i + 1, j), k * alpha))
     return out
-
-
-def iter_states(params: QueueParams, j_max: int) -> Iterator[State]:
-    """All states with j <= j_max, in (j, i) lexicographic order."""
-    for j in range(j_max + 1):
-        for i in range(min(j, params.c) + 1):
-            yield State(i, j)
 
 
 # ---------------------------------------------------------------------------

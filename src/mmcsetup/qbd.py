@@ -43,7 +43,7 @@ import numpy as np
 
 from .distribution import GeometricTail, JointDistribution
 from .errors import InternalInconsistencyError
-from .gf import quadratic_roots
+from .gf import BALANCE_TOL, quadratic_roots
 from .model import QueueParams
 
 __all__ = [
@@ -578,9 +578,10 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
 
     # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
     # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
-    # roundoffs at any c; anything larger (or nan/inf) means the sweep broke
+    # roundoffs at any c; anything larger (or nan/inf) means the sweep broke.
+    # It is a relative flow balance, so gf's bound applies
     gap = _boundary_gap(params, rlev[1])
-    if not gap <= 1e-12:
+    if not gap <= BALANCE_TOL:
         raise InternalInconsistencyError(
             f"level-0 balance gap {gap!r} after the boundary sweep"
         )

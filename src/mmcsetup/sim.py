@@ -283,10 +283,12 @@ def simulate(cfg: SimConfig) -> SimEstimate:
         hw_marginal=hw[5:],
         off_to_on_rate=rate_on,
         on_to_off_rate=rate_off,
-        n_events=n_total,
+        # plain ints, so that to_dict stays JSON-serialisable when the
+        # settings are numpy integers
+        n_events=int(n_total),
         sim_time=float(bt.sum()),
-        n_batches=nb,
-        seed=cfg.seed,
+        n_batches=int(nb),
+        seed=int(cfg.seed),
     )
 
 

@@ -163,7 +163,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             row["method_gap"] = gap
             if not gap <= METHOD_GAP_LIMIT:  # nan disagrees too
                 row["error"] = "MethodDisagreement"
-            base = mmc.mmc_baseline(p, costs)
+            base = mmc.mmc_baseline(p)
             row["onidle_e_jobs"] = base["e_jobs"]
             row["onidle_e_busy"] = base["e_busy"]
             if "sim" in spec.methods:

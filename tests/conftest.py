@@ -1,4 +1,5 @@
-"""Shared fixtures: the cross-validation grid and memoized solver calls.
+"""Shared fixtures: the cross-validation grid, memoized solver calls and
+the helpers that only tests read.
 
 The acceptance grid is solved by three independent methods; several test
 modules reuse those solutions, so they are cached per-process keyed on the
@@ -10,12 +11,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
+import numpy as np
 import pytest
 
 import mmcsetup
 from mmcsetup import ctmc, gf, qbd
-from mmcsetup.model import QueueParams
+from mmcsetup.model import QueueParams, State
 
 GRID_C = (1, 2, 3, 5, 10, 20)
 GRID_RHO = (0.3, 0.5, 0.7, 0.9)
@@ -55,6 +58,27 @@ def oracle_distribution(p: QueueParams):
 @pytest.fixture(scope="session")
 def grid():
     return grid_points()
+
+
+def iter_states(params: QueueParams, j_max: int) -> Iterator[State]:
+    """All states with j <= j_max, in (j, i) lexicographic order."""
+    for j in range(j_max + 1):
+        for i in range(min(j, params.c) + 1):
+            yield State(i, j)
+
+
+def job_marginal(dist, j_max: int) -> np.ndarray:
+    """P(j jobs in system) for j = 0..j_max (not renormalized)."""
+    out = np.empty(j_max + 1)
+    for j in range(j_max + 1):
+        out[j] = dist.level(j).sum()
+    return out
+
+
+def gf_mean_jobs(sol) -> float:
+    """E[L] = sum_i (i * P_i(1) + P_i'(1)) from a GfSolution's factorial moments."""
+    i = np.arange(sol.params.c + 1)
+    return float(i @ sol.moments_full[:, 0] + sol.moments_full[:, 1].sum())
 
 
 # one line per acceptance criterion, echoed after the run so outcomes are

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import oracle_distribution
+from conftest import iter_states, oracle_distribution
 from mmcsetup import ctmc, gf, mmc
 from mmcsetup.errors import (
     InternalInconsistencyError,
     InvalidConfigError,
     TruncationInsufficientError,
 )
-from mmcsetup.model import QueueParams, State, iter_states, n_setup, transition_rates
+from mmcsetup.model import QueueParams, State, n_setup, transition_rates
 
 
 def reference_generator(p: QueueParams, j_max: int) -> sp.csc_matrix:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gf_solution, oracle_distribution, qbd_solution
+from conftest import gf_solution, job_marginal, oracle_distribution, qbd_solution
 from mmcsetup import ctmc, distribution, gf, measures, qbd
 from mmcsetup.distribution import PoleTail
 from mmcsetup.errors import InvalidStateError
@@ -45,7 +45,7 @@ def test_row_tail_consistency(p):
         for i in (0, p.c):
             for m0 in (0, 5):
                 direct = sum(float(t.level(m)[i]) for m in range(m0, 3000))
-                assert t.row_tail(i, m0) == pytest.approx(direct, abs=1e-13)
+                assert t.rows([i], m0 + 1)[1][m0, 0] == pytest.approx(direct, abs=1e-13)
 
 
 @pytest.mark.parametrize("p", POINTS)
@@ -55,7 +55,7 @@ def test_total_mass_and_marginals(p):
         pm = d.phase_marginals()
         assert pm.shape == (p.c + 1,)
         assert pm.sum() == pytest.approx(1.0, abs=1e-11)
-        jm = d.job_marginal(400)
+        jm = job_marginal(d, 400)
         assert jm.sum() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gf_solution, oracle_distribution, qbd_solution, run_fresh
+from conftest import (
+    gf_mean_jobs,
+    gf_solution,
+    job_marginal,
+    oracle_distribution,
+    qbd_solution,
+    run_fresh,
+)
 from mmcsetup import gf, measures, mmc
 from mmcsetup.distribution import PoleTail
 from mmcsetup.errors import InternalInconsistencyError
@@ -170,7 +177,7 @@ def test_normalization():
 
 def test_mean_jobs_frozen_reference():
     # truncated-chain oracle value, solved at tol 1e-13
-    assert gf_solution(P112).mean_jobs() == pytest.approx(
+    assert gf_mean_jobs(gf_solution(P112)) == pytest.approx(
         2.0913719988157773, abs=1e-9
     )
 
@@ -211,7 +218,7 @@ def test_zeroth_moments_are_phase_marginals():
 def test_setup_free_limit_matches_erlang():
     p = QueueParams(lam=2.5, mu=1.0, alpha=1e6, c=5)
     d = gf_solution(p).distribution()
-    got = d.job_marginal(200)
+    got = job_marginal(d, 200)
     want = mmc.distribution(p, 200)
     assert 0.5 * np.abs(got - want).sum() < 1e-4
 
@@ -282,7 +289,7 @@ def test_solve_and_its_measures_form_no_moments(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "read", [lambda s: s.moments_full, lambda s: s.mean_jobs()], ids=["direct", "mean_jobs"]
+    "read", [lambda s: s.moments_full, gf_mean_jobs], ids=["direct", "mean_jobs"]
 )
 def test_moments_are_formed_once_on_first_read(monkeypatch, read):
     calls = _count_moment_calls(monkeypatch)
@@ -366,7 +373,7 @@ def test_agrees_with_qbd_per_state(rho, alpha, c, tol):
     pairs += [(dg.tail.sum0(), dq.tail.sum0()), (dg.tail.sum1(), dq.tail.sum1())]
     for m in (0, 10):
         pairs.append(
-            tuple(np.array([d.tail.row_tail(i, m) for i in range(c + 1)]) for d in (dg, dq))
+            tuple(d.tail.rows(range(c + 1), m + 1)[1][m] for d in (dg, dq))
         )
     worst = 0.0
     for a, b in pairs:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import iter_states
 from mmcsetup.errors import (
     InvalidConfigError,
     InvalidParameterError,
@@ -13,7 +14,6 @@ from mmcsetup.model import (
     CostParams,
     QueueParams,
     State,
-    iter_states,
     n_setup,
     params_to_dict,
     read_config,

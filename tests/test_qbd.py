@@ -3,6 +3,7 @@ import math
 import pickle
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
-from conftest import gf_solution, oracle_distribution, qbd_solution
+from conftest import gf_solution, iter_states, oracle_distribution, qbd_solution
 from mmcsetup import gf, qbd
 from mmcsetup.errors import InternalInconsistencyError
 from mmcsetup.gf import quadratic_roots
-from mmcsetup.model import QueueParams, State, iter_states, transition_rates
+from mmcsetup.model import QueueParams, State, transition_rates
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
 
@@ -222,6 +223,27 @@ def test_rate_matrix_matches_40_digits_at_slow_setup(p):
         for k in range(i, p.c + 1):
             worst = max(worst, float(abs(got[i, k] - ref[i][k]) / ref[i][k]))
     assert worst <= 1e-14
+
+
+# samples of a 40-digit R at c = 400, rounded to float64, written by
+# make_rate_matrix_reference.py (about half a minute per point in mpmath)
+R_C400 = Path(__file__).parent / "data" / "rate_matrix_c400.npz"
+
+
+@pytest.mark.parametrize(
+    "n",
+    # worst relative gaps when stored: 6.2e-15, 6.2e-15, 4.9e-15, 4.9e-15
+    range(4),
+    ids=["moderate", "fast", "slow_rho0.95", "slow_rho0.3"],
+)
+def test_rate_matrix_matches_stored_40_digits_at_c400(n):
+    # every stored entry, relative; the strict lower triangle is exactly zero
+    with np.load(R_C400) as ref:
+        rho, alpha, c = ref["points"][n].tolist()
+        i, k, want = ref[f"i{n}"], ref[f"k{n}"], ref[f"r{n}"]
+    got = qbd.rate_matrix(rq(rho, alpha, int(c)))
+    assert not np.any(np.tril(got, -1))
+    assert float(np.max(np.abs(got[i, k] - want) / want)) <= 1e-14
 
 
 def test_quadratic_residual_R():
@@ -499,7 +521,7 @@ def test_i_minus_r_is_inverted_once(monkeypatch):
         monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     dist = qbd.solve(p).distribution()
     dist.tail.sum0(), dist.tail.sum1(), dist.tail.rows([p.c - 1, p.c], 5)
-    dist.mean_jobs(), dist.tail.row_tail(2, 3)
+    dist.mean_jobs(), dist.tail.rows([2], 4)
     assert len(calls) == 1, calls
 
 

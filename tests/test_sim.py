@@ -1,4 +1,5 @@
 from dataclasses import replace
+import json
 import math
 
 import numpy as np
@@ -106,6 +107,14 @@ def test_counts_must_be_ints(name, value):
 def test_numpy_int_counts_are_accepted():
     est = run(P112, n_events=np.int64(20_000), n_batches=np.int64(10))
     assert est.n_events == 20_000 and est.n_batches == 10
+
+
+def test_numpy_int_settings_give_json_serialisable_estimates():
+    # the counts and the seed come back as plain ints, so the JSON is that
+    # of the same run with Python ints
+    got = run(P112, n_events=np.int64(20_000), n_batches=np.int64(10), seed=np.int64(3))
+    want = run(P112, n_events=20_000, n_batches=10, seed=3)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_zero_warmup_allowed():
