@@ -2,20 +2,22 @@
 
 Lists the chain's transitions from :func:`mmcsetup.model.transition_rates`
 (deliberately sharing no algebra with the analytic solvers), state by state
-on levels 0..c + 1; level c + 1's transitions are tiled up to the cap after
-level c + 2 is checked to repeat them one level up.  Truncates by dropping
-arrivals at the top level (reflecting boundary).  The transition list and
-each state's outflow are the only form of the generator: the stationary
-system's LAPACK band is written straight from them (no sparse matrix) and
-solved by one banded LU, grounded at the state (m, m) with
+on levels 0..c + 1, and checks that level c + 2 repeats level c + 1's one
+level up.  Truncates by dropping arrivals at the top level (reflecting
+boundary).  The stationary system's LAPACK band is written straight from
+those O(c^2) triples (no sparse matrix, no chain-length transition list):
+levels 0..c + 1 are scattered, and level c + 1's block is copied up to
+the cap.  It is solved by one banded LU, grounded at the state (m, m) with
 m = min(c, round(lam / mu)) (E[active] = lam / mu makes it a heavy state).
-A solution that fails its balance-residual check raises instead of being
-patched; the analytic solvers are cross-checked against it.
+The balance residual is formed from the same triples; a solution that
+fails it raises instead of being patched.  The analytic solvers are
+cross-checked against this oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +52,10 @@ def choose_truncation(params: QueueParams) -> int:
 
 
 def _index(c: int, i: int, j: int) -> int:
-    # level-major order keeps the generator banded with half-width at most
-    # c + 2 (all transitions move at most one level), which the LU relies on
+    # level-major order keeps the generator banded with half-width c + 1
+    # (all transitions move at most one level; the widest are the shutdown
+    # from (c, c) and the arrivals and services across level c), which the
+    # LU relies on
     return j * (j + 1) // 2 + i if j <= c else c * (c + 1) // 2 + (j - c) * (c + 1) + i
 
 
@@ -68,36 +72,70 @@ def _level_triples(params: QueueParams, levels) -> tuple[np.ndarray, ...]:
     return np.array(src), np.array(dst), np.array(rate)
 
 
-def _generator(params: QueueParams, j_max: int) -> tuple[np.ndarray, ...]:
-    """Q^T of the chain truncated at j_max as (src, dst, rate, out): every
-    transition src -> dst with its rate, and each state's total outflow,
-    the negated diagonal."""
+class _Generator(NamedTuple):
+    """Q^T of the chain truncated at some cap j_max: the (source, target,
+    rate) triples out of levels 0..c (``head``) and out of level c + 1
+    (``tmpl``), which every level up to j_max repeats shifted by whole
+    levels, the top one without its arrivals; and each state's total
+    outflow, the negated diagonal (``out``, the only chain-length array)."""
+
+    c: int
+    head: tuple[np.ndarray, np.ndarray, np.ndarray]
+    tmpl: tuple[np.ndarray, np.ndarray, np.ndarray]
+    out: np.ndarray
+
+
+def _generator(params: QueueParams, j_max: int) -> _Generator:
+    """Q^T of the chain truncated at j_max; refuses a law whose level c + 2
+    does not repeat level c + 1 one level up."""
     c, w = params.c, params.c + 1
     head, tmpl, nxt = (_level_triples(params, lv) for lv in (range(c + 1), [c + 1], [c + 2]))
     shift = (w, w, 0)  # one level up: source and target move by w states, rates stay
     if not all(np.array_equal(a, t + s) for a, t, s in zip(nxt, tmpl, shift)):
         raise InternalInconsistencyError(f"level {c + 2} is not level {c + 1} shifted by one level")
-    k = np.arange(j_max - c)[:, None]
-    src, dst, rate = (np.concatenate([h, (t + s * k).ravel()]) for h, t, s in zip(head, tmpl, shift))
-    n = _index(c, 0, j_max + 1)
-    keep = dst < n  # reflecting truncation: drop arrivals at the cap
-    src, dst, rate = src[keep], dst[keep], rate[keep]
+    base, n = _index(c, 0, c + 1), _index(c, 0, j_max + 1)
+    src, dst, rate = tmpl
+    stay = dst < base + w  # reflecting truncation: the top level drops its arrivals
     # bincount adds each state's rates in input order, as a per-state running sum
-    return src, dst, rate, np.bincount(src, weights=rate, minlength=n)
+    out = np.empty(n)
+    out[:base] = np.bincount(head[0], weights=head[2], minlength=base)
+    tail = out[base:].reshape(-1, w)
+    tail[:] = np.bincount(src - base, weights=rate, minlength=w)
+    tail[-1] = np.bincount(src[stay] - base, weights=rate[stay], minlength=w)
+    return _Generator(c, head, tmpl, out)
+
+
+def _band(gen: _Generator) -> np.ndarray:
+    """LAPACK gbsv's band of Q^T, before grounding: Q^T[dst, src] at row
+    l + u + dst - src of column src, l = u = c + 1, under l zero rows for
+    the LU's fill-in; Fortran order, so gbsv takes it without a copy.
+    Levels 0..c + 1 are scattered from their triples, and level c + 1's
+    block is copied up to j_max over a (rows, c + 1, levels) view."""
+    c, w = gen.c, gen.c + 1
+    rows, diag, base = 3 * w + 1, 2 * w, _index(c, 0, c + 1)
+    ab = np.zeros((rows, len(gen.out)), order="F")
+    for src, dst, rate in (gen.head, gen.tmpl):
+        ab[diag + dst - src, src] = rate
+    tail = ab[:, base:].reshape(rows, w, -1, order="F", copy=False)
+    tail[:, :, 1:] = tail[:, :, :1]
+    ab[diag + w, -w:] = 0.0  # no arrivals out of the top level
+    np.negative(gen.out, out=ab[diag])
+    return ab
 
 
 def solve_truncated(params: QueueParams, j_max: int) -> JointDistribution:
     """Stationary distribution of the chain truncated at level j_max.
 
-    Raises TruncationInsufficientError if the mass sitting in the two
-    boundary-distorted top levels exceeds TOL, i.e. the cap was too low.
+    Raises TruncationInsufficientError if the mass sitting in the three top
+    levels j_max - 2..j_max, which the reflecting boundary distorts, exceeds
+    TOL, i.e. the cap was too low.
     """
     c = params.c
     if j_max < c + 5:
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 
     m = min(c, round(params.lam / params.mu))
-    pi, residual, clipped_mass = _solve_stationary(*_generator(params, j_max), _index(c, m, m))
+    pi, residual, clipped_mass = _solve_stationary(_generator(params, j_max), _index(c, m, m))
 
     # package: boundary block + explicit tail levels
     boundary = np.zeros((c + 1, c))
@@ -155,37 +193,30 @@ def solve_adaptive(params: QueueParams) -> JointDistribution:
             j_max *= 2
 
 
-def _solve_stationary(
-    src: np.ndarray, dst: np.ndarray, rate: np.ndarray, out: np.ndarray, k: int
-) -> tuple[np.ndarray, float, float]:
+def _solve_stationary(gen: _Generator, k: int) -> tuple[np.ndarray, float, float]:
     """Solve Q^T pi = 0, sum pi = 1 by one banded LU grounded at state k.
 
-    The transitions (src, dst, rate) and outflows ``out`` of _generator are
-    written straight into LAPACK gbsv's band layout (Q^T[dst, src] at row
-    l + u + dst - src, under l rows for the LU's fill-in), with row k of Q^T
-    replaced by e_k^T and right-hand side e_k, which fixes pi_k = 1 and
-    keeps the band (Stewart, 1994, ch. 2).  k should carry large mass:
-    grounding a state of tiny mass leaves the small states wrong by many
-    orders.  Negative roundoff entries are clipped to zero.  Returns pi, the
-    balance residual max |Q^T pi| of the returned pi (formed from the
-    transitions: gbsv overwrites the band) and the clipped mass; raises
-    InternalInconsistencyError, with no fallback, if the solve is singular,
-    pi is not finite or has no mass, or the residual exceeds RESIDUAL_TOL.
+    Row k of _band's Q^T is replaced by e_k^T and the right-hand side is
+    e_k, which fixes pi_k = 1 and keeps the band (Stewart, 1994, ch. 2).
+    k should carry large mass: grounding a state of tiny mass leaves the
+    small states wrong by many orders.  Negative roundoff entries are
+    clipped to zero.  Returns pi, the balance residual max |Q^T pi| of the
+    returned pi (formed from ``gen``: gbsv overwrites the band) and the
+    clipped mass; raises InternalInconsistencyError, with no fallback, if
+    the solve is singular, pi is not finite or has no mass, or the residual
+    exceeds RESIDUAL_TOL.
     """
     from scipy.linalg.lapack import dgbsv
 
-    n = len(out)
-    offset = dst - src
-    lower, upper = int(offset.max()), int(-offset.min())
-    diag = lower + upper
-    ab = np.zeros((diag + lower + 1, n), order="F")  # Fortran order: gbsv takes it without a copy
-    keep = dst != k
-    ab[diag + offset[keep], src[keep]] = rate[keep]
-    ab[diag] = -out
-    ab[diag, k] = 1.0
+    w, n = gen.c + 1, len(gen.out)
+    ab = _band(gen)
+    s = np.arange(max(0, k - w), min(n, k + w + 1))  # the columns whose band holds row k
+    ab[2 * w + k - s, s] = 0.0
+    ab[2 * w, k] = 1.0
     b = np.zeros(n)
     b[k] = 1.0
-    _, _, pi, info = dgbsv(lower, upper, ab, b, overwrite_ab=1, overwrite_b=1)
+    _, _, pi, info = dgbsv(w, w, ab, b, overwrite_ab=1, overwrite_b=1)
+    del ab  # the LU: free the band before the residual's vectors are made
     if info != 0:
         raise InternalInconsistencyError(f"grounded balance system is singular (gbsv info {info})")
     total = pi.sum()
@@ -195,7 +226,28 @@ def _solve_stationary(
     clipped_mass = float(np.abs(pi[pi < 0].sum()))
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    residual = float(np.abs(np.bincount(dst, weights=rate * pi[src], minlength=n) - out * pi).max())
+    residual = _balance_residual(gen, pi)
     if residual > RESIDUAL_TOL:
         raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds {RESIDUAL_TOL:g}")
     return pi, residual, clipped_mass
+
+
+def _balance_residual(gen: _Generator, pi: np.ndarray) -> float:
+    """max |Q^T pi|: the head's inflow from its triples, the tail's from the
+    template's, one offset dst - src at a time over all of levels
+    c + 1..j_max."""
+    c, w = gen.c, gen.c + 1
+    base = _index(c, 0, c + 1)
+    r = gen.out * pi  # outflow minus inflow, state by state
+    src, dst, rate = gen.head
+    r[: base + w] -= np.bincount(dst, weights=rate * pi[src], minlength=base + w)
+    into = r[base - w :].reshape(-1, w)  # levels c..j_max
+    frm = pi[base:].reshape(-1, w)  # levels c + 1..j_max
+    src, dst, rate = gen.tmpl
+    for d in np.unique(dst - src):
+        at = dst - src == d
+        up, on = divmod(int(d), w)  # the target is `up` levels up and `on` phases on
+        top = len(frm) - max(up, 0)  # the top level's arrivals were dropped
+        phase = src[at] - base
+        into[1 + up : 1 + up + top, phase + on] -= frm[:top, phase] * rate[at]
+    return float(max(r.max(), -r.min()))

@@ -232,6 +232,8 @@ class ExplicitTail:
         # shape (M + 1, c + 1); row m is the level-(c + m) probability vector
         self.levels = levels
         self._suffix = np.cumsum(levels[::-1], axis=0)[::-1]
+        self._s0 = levels.sum(axis=0)
+        self._s1 = np.arange(len(levels)) @ levels
 
     def level(self, m: int) -> np.ndarray:
         if m >= len(self.levels):
@@ -239,11 +241,10 @@ class ExplicitTail:
         return self.levels[m]
 
     def sum0(self) -> np.ndarray:
-        return self.levels.sum(axis=0)
+        return self._s0
 
     def sum1(self) -> np.ndarray:
-        m = np.arange(len(self.levels))
-        return m @ self.levels
+        return self._s1
 
     def rows(self, idx, n: int) -> tuple[np.ndarray, np.ndarray]:
         k = min(n, len(self.levels))

@@ -6,6 +6,8 @@ the tool makes no git call.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,9 +40,26 @@ def test_pairs_on_one_tree(ab_pairs, monkeypatch, capsys):
         assert len(s["raw_s"]) == 2 and s["median_s"] > 0
         assert s["quartiles_s"][0] <= s["median_s"] <= s["quartiles_s"][2]
         assert s["minflt_per_run"] >= 0 and s["stime_s_per_run"] >= 0
+        assert s["maxrss_growth_mb"] >= 0
     assert result["ratio"] == pytest.approx(result["change"]["median_s"] / result["parent"]["median_s"])
     assert result["pair_ratio_median"] > 0
-    assert "change won" in text and "ru_minflt" in text
+    assert "change won" in text and "ru_minflt" in text and "ru_maxrss growth" in text
+
+
+def test_maxrss_growth_is_the_timed_loops():
+    # a 48 MB array raises the peak in the first run only: with no warmup
+    # the timed loop reads that growth, after one warmup run it reads none.
+    # The tool runs as its own process: Linux starts a child's ru_maxrss at
+    # the peak of the process that launched it, here pytest's
+    stmt = "x = __import__('numpy').ones(6_000_000); del x"
+    growth = {}
+    for warmup in (0, 1):
+        argv = [stmt, "--pairs", "1", "--reps", "2", "--warmup", str(warmup), "--parent-src", SRC]
+        out = subprocess.run([sys.executable, str(TOOL), *argv], capture_output=True, text=True, check=True)
+        result = json.loads(out.stdout.splitlines()[-1])
+        growth[warmup] = [result[side]["maxrss_growth_mb"] for side in ("parent", "change")]
+    assert all(g >= 30 for g in growth[0])
+    assert all(g < 5 for g in growth[1])
 
 
 def test_a_failing_statement_stops_the_run(ab_pairs):

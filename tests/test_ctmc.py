@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -42,20 +44,18 @@ ASSEMBLY_POINTS = [(1, 0.5, 1.0), (2, 0.9, 0.01), (5, 0.7, 0.3), (10, 0.5, 0.7)]
 @pytest.mark.parametrize("extra_levels", [5, 200])
 def test_generator_matches_per_state_assembly(c, rho, alpha, extra_levels):
     p = QueueParams(lam=rho * c, mu=1.0, alpha=alpha, c=c)
-    src, dst, rate, out = ctmc._generator(p, c + extra_levels)
-    n, diag = len(out), np.arange(len(out))
-    # the transition list as Q^T, assembled the way reference_generator is
-    got = sp.csc_matrix(
-        (np.concatenate([rate, -out]), (np.concatenate([dst, diag]), np.concatenate([src, diag]))),
-        shape=(n, n),
-    )
-    want = reference_generator(p, c + extra_levels)
-    assert got.has_canonical_format and want.has_canonical_format
-    assert got.shape == want.shape
-    # entry for entry, bit for bit: same pattern, same floats
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    ab = ctmc._band(ctmc._generator(p, c + extra_levels))
+    want = reference_generator(p, c + extra_levels).tocoo()
+    offset = want.row - want.col
+    assert np.abs(offset).max() == c + 1  # Q^T's half-width
+    # the reference's entries in gbsv's layout: Q^T[i, j] at row l + u + i - j
+    # of column j, l = u = c + 1, under l rows of fill-in; zeros elsewhere
+    w = c + 1
+    band = np.zeros((3 * w + 1, want.shape[1]), order="F")
+    band[2 * w + offset, want.col] = want.data
+    assert ab.flags.f_contiguous and ab.shape == band.shape
+    # every entry of the band, bit for bit: same pattern, same floats
+    assert np.array_equal(ab.view(np.uint64), band.view(np.uint64))
 
 
 def test_level_dependent_law_is_refused(monkeypatch):
@@ -158,10 +158,41 @@ def test_small_states_match_gf(rho, alpha, c):
 
 def test_non_generator_raises_instead_of_falling_back():
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
-    src, dst, rate, out = ctmc._generator(p, 20)
+    gen = ctmc._generator(p, 20)
+    src, _, rate = gen.head
     rate[np.flatnonzero(src == 4)[0]] *= 1.5  # column 4 no longer sums to zero
     with pytest.raises(InternalInconsistencyError, match="balance residual"):
-        ctmc._solve_stationary(src, dst, rate, out, ctmc._index(2, 1, 1))
+        ctmc._solve_stationary(gen, ctmc._index(2, 1, 1))
+
+
+def test_non_generator_tail_raises_instead_of_falling_back():
+    # the template's columns repeat up to the cap: one inconsistent setup
+    # rate makes every tail column of that phase not sum to zero
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    gen = ctmc._generator(p, 20)
+    src, dst, rate = gen.tmpl
+    rate[np.flatnonzero(dst - src == 1)[0]] *= 1.5
+    with pytest.raises(InternalInconsistencyError, match="balance residual"):
+        ctmc._solve_stationary(gen, ctmc._index(2, 1, 1))
+
+
+def test_oracle_memory_is_its_band():
+    # slow setup: 5,159 tail levels of 11 states; the LU band is 15.5 MB.  The
+    # solve holds the band, the outflows, pi and the pivots, then the
+    # residual's few vectors; a per-transition list costs about 170 bytes per
+    # state beyond the band, over 20 vectors
+    ctmc.solve_adaptive(QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2))  # LAPACK imported untraced
+    p = QueueParams(lam=8.0, mu=1.0, alpha=0.01, c=10)
+    tracemalloc.start()
+    try:
+        d = ctmc.solve_adaptive(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    j_max = d.info["j_max"]
+    n = ctmc._index(p.c, 0, j_max + 1)
+    assert n > 50_000
+    assert peak <= ctmc._band_bytes(p.c, j_max) + 10 * 8 * n
 
 
 def test_info_names_ground_and_clipped_mass():

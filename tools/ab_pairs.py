@@ -15,14 +15,19 @@ imports gf, qbd, ctmc, measures, sweeps and QueueParams, then runs the
 statement --warmup times untimed, then --reps times timed, with
 BLAS on one thread; it reports the median of its timed runs and, per run,
 the minor page faults (ru_minflt) and system time (ru_stime) its timed
-loop took.
+loop took, and how far the loop raised its peak resident set (ru_maxrss).
+The warmup runs set that peak first, so a statement whose every run needs
+the same memory reads 0 there; pass --warmup 0 to see a first run's.  Linux
+starts a fresh process's ru_maxrss at the peak of the process that launched
+it, so run this tool as its own process, not from inside a large one.
 
 Prints, per side, the median and quartiles over pairs of those per-process
 medians, the change/parent ratio of the medians, the median of the
 per-pair ratios (which host speed drifting between pairs moves less), how
 many pairs the change won (ties count for neither side), and the medians
-of ru_minflt and ru_stime per run; then the same as one JSON line.  Times
-are raw seconds of this machine.  It is a measuring tool, not a gate.
+of ru_minflt and ru_stime per run and of the ru_maxrss growth; then the
+same as one JSON line.  Times are raw seconds of this machine.  It is a
+measuring tool, not a gate.
 """
 
 import argparse
@@ -61,6 +66,7 @@ print(json.dumps({
     "median_s": statistics.median(times),
     "minflt": (after.ru_minflt - before.ru_minflt) / n,
     "stime_s": (after.ru_stime - before.ru_stime) / n,
+    "maxrss_growth_mb": (after.ru_maxrss - before.ru_maxrss) / 1024,
 }))
 """
 
@@ -126,6 +132,7 @@ def compare(parent_src: Path, job: dict, pairs: int) -> dict:
             "raw_s": med,
             "minflt_per_run": statistics.median(r["minflt"] for r in rs),
             "stime_s_per_run": statistics.median(r["stime_s"] for r in rs),
+            "maxrss_growth_mb": statistics.median(r["maxrss_growth_mb"] for r in rs),
         }
     pair_ratios = [c["median_s"] / p["median_s"] for p, c in zip(runs["parent"], runs["change"])]
     return {
@@ -164,7 +171,8 @@ def main(argv=None) -> int:
         q1, _, q3 = s["quartiles_s"]
         print(
             f"  {side:6}  median {s['median_s']:.6g} s  quartiles {q1:.6g}..{q3:.6g} s  "
-            f"ru_minflt/run {s['minflt_per_run']:.6g}  ru_stime/run {s['stime_s_per_run']:.6g} s"
+            f"ru_minflt/run {s['minflt_per_run']:.6g}  ru_stime/run {s['stime_s_per_run']:.6g} s  "
+            f"ru_maxrss growth {s['maxrss_growth_mb']:.6g} MB"
         )
     print(
         f"  ratio change/parent {result['ratio']:.4f} (median of pair ratios "
