@@ -9,22 +9,27 @@ down when nothing is waiting.  The in-setup count therefore always equals
 min(jobs - active, c - active); the simulator tracks it explicitly through
 the policy deltas and verifies the identity after every event.
 
-The kernel works in chunks of `_CHUNK` uniforms, two per event.  A Python
-loop over one chunk's event uniforms does only the transition: it compares
-u * total rate against the arrival and service rates on plain ints and
-floats and appends one event code, which fixes the change of (active,
-in-setup, jobs).  numpy then rebuilds the chunk's states by a cumulative
-sum of the code deltas, checks the setup identity on every post-event
-state, forms the holding times -log(1 - u) / total from the chunk's other
-uniforms and adds each batch's phase times, job and setup integrals and
-event counts with `np.bincount` (batch durations and the active-server
-integral follow from the phase times).  Memory is O(chunk) whatever the
-run length: at 16,384 uniforms a chunk, a run of 500k events adds 0.8 MB
-to the peak RSS, against 4.6 MB at 65,536.  A seed gives the same sample
-path as a per-event loop that accumulates as it goes; the estimates
-differ from that loop's only in summation order.  On a 2-CPU box the
-kernel runs 3-4M events/s at c = 2 to 50 (best of three runs of 1e6
-events) against about 0.3M for the per-event loop.
+The kernel works in chunks of `_CHUNK` uniforms, two per event, drawn into
+one reused buffer.  A Python loop over a memoryview of one chunk's event
+uniforms does only the transition: it reads the state's total rate from a
+table built once per run (row i, column s: lam + i mu + s alpha), compares
+u * total against lam and lam + i mu on plain ints and floats and appends
+one event code, which fixes the change of (active, in-setup, jobs).  numpy
+then rebuilds the chunk's states by one `take` of the code deltas and a
+cumulative sum, checks the setup identity on every post-event state and
+forms the holding times -log(1 - u) / total from the chunk's other
+uniforms.  A batch is a contiguous range of events, so each batch's phase
+times (one `np.bincount` over (batch, phase) cells), job and setup
+integrals and activation and shutdown counts (`np.add.reduceat` over its
+slice of the chunk) take a fixed number of numpy calls per chunk, however
+many batches the chunk meets; batch durations and the active-server
+integral follow from the phase times.  Memory is O(chunk) whatever the
+run length: at 16,384 uniforms a chunk, a run of 500k events peaks
+0.25 MB above a run of 20,000 (c = 10 and 50).  A seed gives the same
+sample path as a per-event loop that accumulates as it goes; the
+estimates differ from that loop's only in summation order.  On a 2-CPU
+box the kernel runs 8.1-9.4M events/s at c = 2 to 50 (best of three runs
+of 1e6 events) against about 1.0M for the per-event loop.
 
 Statistics are time averages over batches of equal event counts, with 95%
 confidence half-widths from the batch means.  The Student-t quantile they
@@ -118,9 +123,12 @@ def _check_config(cfg: SimConfig) -> None:
             raise InvalidConfigError(f"{name} must be an int, got {v!r}")
     if cfg.n_batches < 10:
         raise InvalidConfigError(f"need at least 10 batches, got {cfg.n_batches}")
-    if not 0.0 <= cfg.warmup_fraction < 1.0:
+    w = cfg.warmup_fraction
+    if not isinstance(w, (int, float, np.integer, np.floating)) or isinstance(w, bool):
+        raise InvalidConfigError(f"warmup fraction must be a real number, got {w!r}")
+    if not 0.0 <= w < 1.0:
         raise InvalidConfigError(
-            f"warmup fraction must be in [0, 1), got {cfg.warmup_fraction}"
+            f"warmup fraction must be in [0, 1), got {w}"
         )
     if bool(cfg.trace_path) != (cfg.trace_limit > 0):
         raise InvalidConfigError(
@@ -134,19 +142,19 @@ def _check_config(cfg: SimConfig) -> None:
         )
 
 
-def _transitions(u_event: list, state: tuple, p: QueueParams) -> tuple:
+def _transitions(u_event, state: tuple, rate: list, c: int) -> tuple:
     """Apply one event per uniform; return the event codes (one byte each)
     and the end state.
 
-    The total rate is lam + i mu + s alpha, formed in that order, and the
-    event is the first of arrival / service / setup completion whose
-    cumulative rate exceeds u * total.
+    `rate[i][s]` is the total rate lam + i mu + s alpha of state (i, s), so
+    `rate[i][0]` is lam + i mu and `rate[0][0]` is lam.  The event is the
+    first of arrival / service / setup completion whose cumulative rate
+    exceeds u * total.
     """
-    lam, alpha, c = p.lam, p.alpha, p.c
-    lam_i = [lam + k * p.mu for k in range(c + 1)]
+    lam = rate[0][0]
     i, s, j = state
-    li = lam_i[i]
-    total = li + s * alpha
+    row = rate[i]
+    li, total = row[0], row[s]
     codes = bytearray()
     emit = codes.append
     for u in u_event:
@@ -155,7 +163,7 @@ def _transitions(u_event: list, state: tuple, p: QueueParams) -> tuple:
             j += 1
             if i + s < c:
                 s += 1
-                total = li + s * alpha
+                total = row[s]
                 emit(0)
             else:
                 emit(1)
@@ -165,20 +173,20 @@ def _transitions(u_event: list, state: tuple, p: QueueParams) -> tuple:
                 # freed server takes the next job; one setup is now redundant
                 if s > j - i:
                     s -= 1
-                    total = li + s * alpha
+                    total = row[s]
                     emit(2)
                 else:
                     emit(3)
             else:
                 i -= 1
-                li = lam_i[i]
-                total = li + s * alpha
+                row = rate[i]
+                li, total = row[0], row[s]
                 emit(_SHUTDOWN)
         else:
             s -= 1
             i += 1
-            li = lam_i[i]
-            total = li + s * alpha
+            row = rate[i]
+            li, total = row[0], row[s]
             emit(_ACTIVATION)
     return codes, (i, s, j)
 
@@ -204,28 +212,34 @@ def simulate(cfg: SimConfig) -> SimEstimate:
     c, nb = p.c, cfg.n_batches
     n_total = n_warm + batch_size * nb
 
+    # total rate (lam + i mu) + s alpha of state (i, s), row i, column s
+    rate = np.add.outer(p.lam + np.arange(c + 1) * p.mu, np.arange(c + 1) * p.alpha)
+    rate_rows = rate.tolist()
+    neg_rate = -rate.ravel()  # log(1 - u) / -total is the holding time, bit for bit
+
     rng = np.random.default_rng(cfg.seed)
     trace = []
 
     state = (0, 0, 0)  # active, in setup, jobs; empty start
-    # per batch: time in each phase, integrals of jobs and setup dt, and the
-    # count of each event code
+    # per batch: time in each phase, integrals of setup and jobs dt, and the
+    # counts of activations and shutdowns
     phase_t = np.zeros((nb, c + 1))
-    jobs_t = np.zeros(nb)
-    setup_t = np.zeros(nb)
-    events = np.zeros((nb, len(_KINDS)))
+    integrals = np.zeros((2, nb))
+    on_off = np.zeros((2, nb))
 
+    buf = np.empty(_CHUNK)
+    u_event = memoryview(buf)[1::2]
+    # rows active, in setup, jobs; column k is the state before event n0 + k,
+    # column k + 1 the state after it
+    states_buf = np.empty((3, _CHUNK // 2 + 1), dtype=np.int64)
     for n0 in range(0, n_total, _CHUNK // 2):
-        buf = rng.random(_CHUNK)
+        rng.random(out=buf)
         m = min(_CHUNK // 2, n_total - n0)
-        codes, end = _transitions(buf[1 : 2 * m : 2].tolist(), state, p)
+        codes, end = _transitions(u_event[:m], state, rate_rows, c)
         codes = np.frombuffer(codes, dtype=np.uint8)
-        # rows active, in setup, jobs; column k is the state before event
-        # n0 + k, column k + 1 the state after it
-        states = np.empty((3, m + 1), dtype=np.int64)
+        states = states_buf[:, : m + 1]
         states[:, 0] = state
-        for row, delta in zip(states, _DELTAS.T):
-            delta.take(codes, out=row[1:])
+        np.take(_DELTAS.T, codes, axis=1, out=states[:, 1:])
         np.cumsum(states, axis=1, out=states)
         _check_setup_invariant(states[:, 1:], c, n0)
         state = end
@@ -241,16 +255,23 @@ def simulate(cfg: SimConfig) -> SimEstimate:
         lo = max(0, n_warm - n0)
         if lo >= m:
             continue
-        i, s, j = states[:, lo:m]
-        total = p.lam + i * p.mu + s * p.alpha
-        dt = -np.log(1.0 - buf[2 * lo : 2 * m : 2]) / total
-        b = (np.arange(n0 + lo, n0 + m) - n_warm) // batch_size
-        phase_t += np.bincount(b * (c + 1) + i, dt, phase_t.size).reshape(nb, c + 1)
-        jobs_t += np.bincount(b, j * dt, nb)
-        setup_t += np.bincount(b, s * dt, nb)
-        events += np.bincount(
-            b * len(_KINDS) + codes[lo:m], minlength=events.size
-        ).reshape(events.shape)
+        i, s, _ = states[:, lo:m]
+        dt = np.log(1.0 - buf[2 * lo : 2 * m : 2])
+        dt /= neg_rate.take(i * (c + 1) + s)
+        # batches b0 .. b1 - 1 meet events lo .. m - 1; starts[k] is batch
+        # b0 + k's first event here, counted from lo (the first batch may
+        # have begun in an earlier chunk)
+        b0 = (n0 + lo - n_warm) // batch_size
+        b1 = (n0 + m - 1 - n_warm) // batch_size + 1
+        nseg = b1 - b0
+        starts = np.maximum(np.arange(b0, b1) * batch_size + (n_warm - n0 - lo), 0)
+        # each event's (batch, phase) cell, so one bincount serves every batch
+        key = np.repeat(np.arange(0, nseg * (c + 1), c + 1), np.diff(starts, append=m - lo))
+        key += i
+        phase_t[b0:b1] += np.bincount(key, dt, nseg * (c + 1)).reshape(nseg, c + 1)
+        integrals[:, b0:b1] += np.add.reduceat(states[1:, lo:m] * dt, starts, axis=1)
+        for row, code in zip(on_off, (_ACTIVATION, _SHUTDOWN)):
+            row[b0:b1] += np.add.reduceat(codes[lo:m] == code, starts, dtype=np.int64)
 
     if cfg.trace_path:
         with open(cfg.trace_path, "w") as fh:
@@ -260,10 +281,9 @@ def simulate(cfg: SimConfig) -> SimEstimate:
 
     bt = phase_t.sum(axis=1)
     active_t = phase_t @ np.arange(c + 1)
+    setup_t, jobs_t = integrals
     # batch means (batches x metrics): jobs, active, setup, on, off, phases
-    means = np.column_stack(
-        [jobs_t, active_t, setup_t, events[:, _ACTIVATION], events[:, _SHUTDOWN], phase_t]
-    )
+    means = np.column_stack([jobs_t, active_t, setup_t, *on_off, phase_t])
     means /= bt[:, None]
     est = means.mean(axis=0)
     hw = _halfwidth(means)
@@ -380,8 +400,15 @@ class ValidationReport:
 def validate_against(analytic, sim: SimEstimate) -> ValidationReport:
     """Flag metrics where |analytic - simulated| > 3 half-widths.
 
-    `analytic` is a PerformanceReport for the same parameters.
+    `analytic` is a PerformanceReport for the same parameters; one with
+    another number of phases raises InvalidConfigError.
     """
+    n_ref, n_sim = len(analytic.phase_marginal), len(sim.phase_marginal)
+    if n_ref != n_sim:
+        raise InvalidConfigError(
+            f"the analytic report has {n_ref} phases (c = {n_ref - 1}) and the "
+            f"simulation {n_sim} (c = {n_sim - 1}): compare runs of the same queue"
+        )
     rows = []
 
     def add(name, ref, est, hw):

@@ -46,6 +46,16 @@ def test_pairs_on_one_tree(ab_pairs, monkeypatch, capsys):
     assert "change won" in text and "ru_minflt" in text and "ru_maxrss growth" in text
 
 
+def test_a_simulator_statement_times_only_the_run(ab_pairs, capsys):
+    # the set-up imports sim and SimConfig, so the statement holds no import
+    p = "QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)"
+    stmt = f"sim.simulate(SimConfig(params={p}, n_events=2_000))"
+    argv = [stmt, "--pairs", "1", "--reps", "2", "--warmup", "0", "--parent-src", SRC]
+    assert ab_pairs.main(argv) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert all(result[side]["median_s"] > 0 for side in ("parent", "change"))
+
+
 def test_maxrss_growth_is_the_timed_loops():
     # a 48 MB array raises the peak in the first run only: with no warmup
     # the timed loop reads that growth, after one warmup run it reads none.

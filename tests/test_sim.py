@@ -104,6 +104,16 @@ def test_counts_must_be_ints(name, value):
         sim.SimConfig(params=P112, **{name: value})
 
 
+@pytest.mark.parametrize("value", ["0.1", None, False, True])
+def test_warmup_fraction_must_be_a_real_number(value):
+    # a string or None once raised a bare TypeError from the range check,
+    # and False passed as 0.0
+    with pytest.raises(InvalidConfigError, match="warmup fraction must be a real number"):
+        sim.SimConfig(params=P112, warmup_fraction=value)
+    for ok in (0, np.float64(0.25)):
+        assert sim.SimConfig(params=P112, warmup_fraction=ok).warmup_fraction == ok
+
+
 def test_numpy_int_counts_are_accepted():
     est = run(P112, n_events=np.int64(20_000), n_batches=np.int64(10))
     assert est.n_events == 20_000 and est.n_batches == 10
@@ -148,6 +158,21 @@ def test_validation_report_to_dict():
     assert d["passed"] is True
     rows = d["metrics"]
     assert {r["metric"] for r in rows} >= {"e_jobs", "e_active", "switching_rate"}
+
+
+@pytest.mark.parametrize(
+    "p_ref",
+    [QueueParams(lam=0.5, mu=1.0, alpha=1.0, c=1), QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3)],
+    ids=["c1", "c3"],
+)
+def test_validation_refuses_a_report_for_another_c(p_ref):
+    # a c = 3 report once compared only the run's three phases, without an
+    # error, and a c = 1 report raised a bare IndexError
+    est = run(P112, n_events=20_000)
+    rep = measures.full_report(gf_solution(p_ref).distribution(), p_ref)
+    n = p_ref.c + 1
+    with pytest.raises(InvalidConfigError, match=rf"report has {n} phases .* simulation 3 \(c = 2\)"):
+        sim.validate_against(rep, est)
 
 
 def test_trace_needs_path_and_limit(tmp_path):
@@ -231,14 +256,26 @@ def reference_run(cfg):
 
 
 @pytest.mark.parametrize(
-    "p", [P112, QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10)], ids=["c2", "c10"]
+    "p, kw",
+    [
+        (P112, {}),
+        (QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10), {}),
+        # the benchmark's c = 50 point, where codes 1 and 3 are rare
+        (QueueParams(lam=25.0, mu=1.0, alpha=0.7, c=50), {}),
+        # batches of 315 events, so one chunk holds many batches
+        (QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10), {"n_batches": 200}),
+        # a warm-up of one chunk's events, so the first batch starts a chunk
+        (P112, {"n_events": 10 * (sim._CHUNK // 2)}),
+    ],
+    ids=["c2", "c10", "c50", "short_batches", "warmup_on_chunk_edge"],
 )
-def test_same_path_as_per_event_loop(tmp_path, p):
+def test_same_path_as_per_event_loop(tmp_path, p, kw):
     # 70k events cross the boundaries between chunks of uniforms
-    n = 70_000
+    kw = {"n_events": 70_000, **kw}
+    n = kw["n_events"]
     assert n > sim._CHUNK // 2
     path = tmp_path / "trace.csv"
-    cfg = sim.SimConfig(params=p, n_events=n, seed=5, trace_limit=n, trace_path=str(path))
+    cfg = sim.SimConfig(params=p, seed=5, trace_limit=n, trace_path=str(path), **kw)
     est = sim.simulate(cfg)
     rows, ref = reference_run(cfg)
     assert path.read_text().splitlines()[1:] == rows

@@ -2,6 +2,9 @@
 
     python tools/ab_pairs.py "gf.solve(QueueParams(lam=5.0, mu=1.0, alpha=0.7, c=10))" \\
         --name gf_c10 --pairs 10 --reps 500
+    python tools/ab_pairs.py \\
+        "sim.simulate(SimConfig(params=QueueParams(lam=5.0, mu=1.0, alpha=0.1, c=10), n_events=500_000))" \\
+        --name sim_c10 --pairs 10 --reps 10
 
 The change side imports mmcsetup from this repository's src/.  The
 parent side imports it from a temporary `git worktree` of --parent, or
@@ -11,8 +14,8 @@ committed, pass --parent HEAD~1.  The tool refuses a --parent whose src/
 is the working tree's, which would time one tree against itself.  Both
 trees are byte-compiled first.  Each pair starts one fresh process per
 side, parent first in even pairs and change first in odd ones.  A process
-imports gf, qbd, ctmc, measures, sweeps and QueueParams, then runs the
-statement --warmup times untimed, then --reps times timed, with
+imports gf, qbd, ctmc, measures, sim, sweeps, QueueParams and SimConfig,
+then runs the statement --warmup times untimed, then --reps times timed, with
 BLAS on one thread; it reports the median of its timed runs and, per run,
 the minor page faults (ru_minflt) and system time (ru_stime) its timed
 loop took, and how far the loop raised its peak resident set (ru_maxrss).
@@ -42,7 +45,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SETUP = "from mmcsetup import gf, qbd, ctmc, measures, sweeps\nfrom mmcsetup.model import QueueParams"
+SETUP = (
+    "from mmcsetup import gf, qbd, ctmc, measures, sim, sweeps\n"
+    "from mmcsetup.model import QueueParams\n"
+    "from mmcsetup.sim import SimConfig"
+)
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # run in each fresh process; argv[1] is a JSON {setup, stmt, warmup, reps}
