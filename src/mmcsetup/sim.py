@@ -113,9 +113,12 @@ def _batching(cfg: SimConfig) -> tuple[int, int]:
 
 
 def _check_config(cfg: SimConfig) -> None:
-    if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
+    if not isinstance(cfg.params, QueueParams):
+        raise InvalidConfigError(f"params must be a QueueParams, got {cfg.params!r}")
+    s = cfg.seed
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
         raise InvalidConfigError(
-            f"seed must be a nonnegative integer, got {cfg.seed!r}"
+            f"seed must be a nonnegative integer, got {s!r}"
         )
     for name in ("n_events", "n_batches", "trace_limit"):
         v = getattr(cfg, name)

@@ -222,3 +222,70 @@ def test_decomposition_long_support_across_routes():
         assert rep.tv_gap < 1e-10
         want = np.convolve(rep.dist_onidle, rep.dist_res)[: rep.support + 1]
         assert np.all(np.abs(rep.convolution - want) <= 2e-15 * want)
+
+
+@pytest.mark.parametrize("c, n", [(40, 600), (200, 250)])
+def test_rows_walked_together_equal_rows_walked_alone(c, n):
+    # each level of a walk is one flat run of rows x width entries; a row's
+    # last slot must not read the next row's first coefficient. At c = 40
+    # a block holds 38 levels of all rows and 532 of three; at c = 200, 1
+    # and 108, so n crosses block boundaries in every multi-row walk
+    p = QueueParams(lam=0.8 * c, mu=1.0, alpha=0.1, c=c)
+    tail = _fresh_pole_tail(p)
+    alone = [tail.rows([i], n) for i in range(c + 1)]
+    for idx in (list(range(c + 1)), [c, 0, c // 2]):
+        levels, tails = tail.rows(idx, n)
+        for k, i in enumerate(idx):
+            assert np.array_equal(levels[:, k], alone[i][0][:, 0])
+            assert np.array_equal(tails[:, k], alone[i][1][:, 0])
+
+
+def test_rows_walked_together_over_mpmath_numbers():
+    # over object arrays the 0 gap past each row's last slot is an exact
+    # zero too: a row walked with others equals that row walked alone
+    import mpmath as mp
+
+    p = QueueParams(lam=4.0, mu=1.0, alpha=0.3, c=5)
+    t = gf_solution(p).tail
+    with mp.workdps(30):
+        to_mp = np.vectorize(mp.mpf, otypes=[object])
+        tail = PoleTail(to_mp(t.coeffs), to_mp(t.nodes), to_mp(t.gaps))
+        levels, tails = tail.rows(range(p.c + 1), 40)
+        for i in range(p.c + 1):
+            one_levels, one_tails = tail.rows([i], 40)
+            assert np.array_equal(levels[:, i], one_levels[:, 0])
+            assert np.array_equal(tails[:, i], one_tails[:, 0])
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_every_tail_gives_empty_rows_for_an_empty_index(n):
+    # PoleTail once raised ZeroDivisionError in its walk's block size, and
+    # the qbd tail could not read n = 0 levels
+    p = POINTS[1]
+    for d in _dists(p):
+        for idx in ([], range(0)):
+            levels, tails = d.tail.rows(idx, n)
+            assert levels.shape == tails.shape == (n, 0)
+        levels, tails = d.tail.rows([0, p.c], n)
+        assert levels.shape == tails.shape == (n, 2)
+
+
+def test_every_tail_refuses_an_index_outside_its_states():
+    # rows([-1], n) once returned phase c's values, and level(-1) the last
+    # cached or stored level, or a bare IndexError on a PoleTail
+    p = POINTS[1]
+    for d in _dists(p):
+        t = d.tail
+        for idx in ([-1], [p.c + 1], [0, -1]):
+            with pytest.raises(InvalidStateError, match=rf"phase must be in 0\.\.c = {p.c}"):
+                t.rows(idx, 3)
+        with pytest.raises(InvalidStateError, match="number of levels n must be >= 0"):
+            t.rows([0], -1)
+        with pytest.raises(InvalidStateError, match="tail level m must be >= 0"):
+            t.level(-1)
+        assert np.array_equal(t.level(0), t.rows(range(p.c + 1), 1)[0][0])
+    pole = gf_solution(p).distribution().tail
+    with pytest.raises(InvalidStateError, match="phase must be in"):
+        pole.row_tail(-1, 0)
+    with pytest.raises(InvalidStateError, match="tail level m must be >= 0"):
+        pole.row_tail(0, -1)

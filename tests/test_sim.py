@@ -85,15 +85,27 @@ def test_config_checks_itself_when_built(kw, message):
         sim.SimConfig(params=P112, **kw)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, True, False])
 def test_seed_must_be_a_nonnegative_integer(seed):
-    # numpy's default_rng raised a bare ValueError for -1 once simulate ran
+    # numpy's default_rng raised a bare ValueError for -1 once simulate ran,
+    # and True passed as seed 1 while the counts refused bools
     message = "seed must be a nonnegative integer"
     with pytest.raises(InvalidConfigError, match=message):
         sim.SimConfig(params=P112, seed=seed)
     with pytest.raises(InvalidConfigError, match=message):
         replace(sim.SimConfig(params=P112), seed=seed)
     assert sim.SimConfig(params=P112, seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize(
+    "params", [None, {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c": 2}, (1.0, 1.0, 1.0, 2)]
+)
+def test_params_must_be_queue_params(params):
+    # None once built, and simulate then raised a bare AttributeError
+    with pytest.raises(InvalidConfigError, match="params must be a QueueParams"):
+        sim.SimConfig(params=params, n_events=20_000)
+    with pytest.raises(InvalidConfigError, match="params must be a QueueParams"):
+        replace(sim.SimConfig(params=P112), params=params)
 
 
 @pytest.mark.parametrize("name", ["n_events", "n_batches", "trace_limit"])
