@@ -139,8 +139,7 @@ def solve_truncated(params: QueueParams, j_max: int) -> JointDistribution:
 
     # package: boundary block + explicit tail levels
     boundary = np.zeros((c + 1, c))
-    for j in range(c):
-        boundary[: j + 1, j] = pi[_index(c, 0, j) : _index(c, 0, j + 1)]
+    boundary.T[np.tri(c, c + 1, dtype=bool)] = pi[: _index(c, 0, c)]
     tail_levels = pi[_index(c, 0, c) :].reshape(-1, c + 1)
 
     # estimated truncation error: mass at levels >= j_max - 2

@@ -14,7 +14,7 @@ levels and row tails of the phases in idx at once, where m counts levels
 past c, so downstream measures never care which solver produced the
 distribution.  All three hold one index contract: an empty idx gives
 (n, 0) arrays, and a phase outside 0..c, n < 0 or m < 0 raises
-InvalidStateError.
+InvalidStateError.  The levels they hand out are read-only.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ def _phases(idx, c: int) -> list[int]:
     if bad:
         raise InvalidStateError(f"phase must be in 0..c = {c}, got {bad[0]}")
     return idx
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: a distribution hands out views of it."""
+    a.flags.writeable = False
+    return a
 
 
 def _nonnegative(what: str, v: int) -> None:
@@ -236,15 +242,15 @@ class GeometricTail:
     kind = "geometric"
 
     def __init__(self, pi_c: np.ndarray, R: np.ndarray, N: np.ndarray):
-        self.pi_c = pi_c
+        self.pi_c = _frozen(pi_c)
         self.R = R
         self._N = N
-        self._levels = [pi_c]
+        self._levels = [self.pi_c]
 
     def level(self, m: int) -> np.ndarray:
         _nonnegative("tail level m", m)
         while len(self._levels) <= m:
-            self._levels.append(self._levels[-1] @ self.R)
+            self._levels.append(_frozen(self._levels[-1] @ self.R))
         return self._levels[m]
 
     def sum0(self) -> np.ndarray:
@@ -274,7 +280,7 @@ class ExplicitTail:
 
     def __init__(self, levels: np.ndarray):
         # shape (M + 1, c + 1); row m is the level-(c + m) probability vector
-        self.levels = levels
+        self.levels = _frozen(levels)
         self._suffix = np.cumsum(levels[::-1], axis=0)[::-1]
         self._s0 = levels.sum(axis=0)
         self._s1 = np.arange(len(levels)) @ levels
@@ -282,7 +288,7 @@ class ExplicitTail:
     def level(self, m: int) -> np.ndarray:
         _nonnegative("tail level m", m)
         if m >= len(self.levels):
-            return np.zeros(self.levels.shape[1])
+            return _frozen(np.zeros(self.levels.shape[1]))
         return self.levels[m]
 
     def sum0(self) -> np.ndarray:
@@ -307,7 +313,9 @@ class JointDistribution:
     """Stationary probabilities pi_{i,j} with an exact tail representation.
 
     boundary[i, j] holds pi_{i,j} for j = 0..c-1 (entries with i > j are
-    structurally zero); the tail object covers j >= c.
+    structurally zero); the tail object covers j >= c.  The boundary is
+    made read-only here, as each tail makes its levels, so no caller can
+    write into a distribution that a solve shares.
     """
 
     def __init__(
@@ -319,7 +327,7 @@ class JointDistribution:
         info: dict | None = None,
     ):
         self.params = params
-        self.boundary = boundary
+        self.boundary = _frozen(boundary)
         self.tail = tail
         self.source = source
         self.info = info or {}

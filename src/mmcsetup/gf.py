@@ -253,6 +253,7 @@ class GfSolution:
     boundary: np.ndarray
     tail: PoleTail
     info: dict
+    _joint: JointDistribution = field(repr=False)
     pass_tail: PoleTail | None = field(default=None, repr=False)
 
     @cached_property
@@ -269,10 +270,8 @@ class GfSolution:
         return _head_moments(self.boundary, N_MOMENTS) + tail.factorial_moments(N_MOMENTS)
 
     def distribution(self) -> JointDistribution:
-        c = self.params.c
-        return JointDistribution(
-            self.params, self.boundary[:, :c].astype(float), self.tail, "gf", dict(self.info)
-        )
+        """The distribution the solve built, the same object on every call."""
+        return self._joint
 
 
 def _certify(params: QueueParams, masses: np.ndarray, seam_gap: float) -> dict:
@@ -314,10 +313,9 @@ def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     pt = PoleTail(B, Y, G)
     masses = pi[:, :c].sum(axis=1) + pt.sum0()
     info = {"precision_digits": dps, **_certify(params, masses, seam_gap)}
-    if dps is None:
-        return GfSolution(params, pi, pt, info)
-    floats = (np.asarray(a, dtype=float) for a in (B, Y, G))
-    return GfSolution(params, pi, PoleTail(*floats), info, pt)
+    tail = pt if dps is None else PoleTail(*(np.asarray(a, dtype=float) for a in (B, Y, G)))
+    joint = JointDistribution(params, pi[:, :c].astype(float), tail, "gf", dict(info))
+    return GfSolution(params, pi, tail, info, joint, None if dps is None else pt)
 
 
 def solve(params: QueueParams, dps: int | None = None) -> GfSolution:

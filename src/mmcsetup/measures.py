@@ -10,7 +10,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateConditionError, InternalInconsistencyError
+from .errors import DegenerateConditionError, InternalInconsistencyError, TruncationInsufficientError
 from .mmc import onidle_cost
 from .model import CostParams, QueueParams
 
@@ -53,18 +53,15 @@ class PerformanceReport:
 def _setup_expectation(dist, params: QueueParams) -> float:
     """E[servers in setup] = sum min(j - i, c - i) pi_{i,j}.
 
-    Past level c every row has all c - i off servers warming, so the tail
-    contributes (c - i) times the row tail mass.
+    Below level c that is j - i, weighted over the whole boundary at once
+    (its entries below the diagonal are zero).  Past level c every row has
+    all c - i off servers warming, so the tail contributes (c - i) times
+    the row tail mass.
     """
     c = params.c
-    boundary = dist.boundary
-    total = 0.0
-    for j in range(c):
-        i = np.arange(j + 1)
-        total += float(((j - i) * boundary[: j + 1, j]).sum())
     i = np.arange(c + 1)
-    total += float(((c - i) * dist.tail.sum0()).sum())
-    return total
+    head = float(((np.arange(c) - i[:, None]) * dist.boundary).sum())
+    return head + float(((c - i) * dist.tail.sum0()).sum())
 
 
 def _switch_sides(dist, params: QueueParams, e_setup: float):
@@ -137,9 +134,10 @@ def decomposition(dist, params: QueueParams) -> DecompositionReport:
     reported total-variation gap meaningful down to well below 1e-10.  The
     geometric factor is (1-rho) rho^k, so the convolution is the
     first-order recurrence conv_k = rho conv_(k-1) + (1-rho) res_k,
-    O(support) and a sum of nonnegative terms.
+    O(support) and a sum of nonnegative terms.  A support past 10,000,000
+    levels raises TruncationInsufficientError before it is walked.
     """
-    mass_tol = 1e-12
+    mass_tol, cap = 1e-12, 10_000_000
     c = params.c
     rho = params.rho
     s0, s1 = dist.tail.sum0(), dist.tail.sum1()
@@ -156,16 +154,17 @@ def decomposition(dist, params: QueueParams) -> DecompositionReport:
 
     support = max(64, int(np.ceil(np.log(mass_tol) / np.log(rho))) + 1)
     while True:
+        if support > cap:
+            raise TruncationInsufficientError(
+                f"decomposition at rho {rho!r} needs a support of {support} levels, "
+                f"over the cap of {cap}"
+            )
         # columns: phase c-1, phase c; row support + 1 is the truncated tail
         levels, tails = dist.tail.rows([c - 1, c], support + 2)
         resid_res, resid_qc = tails[support + 1] / (res_mean, qc_mass)
         if rho ** (support + 1) < mass_tol and resid_res < mass_tol and resid_qc < mass_tol:
             break
         support *= 2
-        if support > 10_000_000:
-            raise InternalInconsistencyError(
-                "decomposition support exploded; tail not decaying"
-            )
 
     m = np.arange(support + 1)
     qc = levels[: support + 1, 1] / qc_mass

@@ -408,24 +408,15 @@ class QbdSolution:
 
     params: QueueParams
     R: np.ndarray
-    tail_inv: np.ndarray  # (I - R)^{-1}, see tail_inverse
     rlevels: Sequence
     G: np.ndarray
     levels: tuple
     info: dict
-    _dist: object = field(default=None, repr=False)
+    _joint: JointDistribution = field(repr=False)
 
     def distribution(self) -> JointDistribution:
-        if self._dist is None:
-            c = self.params.c
-            boundary = np.zeros((c + 1, c))
-            for j in range(c):
-                boundary[: j + 1, j] = self.levels[j]
-            tail = GeometricTail(self.levels[c], self.R, self.tail_inv)
-            self._dist = JointDistribution(
-                self.params, boundary, tail, "qbd", dict(self.info)
-            )
-        return self._dist
+        """The distribution the solve built, the same object on every call."""
+        return self._joint
 
     @property
     def glevels(self) -> LevelView | None:
@@ -597,5 +588,10 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
         "spectral_radius": float(np.diagonal(r_hom).max()),
         "boundary_certificate": float(gap),
     }
+    # levels 0..c-1 fill the boundary's upper triangle column by column
+    boundary = np.zeros((c + 1, c))
+    boundary.T[np.tri(c, c + 1, dtype=bool)] = np.concatenate(levels[:c])
+    tail = GeometricTail(levels[c], r_hom, tail_inv)
+    joint = JointDistribution(params, boundary, tail, "qbd", dict(info))
     g_hom = g_matrix(params, r_hom) if with_g else None
-    return QbdSolution(params, r_hom, tail_inv, rlev, g_hom, levels, info)
+    return QbdSolution(params, r_hom, rlev, g_hom, levels, info, joint)

@@ -289,3 +289,33 @@ def test_every_tail_refuses_an_index_outside_its_states():
         pole.row_tail(-1, 0)
     with pytest.raises(InvalidStateError, match="tail level m must be >= 0"):
         pole.row_tail(0, -1)
+
+
+FRESH = {
+    "gf": lambda p: gf.solve(p).distribution(),
+    "qbd": lambda p: qbd.solve(p).distribution(),
+    "ctmc": ctmc.solve_adaptive,
+}
+
+
+@pytest.mark.parametrize("route", FRESH)
+def test_every_level_a_distribution_hands_out_is_read_only(route):
+    # a write to a qbd level past c once persisted, and reached the levels
+    # formed from it later; the oracle's levels and every head took writes
+    p = POINTS[1]
+    d = FRESH[route](p)  # not the shared solutions: a write would stick
+    for j in (0, p.c - 1, p.c, p.c + 3):
+        with pytest.raises(ValueError, match="read-only"):
+            d.level(j)[0] = 1.0
+
+
+@pytest.mark.parametrize("solve", [gf.solve, qbd.solve], ids=["gf", "qbd"])
+def test_a_solution_hands_out_the_one_distribution_it_built(solve):
+    p = POINTS[1]
+    sol = solve(p)
+    d = sol.distribution()
+    assert sol.distribution() is d
+    # the head is the solution's own levels 0..c-1, scattered in one step
+    for j in range(p.c):
+        want = sol.boundary[: j + 1, j] if solve is gf.solve else sol.levels[j]
+        assert np.array_equal(d.level(j), want)

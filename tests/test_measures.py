@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import gf_solution, oracle_distribution, qbd_solution
-from mmcsetup import measures, mmc
+from mmcsetup import gf, measures, mmc
 from mmcsetup.distribution import ExplicitTail, JointDistribution
 from mmcsetup.errors import (
     DegenerateConditionError,
     InternalInconsistencyError,
     InvalidConfigError,
+    TruncationInsufficientError,
 )
 from mmcsetup.model import CostParams, QueueParams
 
@@ -174,6 +175,26 @@ def test_decomposition_rejects_vanished_phase():
     dist = JointDistribution(p, boundary, ExplicitTail(np.zeros((1, 3))), "test")
     with pytest.raises(DegenerateConditionError):
         measures.decomposition(dist, p)
+
+
+def test_decomposition_refuses_a_support_past_its_cap_before_walking_it(monkeypatch):
+    # the cap was read only after a doubling, so the a-priori support,
+    # 27.6M levels here, was walked unchecked
+    p = QueueParams(lam=0.999999 * 2, mu=1.0, alpha=1.0, c=2)
+    dist = gf.solve(p).distribution()
+    asked = []
+
+    def rows(idx, n):
+        asked.append(n)
+        raise AssertionError(f"walked {n} levels")
+
+    monkeypatch.setattr(dist.tail, "rows", rows)
+    with pytest.raises(
+        TruncationInsufficientError,
+        match=r"rho 0\.999999 needs a support of 27631009 levels, over the cap of 10000000",
+    ):
+        measures.decomposition(dist, p)
+    assert asked == []
 
 
 def test_decomposition_across_methods():
