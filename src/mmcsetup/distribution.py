@@ -237,7 +237,11 @@ class PoleTail:
 
 class GeometricTail:
     """pi_{c+m} = pi_c R^m for an upper-triangular R, given N = (I - R)^{-1}
-    (qbd.tail_inverse), which every tail sum reads."""
+    (qbd.tail_inverse), which every tail sum reads.
+
+    The levels formed so far are the rows of one array, grown by doubling
+    as _RowWalk grows its own, so each level is held once; level(m) is a
+    read-only view of row m and rows() reads a slice."""
 
     kind = "geometric"
 
@@ -245,13 +249,22 @@ class GeometricTail:
         self.pi_c = _frozen(pi_c)
         self.R = R
         self._N = N
-        self._levels = [self.pi_c]
+        self._levels = pi_c[None].copy()
+        self._n = 1  # rows of _levels formed
+
+    def _extend(self, n: int) -> np.ndarray:
+        """The first n levels, formed as needed: a read-only view."""
+        if n > len(self._levels):
+            self._levels = _grown(self._levels[: self._n], max(n, 2 * len(self._levels)))
+        levels, R = self._levels, self.R
+        for m in range(self._n, n):
+            np.matmul(levels[m - 1], R, out=levels[m])
+        self._n = max(self._n, n)
+        return _frozen(levels[:n])
 
     def level(self, m: int) -> np.ndarray:
         _nonnegative("tail level m", m)
-        while len(self._levels) <= m:
-            self._levels.append(_frozen(self._levels[-1] @ self.R))
-        return self._levels[m]
+        return self._extend(m + 1)[m]
 
     def sum0(self) -> np.ndarray:
         return self.pi_c @ self._N
@@ -262,9 +275,7 @@ class GeometricTail:
     def rows(self, idx, n: int) -> tuple[np.ndarray, np.ndarray]:
         idx = _phases(idx, len(self.pi_c) - 1)
         _nonnegative("number of levels n", n)
-        if n:
-            self.level(n - 1)
-        levels = np.array(self._levels[:n]).reshape(n, len(self.pi_c))
+        levels = self._extend(n)
         # a C-ordered copy of the columns: against an F-ordered one the
         # product strayed up to 1.6e-15 from the per-level dots at c = 400
         return levels[:, idx], levels @ np.ascontiguousarray(self._N[:, idx])

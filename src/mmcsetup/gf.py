@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distribution import JointDistribution, PoleTail, falling_factorial
+from .distribution import JointDistribution, PoleTail, _frozen, falling_factorial
 from .errors import InternalInconsistencyError
 from .model import QueueParams
 
@@ -90,14 +90,17 @@ def _roots(params: QueueParams, one):
     return i * mu / (zhat * lam), zhat, zhat_gap, z_gap
 
 
+@lru_cache(maxsize=1)
 def quadratic_roots(params: QueueParams) -> RootTable:
     """All 2(c+1) roots and their gaps to 1, from `_roots` in long double.
 
     No separation check: coincident outer roots (the confluent line) are
-    fine for every caller.
+    fine for every caller.  The last table is kept, its arrays read-only,
+    so that the steps of one qbd solve (R, (I - R)^{-1}, the residuals)
+    share it.
     """
     z, zhat, zhat_gap, z_gap = _roots(params, np.longdouble(1))
-    return RootTable(z.astype(float), zhat.astype(float), zhat_gap, z_gap)
+    return RootTable(*map(_frozen, (z.astype(float), zhat.astype(float), zhat_gap, z_gap)))
 
 
 def _node_lists(x: np.ndarray, gaps: np.ndarray, prepend: bool):
@@ -133,26 +136,30 @@ def _newton_pass(params, x, Y, G, wm1, zg, dx):
     steps = np.arange(1, c + 1)
 
     def store(i, row, coef, mass):
-        # an exact power-of-two rescale keeps every row near 1
+        # an exact power-of-two rescale keeps every row near 1; the scaled
+        # row and coefficients go back as lists, for the next row to read
         e = math.frexp(float(max(max(row), max(coef))))[1]
         scale = two**-e
-        pi[i] = [v * scale for v in row]
-        B[i, : len(coef)] = [v * scale for v in coef]
+        pi[i] = row = [v * scale for v in row]
+        B[i, : len(coef)] = coef = [v * scale for v in coef]
         s0[i] = mass * scale
         exps[i] = (exps[i - 1] if i else 0) + e
+        return row, coef
 
     row = [num(1)]
     for j in range(1, c):
         row.append(row[-1] * lam / (lam + j * alpha))
     last = row[c - 1]
     row.append(last * xs[0])  # pi_{0,c} = Lambda_0(t)
-    coef = [last / G[0, :1].tolist()[0]]
-    store(0, row, coef, coef[0] * xs[0])
+    Y, G = Y.tolist(), G.tolist()
+    if dx is not None:
+        dx = dx.tolist()
+    coef = [last / G[0][0]]
+    below, prev = store(0, row, coef, coef[0] * xs[0])
 
     for i in range(1, c + 1):
         kappa = (c - i + 1) * alpha / (i * mu)
-        prev = B[i - 1, :i].tolist()
-        y, g = Y[i - 1, :i].tolist(), G[i - 1, :i].tolist()
+        y, g = Y[i - 1], G[i - 1]  # the first i entries are row i - 1's
         # Lambda_{i-1}(t f / (w - t)) = sum_l D[l] phi_l(f): one backward
         # sweep; E carries sum_{m > l} B_m prod_{l < k <= m} (1-y_k)/(w-y_k)
         w, wm = wm1[i] + 1, wm1[i]
@@ -170,7 +177,6 @@ def _newton_pass(params, x, Y, G, wm1, zg, dx):
             # D_j = lam + i mu (1 - b_(j+1)) + (j-i) alpha is carried as
             # e_j = D_j - lam from e_c = lam (zhat_i - 1): every term of
             # e_j = (j-i) alpha + i mu e_(j+1) / (lam + e_(j+1)) is >= 0
-            below = pi[i - 1].tolist()
             a, b = [None] * (c + 1), [None] * (c + 1)
             a[c], b[c] = start, xs[i]
             e = lam * zg[i]
@@ -192,15 +198,15 @@ def _newton_pass(params, x, Y, G, wm1, zg, dx):
         last = row[c - 1]
         # the new node goes first (one prepended coefficient) or last (a
         # Horner pass over the factors x_i - x_l >= 0)
-        yi, gi = Y[i, : i + 1].tolist(), G[i, : i + 1].tolist()
+        yi, gi = Y[i], G[i]
         if dx is None:
             coef = [last / gi[0]] + [kappa * d / gi[0] for d in D]
         else:
-            diff = dx[i, :i].tolist()
+            diff = dx[i]
             coef = [last / gi[0]]
             for l in range(1, i + 1):
                 coef.append((coef[-1] * diff[l - 1] + kappa * D[l - 1]) / gi[l])
-        store(i, row, coef, coef[0] * yi[0] + sum(coef[1:]))
+        below, prev = store(i, row, coef, coef[0] * yi[0] + sum(coef[1:]))
 
     def weighted(values, top):
         # values[i] 2**(exps[i] - top), in two factors so that neither leaves

@@ -25,10 +25,15 @@ level per read.
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, each
 product read off the packed triangle by BLAS dtpmv (solve unpacks only
-R^{(1)}, for the level-0 balance check), then pi_{c+k} = pi_c R^k.  One
-(I - R)^{-1} per solve, its diagonal formed from
-the root gaps (see tail_inverse), sums the tail exactly, both for the
-normalisation and for the GeometricTail's sums.
+R^{(1)}, for the level-0 balance check), then pi_{c+k} = pi_c R^k.  Levels
+0..c are one flat array in boundary order, level n at offset n(n+1)/2,
+each product formed in place on its level's slice; solve divides that
+array once, scatters the boundary from its head and hands out the levels
+and pi_c as read-only views of it.  One (I - R)^{-1} per solve, its
+diagonal formed from the root gaps (see tail_inverse), sums the tail
+exactly, both for the normalisation and for the GeometricTail's sums.
+The roots come from one gf.quadratic_roots table per solve, which R,
+(I - R)^{-1} and the residuals all read.
 
 scipy's BLAS and LAPACK handles are imported by the function that uses
 them, never inside the sweep or the recursion, so importing mmcsetup (and
@@ -62,18 +67,25 @@ __all__ = [
 ]
 
 
+def _q0_bands(params: QueueParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and superdiagonal of Q0^(n), its only nonzero ones."""
+    m = min(n, params.c)
+    i = np.arange(m + 1, dtype=float)
+    # below level c only j - i of the c - i off servers are warming; from
+    # level c on, all of them are
+    setup = (m - i) * params.alpha
+    return -(params.lam + i * params.mu + setup), setup[:m]
+
+
 def level_q0(params: QueueParams, n: int) -> np.ndarray:
     """Within-level generator block Q0^(n): setup completions above the
     diagonal, minus each phase's total outflow on it.  For n >= c this is
     the homogeneous Q0, (c+1)-square."""
-    m = min(n, params.c)
-    i = np.arange(m + 1, dtype=float)
+    diag, setup = _q0_bands(params, n)
+    m = len(setup)
     out = np.zeros((m + 1, m + 1))
-    # below level c only j - i of the c - i off servers are warming; from
-    # level c on, all of them are
-    setup = (m - i) * params.alpha
-    out[np.arange(m), np.arange(1, m + 1)] = setup[:m]
-    np.fill_diagonal(out, -(params.lam + i * params.mu + setup))
+    out[np.arange(m), np.arange(1, m + 1)] = setup
+    np.fill_diagonal(out, diag)
     return out
 
 
@@ -260,18 +272,23 @@ class _Packed:
         # last row of the unpacked square is dropped
         return a.T[:n]
 
-    def forward(self) -> list:
-        """pi_0 = (1) and pi_i = pi_(i-1) R^(i) up to level c, unnormalised.
+    def forward(self) -> np.ndarray:
+        """pi_0 = (1) and pi_i = pi_(i-1) R^(i) up to level c, unnormalised,
+        as one flat array with level n at offset n(n+1)/2.
 
         pi_i = [pi_(i-1), 0] S_i for the square S_i whose first i rows are
         R^(i): BLAS dtpmv multiplies that column by the packed lower
-        triangle S_i^T, so no level is unpacked."""
+        triangle S_i^T, in place on level i's slice, so no level is
+        unpacked."""
         from scipy.linalg.blas import dtpmv
 
-        pi = [np.ones(1)]
+        pi = np.zeros((self.c + 1) * (self.c + 2) // 2)
+        pi[0] = 1.0
         for n in range(1, self.c + 1):
-            x = np.append(pi[-1], 0.0)
-            pi.append(dtpmv(n + 1, self.tri(n), x, lower=1, overwrite_x=1))
+            s = n * (n + 1) // 2  # level n's slice, its last entry still 0
+            x = pi[s : s + n + 1]
+            x[:n] = pi[s - n : s]
+            dtpmv(n + 1, self.tri(n), x, lower=1, overwrite_x=1)
         return pi
 
 
@@ -304,6 +321,7 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
 
     lam, mu, alpha, c = params.lam, params.mu, params.alpha, params.c
     packed = _Packed(c)
+    store = packed.store
     work = np.empty((2, (c + 1) ** 2))
     rates = mu * np.arange(c + 1)
     setup = np.arange(c, 0, -1) * alpha  # level i's are the last i
@@ -326,7 +344,9 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
         flat[1 :: n + 1] += setup[c - i :]
         flat[:: n + 1] = 0.0
         diag = -(rates[:n] + a.sum(axis=1))
-        if not np.abs(diag).min() >= 1e-14:  # a nan trips it too
+        # every pivot is a negated sum of nonnegative terms; a pivot above
+        # -1e-14 (zero, positive or nan) means the sweep broke
+        if not diag.max() <= -1e-14:
             raise InternalInconsistencyError(
                 f"singular diagonal in boundary solve at level {i}"
             )
@@ -334,7 +354,8 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
         # the transpose of a C-order upper triangle is a Fortran lower one
         _invert_lower(dtrtri, dtrmm, a.T)
         tri, _ = dtrttp(a.T, uplo="L")
-        np.multiply(tri, -lam, out=packed.tri(i))
+        start = i * (i + 1) * (i + 2) // 6 - 1  # level i's slice (_Packed.tri)
+        np.multiply(tri, -lam, out=store[start : start + tri.size])
         x = a
     return LevelView(packed, range(c + 1))
 
@@ -454,20 +475,26 @@ def _two_sum(a, b):
 
 
 def _bracket(q0, r, rates):
-    """q0 + r @ Qm1 as an unevaluated pair hi + lo, exact to about 2^-106.
+    """Q0 + r @ Qm1 as an unevaluated pair hi + lo, exact to about 2^-106.
 
-    Qm1 scales column j of r by rates[j]; a column of r beyond q0's (the
-    all-busy corner of a boundary Qm1^(n)) folds onto the last one, as in
-    times_qm1.
+    q0 is Q0's (diagonal, superdiagonal) pair (_q0_bands), added on those
+    two diagonals only: elsewhere p + 0 = p and its error term is 0,
+    exactly, so no dense Q0 is formed.  Qm1 scales column j of r by
+    rates[j]; a column of r beyond q0's (the all-busy corner of a boundary
+    Qm1^(n)) folds onto the last one, as in times_qm1.
     """
-    n = q0.shape[1]
-    p, e = _two_product(r, rates[: r.shape[1]])
-    if r.shape[1] > n:
+    n, m = len(q0[0]), r.shape[1]
+    # C order, so that p and e are too and their flat views below write back
+    p, e = _two_product(np.ascontiguousarray(r), rates[:m])
+    if m > n:
         p[:, n - 1], t = _two_sum(p[:, n - 1], p[:, n])
         e[:, n - 1] += e[:, n] + t
-        p, e = p[:, :n], e[:, :n]
-    hi, t = _two_sum(p, q0)
-    return hi, e + t
+    pf, ef = p.reshape(-1), e.reshape(-1)
+    for d, band in enumerate(q0):  # entry (k, k + d) is flat k (m + 1) + d
+        at = slice(d, d + len(band) * (m + 1), m + 1)
+        pf[at], t = _two_sum(pf[at], band)
+        ef[at] += t
+    return p[:, :n], e[:, :n]
 
 
 def _lead(a, axis, beta):
@@ -510,7 +537,7 @@ def residuals(sol: QbdSolution) -> dict:
     p = sol.params
     L = np.longdouble  # for the O(c) and O(c^2) sums only
     rates = p.mu * np.arange(p.c + 2)
-    q0, q1 = level_q0(p, p.c), p.lam * np.eye(p.c + 1)
+    q0, q1 = _q0_bands(p, p.c), p.lam * np.eye(p.c + 1)
 
     def infnorm(a, axis=1) -> float:
         return float(np.abs(a).sum(axis=axis).max())
@@ -530,7 +557,7 @@ def residuals(sol: QbdSolution) -> dict:
     norms, rows = [], []
     for i in range(p.c, 0, -1):
         if i < p.c:
-            hi, lo = _bracket(level_q0(p, i), r_above, rates)
+            hi, lo = _bracket(_q0_bands(p, i), r_above, rates)
         r_above = sol.rlevels[i]
         # Q1^(i-1) = lam*[I | 0] is a corner of Q1
         prod = _exact_product(q1[:i, : i + 1], r_above, hi, lo)
@@ -577,11 +604,15 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
             f"level-0 balance gap {gap!r} after the boundary sweep"
         )
 
-    pi = rlev._form.forward()  # the sweep's packed levels
+    pi = rlev._form.forward()  # the sweep's packed levels, level n at n(n+1)/2
+    starts = [n * (n + 1) // 2 for n in range(c + 2)]
+    spans = list(zip(starts, starts[1:]))  # level n is pi[a:b]
     tail_inv = tail_inverse(params, r_hom)
-    tail_sum = float((pi[c] @ tail_inv).sum())  # sum_k pi_c R^k
-    total = sum(float(v.sum()) for v in pi[:c]) + tail_sum
-    levels = tuple(v / total for v in pi)
+    tail_sum = float((pi[starts[c] :] @ tail_inv).sum())  # sum_k pi_c R^k
+    total = sum(float(pi[a:b].sum()) for a, b in spans[:c]) + tail_sum
+    pi /= total
+    pi.flags.writeable = False
+    levels = tuple(pi[a:b] for a, b in spans)
 
     info = {
         "method": "qbd",
@@ -590,7 +621,7 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     }
     # levels 0..c-1 fill the boundary's upper triangle column by column
     boundary = np.zeros((c + 1, c))
-    boundary.T[np.tri(c, c + 1, dtype=bool)] = np.concatenate(levels[:c])
+    boundary.T[np.tri(c, c + 1, dtype=bool)] = pi[: starts[c]]
     tail = GeometricTail(levels[c], r_hom, tail_inv)
     joint = JointDistribution(params, boundary, tail, "qbd", dict(info))
     g_hom = g_matrix(params, r_hom) if with_g else None

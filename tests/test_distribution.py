@@ -120,6 +120,33 @@ def test_geometric_tail_inverse_is_nonnegative(rho, alpha, c):
     assert np.all(np.abs(np.diagonal(N) - want) <= 2.0**-51 * want)
 
 
+@pytest.mark.parametrize("c", [3, 40])
+def test_geometric_tail_levels_are_rows_of_one_array(c):
+    # the list of per-level products GeometricTail kept before, as the
+    # reference: each level pi_c R^m is the previous one times R
+    p = QueueParams(lam=0.8 * c, mu=1.0, alpha=0.3, c=c)
+    sol = qbd.solve(p, with_g=False)
+    t = sol.distribution().tail
+    tail = distribution.GeometricTail(t.pi_c.copy(), t.R, t._N)
+    want = [t.pi_c]
+    for _ in range(299):
+        want.append(want[-1] @ t.R)
+    want = np.array(want)
+    # reads that grow the array past its first, second and third size
+    assert tail.level(2).tobytes() == want[2].tobytes()
+    levels, tails = tail.rows([0, c], 50)
+    assert levels.tobytes() == want[:50, [0, c]].tobytes()
+    assert tails.tobytes() == (want[:50] @ np.ascontiguousarray(t._N[:, [0, c]])).tobytes()
+    for m in (299, 0, 49, 50, 51, 130):
+        assert tail.level(m).tobytes() == want[m].tobytes(), m
+    levels, _ = tail.rows(range(c + 1), 300)
+    assert levels.tobytes() == want.tobytes()
+    # each level is held once: a read-only view of one array
+    views = [tail.level(m) for m in (0, 1, 150, 299)]
+    assert all(not v.flags.writeable for v in views)
+    assert all(np.shares_memory(v, views[-1].base) for v in views)
+
+
 def _reference_walk(tail, n):
     """The per-level walk over all rows that PoleTail's row walks replace:
     levels and row-tail masses at m = 0..n-1."""

@@ -435,6 +435,19 @@ def test_nan_in_the_sweep_is_a_singular_diagonal():
         qbd.level_rate_matrices(p, r_hom)
 
 
+@pytest.mark.parametrize("r01", [-1.0, -2.0], ids=["zero", "positive"])
+def test_zero_or_positive_pivot_is_a_singular_diagonal(r01):
+    # row 0 of level c's A is R's row 0 scaled by the service rates, plus
+    # c*alpha on the superdiagonal: planting r_01 = r01 * c*alpha/mu (and
+    # zeros past it) makes its pivot -(0 + row sum) = 0 or +c*alpha
+    p = rq(0.5, 0.7, 8)
+    r_hom = qbd.rate_matrix(p)
+    r_hom[0, 1:] = 0.0
+    r_hom[0, 1] = r01 * (p.c * p.alpha) / p.mu
+    with pytest.raises(InternalInconsistencyError, match="level 8"):
+        qbd.level_rate_matrices(p, r_hom)
+
+
 def test_boundary_residual_is_relative_gap():
     # the residual report and solve's check share one definition of the
     # level-0 balance gap, |mu*R^(1)[0,1] - lam| / lam
@@ -638,6 +651,78 @@ def test_forward_pass_reads_the_packed_levels(monkeypatch, c):
         assert np.all(np.abs(sol.levels[i] - want) <= 1e-14 * want), i
 
 
+def reference_forward(packed):
+    """The forward pass _Packed.forward replaced, kept as a reference: a list
+    of levels, each [pi_(n-1), 0] formed by np.append and multiplied by
+    dtpmv on its own array."""
+    from scipy.linalg.blas import dtpmv
+
+    pi = [np.ones(1)]
+    for n in range(1, packed.c + 1):
+        x = np.append(pi[-1], 0.0)
+        pi.append(dtpmv(n + 1, packed.tri(n), x, lower=1, overwrite_x=1))
+    return pi
+
+
+@pytest.mark.parametrize(
+    "p",
+    [rq(0.5, 0.7, 63), P112, rq(0.5, 0.7, 130), rq(0.95, 1e-4, 40)],
+    ids=["c63", "P112", "c130", "slow"],
+)
+def test_flat_forward_matches_reference_bit_for_bit(p):
+    packed = qbd.level_rate_matrices(p, qbd.rate_matrix(p))._form
+    flat = packed.forward()
+    ref = reference_forward(packed)
+    assert flat.shape == ((p.c + 1) * (p.c + 2) // 2,)
+    for n, want in enumerate(ref):
+        got = flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("p", [P112, rq(0.5, 0.7, 20)], ids=["P112", "c20"])
+def test_levels_are_views_of_one_array(p):
+    # the stationary vectors are one flat array in boundary order; the
+    # boundary is scattered from its head and pi_c is its tail
+    sol = qbd.solve(p)
+    base = sol.levels[0].base
+    assert base is not None and base.shape == ((p.c + 1) * (p.c + 2) // 2,)
+    assert all(v.base is base for v in sol.levels)
+    assert [len(v) for v in sol.levels] == list(range(1, p.c + 2))
+    assert not any(np.shares_memory(a, b) for a, b in zip(sol.levels, sol.levels[1:]))
+    d = sol.distribution()
+    for j in range(p.c):
+        assert sol.levels[j].tobytes() == d.boundary[: j + 1, j].tobytes(), j
+    assert sol.levels[p.c].tobytes() == d.tail.pi_c.tobytes()
+    assert not sol.levels[0].flags.writeable
+
+
+def test_roots_are_formed_once_per_solve(monkeypatch):
+    # R and (I - R)^{-1} both read the root table, and so do the residuals:
+    # count every table formed, as test_i_minus_r_is_inverted_once counts
+    # inverses
+    calls = []
+    roots = gf._roots
+
+    def counted(params, one):
+        calls.append(params)
+        return roots(params, one)
+
+    monkeypatch.setattr(gf, "_roots", counted)
+    gf.quadratic_roots.cache_clear()
+    p, q = rq(0.5, 0.7, 6), rq(0.5, 0.8, 6)
+    sol = qbd.solve(p)
+    assert calls == [p]
+    qbd.residuals(sol)
+    assert calls == [p]
+    qbd.solve(q, with_g=False)
+    assert calls == [p, q]
+    table = gf.quadratic_roots(q)
+    assert len(calls) == 2
+    # one table is handed to every caller, so none may write to it
+    for a in (table.z, table.zhat, table.zhat_gap, table.z_gap):
+        assert not a.flags.writeable
+
+
 def exact_lower_inverse(l):
     """The lower triangle of l^{-1} in rationals, by forward substitution."""
     n = l.shape[0]
@@ -833,12 +918,13 @@ def test_bracket_pair_is_exact():
     sol = qbd.solve(p)
     rates = p.mu * np.arange(p.c + 2)
     _, q0, qm1 = homogeneous(p)
-    cases = [(q0, sol.R, qm1)] + [
-        (qbd.level_q0(p, i), sol.rlevels[i + 1], level_qm1(p, i + 1))
-        for i in range(1, p.c)
+    cases = [(p.c, sol.R, qm1)] + [
+        (i, sol.rlevels[i + 1], level_qm1(p, i + 1)) for i in range(1, p.c)
     ]
-    for q0, r, qm1 in cases:
-        hi, lo = qbd._bracket(q0, r, rates)
+    for i, r, qm1 in cases:
+        # the bracket takes Q0^(i)'s two diagonals; the reference, the dense block
+        q0 = qbd.level_q0(p, i)
+        hi, lo = qbd._bracket(qbd._q0_bands(p, i), r, rates)
         gap = rational(hi) + rational(lo) - rational(q0) - rational(r) @ rational(qm1)
         scale = np.abs(rational(q0)) + np.abs(rational(r)) @ np.abs(rational(qm1))
         assert np.all(np.abs(gap) <= scale / 2**100)
