@@ -38,6 +38,7 @@ mpmath numbers at a pinned precision.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -247,12 +248,12 @@ class GfSolution:
     """Everything the generating-function method produces for one parameter set.
 
     boundary[i, j] is pi_{i,j} for j <= c (column c, the first tail level,
-    included for convenience); moments_full[i, n] is the n-th factorial
-    moment of the row-i generating function at 1, formed on first read and
-    kept.  Both hold the pass's numbers: float64, or mpmath numbers when
-    `solve` ran at a pinned precision, in which case pass_tail is the
-    pass's own PoleTail over mpmath numbers, so that the moments are formed
-    at the pass's digits.  The tail is always float64.
+    included for convenience); tail is the pass's PoleTail; moments_full[i, n]
+    is the n-th factorial moment of the row-i generating function at 1, formed
+    on first read and kept.  All three hold the pass's numbers: float64, or
+    mpmath numbers when `solve` ran at a pinned precision, in which case the
+    moments are formed at the pass's digits.  `distribution()` is float64
+    either way.
     """
 
     params: QueueParams
@@ -260,20 +261,18 @@ class GfSolution:
     tail: PoleTail
     info: dict
     _joint: JointDistribution = field(repr=False)
-    pass_tail: PoleTail | None = field(default=None, repr=False)
 
     @cached_property
     def moments_full(self) -> np.ndarray:
         dps = self.info["precision_digits"]
         if dps is None:
-            return self._moments(self.tail)
-        import mpmath as mp
+            digits = nullcontext()
+        else:
+            import mpmath as mp
 
-        with mp.workdps(dps):
-            return self._moments(self.pass_tail)
-
-    def _moments(self, tail: PoleTail) -> np.ndarray:
-        return _head_moments(self.boundary, N_MOMENTS) + tail.factorial_moments(N_MOMENTS)
+            digits = mp.workdps(dps)
+        with digits:
+            return _head_moments(self.boundary, N_MOMENTS) + self.tail.factorial_moments(N_MOMENTS)
 
     def distribution(self) -> JointDistribution:
         """The distribution the solve built, the same object on every call."""
@@ -321,14 +320,14 @@ def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     info = {"precision_digits": dps, **_certify(params, masses, seam_gap)}
     tail = pt if dps is None else PoleTail(*(np.asarray(a, dtype=float) for a in (B, Y, G)))
     joint = JointDistribution(params, pi[:, :c].astype(float), tail, "gf", dict(info))
-    return GfSolution(params, pi, tail, info, joint, None if dps is None else pt)
+    return GfSolution(params, pi, pt, info, joint)
 
 
 def solve(params: QueueParams, dps: int | None = None) -> GfSolution:
     """Solve the queue by the generating-function method, in one float64 pass.
 
     dps: run the same pass over mpmath numbers at this many digits instead
-        (boundary and moments are then returned as mpmath numbers).
+        (boundary, tail and moments then hold mpmath numbers).
     """
     if dps is None:
         return _solve(params, np.longdouble(1), None)

@@ -24,10 +24,10 @@ QbdSolution.glevels are lazy sequences (see LevelView) that form one dense
 level per read.
 
 Stationary vectors: pi_0 = (1), pi_i = pi_{i-1} R^{(i)} up to level c, each
-product read off the packed triangle by BLAS dtpmv (solve unpacks only
-R^{(1)}, for the level-0 balance check), then pi_{c+k} = pi_c R^k.  Levels
-0..c are one flat array in boundary order, level n at offset n(n+1)/2,
-each product formed in place on its level's slice; solve divides that
+product read off the packed triangle by BLAS dtpmv, then pi_{c+k} =
+pi_c R^k.  Levels 0..c are one flat array in boundary order, level n at
+offset n(n+1)/2, each product formed in place on its level's slice; solve
+reads the level-0 balance check off pi_1, sums the head once, divides the
 array once, scatters the boundary from its head and hands out the levels
 and pi_c as read-only views of it.  One (I - R)^{-1} per solve, its
 diagonal formed from the root gaps (see tail_inverse), sums the tail
@@ -418,9 +418,9 @@ def tail_inverse(params: QueueParams, r_hom: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _boundary_gap(params: QueueParams, r1: np.ndarray) -> float:
-    """Level-0 balance gap |mu*R^(1)[0,1] - lam|, relative to lam."""
-    return abs(-params.lam + params.mu * r1[0, 1]) / params.lam
+def _boundary_gap(params: QueueParams, r01: float) -> float:
+    """Level-0 balance gap |mu*r01 - lam| of r01 = R^(1)[0,1], over lam."""
+    return abs(-params.lam + params.mu * r01) / params.lam
 
 
 @dataclass(eq=False)
@@ -567,7 +567,7 @@ def residuals(sol: QbdSolution) -> dict:
             # with v_n = Qm1^(n)*e = mu*(0, 1, .., n), so no G^(n) is formed
             rows.append(r_above @ rates[: i + 1] / p.lam - 1.0)
     out["level_R"] = float(np.max(norms))  # unlike max(), keeps a nan
-    out["boundary"] = float(_boundary_gap(p, r_above))  # r_above is R^(1)
+    out["boundary"] = float(_boundary_gap(p, r_above[0, 1]))  # R^(1)
 
     if sol.G is not None:
         # Qm1 + (Q0 + lam*G)*G, transposed so the pair is the right factor
@@ -593,26 +593,24 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     c = params.c
     r_hom = rate_matrix(params)
     rlev = level_rate_matrices(params, r_hom)
+    pi = rlev._form.forward()  # the sweep's packed levels, level n at n(n+1)/2
+    starts = [n * (n + 1) // 2 for n in range(c + 2)]
 
-    # level-0 balance lam = mu*R^(1)[0,1]: with diagonals formed from row
-    # sums, R^(1) = [lam/a01, lam/mu] by construction, so the gap is a few
-    # roundoffs at any c; anything larger (or nan/inf) means the sweep broke.
-    # It is a relative flow balance, so gf's bound applies
-    gap = _boundary_gap(params, rlev[1])
+    # level-0 balance lam = mu*R^(1)[0,1], read as pi_1[1] (pi_0 = 1): with
+    # diagonals from row sums, R^(1) = [lam/a01, lam/mu] by construction, so
+    # the gap is a few roundoffs at any c; anything larger (or nan/inf) means
+    # the sweep broke.  A relative flow balance, so gf's bound applies
+    gap = _boundary_gap(params, pi[2])
     if not gap <= BALANCE_TOL:
         raise InternalInconsistencyError(
             f"level-0 balance gap {gap!r} after the boundary sweep"
         )
 
-    pi = rlev._form.forward()  # the sweep's packed levels, level n at n(n+1)/2
-    starts = [n * (n + 1) // 2 for n in range(c + 2)]
-    spans = list(zip(starts, starts[1:]))  # level n is pi[a:b]
     tail_inv = tail_inverse(params, r_hom)
     tail_sum = float((pi[starts[c] :] @ tail_inv).sum())  # sum_k pi_c R^k
-    total = sum(float(pi[a:b].sum()) for a, b in spans[:c]) + tail_sum
-    pi /= total
+    pi /= float(pi[: starts[c]].sum()) + tail_sum
     pi.flags.writeable = False
-    levels = tuple(pi[a:b] for a, b in spans)
+    levels = tuple(pi[a:b] for a, b in zip(starts, starts[1:]))
 
     info = {
         "method": "qbd",

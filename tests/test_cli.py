@@ -70,6 +70,17 @@ def test_solve_all_methods_reports_each_info(capsys):
         assert single["solution"]["info"] == info[m]
 
 
+def test_solve_ctmc_prints_the_explicit_tail(capsys):
+    # the oracle's tail is its truncated levels c..j_max, summarised by count
+    code, d = run_json(
+        capsys, "solve", "--rho", "0.5", "--alpha", "0.7", "--c", "3", "--method", "ctmc"
+    )
+    assert code == 0
+    sol = d["solution"]
+    assert sol["source"] == "oracle"
+    assert sol["tail"] == {"type": "explicit", "n_levels": sol["info"]["j_max"] - 3 + 1}
+
+
 def test_solve_rho_form(capsys):
     code, d = run_json(
         capsys, "solve", "--rho", "0.5", "--mu", "2", "--alpha", "0.7", "--c", "3"
@@ -252,6 +263,17 @@ def test_sweep_grid_spec_forms(capsys):
             "--rho", "0.5", "--alpha", "1", "--c", "2",
         )
         assert code == 2 and d["error"] == "InvalidConfig", grid
+
+
+def test_sweep_lin_grid(capsys):
+    code, out = run(
+        capsys,
+        "sweep", "--var", "alpha", "--grid", "lin:0.5:1.5:3",
+        "--lambda", "1", "--mu", "1", "--c", "2",
+    )
+    assert code == 0
+    vals = [float(ln.split(",")[2]) for ln in out.strip().splitlines()[4:]]
+    assert vals == [0.5, 1.0, 1.5]
 
 
 @pytest.mark.parametrize("grid", ["log:0:1:5", "log:-1:1:3"])

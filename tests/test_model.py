@@ -161,6 +161,8 @@ def test_config_roundtrip(tmp_path):
         "lambda = 1\nc = 2\nalpha = 1\ncs = inf\n",  # cost weights are finite and >= 0
         "lambda = 1\nc = 2\nalpha = 1\nci = nan\n",
         "lambda = 1\nc = 2\nalpha = 1\ncsw = -0.5\n",
+        "lambda = x\nc = 2\nalpha = 1\n",  # bad number
+        "c = 2\nalpha = 1\n",  # neither lambda nor rho
     ],
 )
 def test_config_rejects(tmp_path, text):

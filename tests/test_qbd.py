@@ -412,17 +412,18 @@ def test_solve_works_at_confluent_point():
 
 
 def test_boundary_gap_is_checked(monkeypatch):
-    # a boundary sweep that breaks the level-0 balance must raise; the sweep
-    # forms each R^(n) on access, so the defect goes into a dense list
+    # a boundary sweep that breaks the level-0 balance must raise; solve
+    # reads r_01 off the packed levels, so the defect goes into R^(1)'s
+    # packed slot of r_01
     sweep = qbd.level_rate_matrices
 
     def broken(params, r_hom):
-        out = list(sweep(params, r_hom))
-        out[1][0, 1] = np.nan
+        out = sweep(params, r_hom)
+        out._form.tri(1)[1] = np.nan
         return out
 
     monkeypatch.setattr(qbd, "level_rate_matrices", broken)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match="level-0 balance"):
         qbd.solve(P112)
 
 
@@ -629,9 +630,8 @@ def test_boundary_levels_are_held_packed_and_streamed(monkeypatch):
 
 @pytest.mark.parametrize("c", [65, 130])
 def test_forward_pass_reads_the_packed_levels(monkeypatch, c):
-    # solve forms pi_i = pi_(i-1) R^(i) from the packed triangles; the only
-    # level it unpacks (dtpttr, of the (n+1)-square) is R^(1), for the
-    # level-0 balance check
+    # solve forms pi_i = pi_(i-1) R^(i) from the packed triangles and reads
+    # the level-0 balance check off pi_1: it unpacks (dtpttr) no level
     import scipy.linalg.lapack
 
     unpacked = []
@@ -643,7 +643,7 @@ def test_forward_pass_reads_the_packed_levels(monkeypatch, c):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dtpttr", counted)
     sol = qbd.solve(rq(0.5, 0.7, c))
-    assert unpacked == [1]
+    assert unpacked == []
     # each level against the dense product with the level below, both
     # normalised by the same total
     for i in range(1, c + 1):
@@ -802,7 +802,7 @@ def reference_residuals(sol):
         lev = max(lev, infnorm(level_q1(p, i - 1) + ri @ a))
         rnext = ri
     out["level_R"] = lev
-    out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels[1]))
+    out["boundary"] = float(qbd._boundary_gap(p, sol.rlevels[1][0, 1]))
     g = sol.G.astype(L)
     out["quad_G"] = infnorm(qm1 + (q0 + q1 @ g) @ g)
     out["g_rows"] = float(np.abs(g.sum(axis=1) - 1.0).max())

@@ -49,6 +49,11 @@ def test_spec_checks_itself_when_built():
         replace(spec(), grid=())
 
 
+def test_ratio_sweep_refuses_a_negative_grid():
+    with pytest.raises(InvalidConfigError, match="cost ratio must be nonnegative"):
+        spec(var="ratio", grid=(-1.0, 0.5))
+
+
 def test_spec_with_sim_checks_the_simulator_settings():
     # 10 events leave no room for 20 batches: the spec is refused once,
     # where every row used to come back with error InvalidConfig
@@ -168,6 +173,12 @@ def test_crossover_increases_with_rho():
         p = QueueParams(lam=20 * rho, mu=1.0, alpha=1.0, c=20)
         roots.append(sweeps.crossover_finder(p, costs).alpha_cross)
     assert roots[0] < roots[1] < roots[2]
+
+
+def test_crossover_refuses_an_unknown_method():
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    with pytest.raises(InvalidConfigError, match="unknown method 'bogus'"):
+        sweeps.crossover_finder(p, method="bogus")
 
 
 def test_crossover_requires_sign_change():
