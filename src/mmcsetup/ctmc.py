@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import ExplicitTail, JointDistribution
-from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError
+from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError, certify
 from .model import QueueParams, State, transition_rates
 
 
@@ -144,15 +144,9 @@ def solve_truncated(params: QueueParams, j_max: int) -> JointDistribution:
 
     # estimated truncation error: mass at levels >= j_max - 2
     tail_mass = float(tail_levels[-3:].sum())
-    if tail_mass > TOL:
-        raise TruncationInsufficientError(
-            f"mass {tail_mass:.3g} at levels >= {j_max - 2} exceeds tol {TOL:.3g}; "
-            f"raise j_max (currently {j_max})"
-        )
-    if clipped_mass > TOL:
-        raise InternalInconsistencyError(
-            f"clipped negative mass {clipped_mass:.3g} exceeds tol {TOL:.3g}"
-        )
+    certify(f"oracle tail mass at levels >= {j_max - 2} of j_max {j_max}", tail_mass, TOL,
+            TruncationInsufficientError)
+    certify("oracle clipped negative mass", clipped_mass, TOL)
 
     info = {
         "j_max": j_max,
@@ -226,9 +220,7 @@ def _solve_stationary(gen: _Generator, k: int) -> tuple[np.ndarray, float, float
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
     residual = _balance_residual(gen, pi)
-    if residual > RESIDUAL_TOL:
-        raise InternalInconsistencyError(f"balance residual {residual:.3g} exceeds {RESIDUAL_TOL:g}")
-    return pi, residual, clipped_mass
+    return pi, certify("oracle balance residual", residual, RESIDUAL_TOL), clipped_mass
 
 
 def _balance_residual(gen: _Generator, pi: np.ndarray) -> float:

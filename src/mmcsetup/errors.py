@@ -1,7 +1,10 @@
-"""Exception types shared across the solvers.
+"""Exception types shared across the solvers, and the one certificate gate.
 
 Everything derives from QueueModelError so callers can catch model-level
 failures with one except clause while letting genuine bugs surface.
+`certify(name, value, tol)` is how every solver's tolerance certificate
+passes or raises: at or under its tolerance it returns the value, and
+anything else, nan included, raises "<name> <value> exceeds <tol>".
 """
 
 class QueueModelError(Exception):
@@ -64,3 +67,12 @@ class InternalInconsistencyError(QueueModelError):
     provably nonsingular failed to factor).  Indicates a bug, not bad input."""
 
     tag = "InternalInconsistency"
+
+
+def certify(name: str, value: float, tol: float, error=InternalInconsistencyError) -> float:
+    """Return `value` if it is at or under `tol`; otherwise raise `error`
+    with the message "<name> <value> exceeds <tol>".  A nan is not <= tol,
+    so it fails too."""
+    if value <= tol:
+        return value
+    raise error(f"{name} {value!r} exceeds {tol!r}")

@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .distribution import JointDistribution, PoleTail, _frozen, falling_factorial
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, InvalidConfigError, certify
 from .model import QueueParams
 
 # highest factorial moment order computed per row
@@ -123,7 +123,7 @@ def _newton_pass(params, x, Y, G, wm1, zg, dx):
     x_i - x_l >= 0 when new nodes go last, else None.  All arrays hold
     the pass's number type.  Returns pi[i, j] for j <= c, the Newton
     coefficients B[i, l] of row i's tail functional (see PoleTail) and the
-    seam-cut gap (see `_certify`).
+    seam-cut gap (certified in `_solve`).
     """
     c = params.c
     xs = x.tolist()
@@ -279,29 +279,11 @@ class GfSolution:
         return self._joint
 
 
-def _certify(params: QueueParams, masses: np.ndarray, seam_gap: float) -> dict:
-    """The two flow-balance gaps, each raising past BALANCE_TOL.
-
-    job_flow_gap: |mu E[active] / lambda - 1| (Little's law for the servers,
-    from the phase masses); seam_cut_gap: |lambda sum_i pi_{i,c-1} /
-    (mu sum_i i pi_{i,c}) - 1|, the up- and down-flow across the cut between
-    levels c - 1 and c, from `_newton_pass`.
-    """
-    i = np.arange(params.c + 1)
-    gaps = {
-        "job_flow_gap": float(abs(params.mu * (i @ masses) / params.lam - 1)),
-        "seam_cut_gap": seam_gap,
-    }
-    for name, gap in gaps.items():
-        if not gap <= BALANCE_TOL:  # nan fails too
-            raise InternalInconsistencyError(f"gf {name} {gap:.3g} > {BALANCE_TOL:g}")
-    return gaps
-
-
 def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
-    """One pass in the number type of `one`, certified by `_certify` on the
-    row masses (boundary row sums plus tail masses, order 0 of the factorial
-    moments); the higher moments wait for `GfSolution.moments_full`."""
+    """One pass in the number type of `one`, certified by its two flow-balance
+    gaps, each against BALANCE_TOL; the job flow reads the row masses
+    (boundary row sums plus tail masses, order 0 of the factorial moments).
+    The higher moments wait for `GfSolution.moments_full`."""
     c = params.c
     z, zh, zh_gap, z_gap = _roots(params, one)
     dtype = float if dps is None else object
@@ -317,7 +299,16 @@ def _solve(params: QueueParams, one, dps: int | None) -> GfSolution:
     pi, B, seam_gap = _newton_pass(params, x.astype(dtype), Y, G, *gaps, dx)
     pt = PoleTail(B, Y, G)
     masses = pi[:, :c].sum(axis=1) + pt.sum0()
-    info = {"precision_digits": dps, **_certify(params, masses, seam_gap)}
+    # job_flow_gap: |mu E[active] / lambda - 1| (Little's law for the
+    # servers, from the phase masses); seam_cut_gap: |lambda sum_i
+    # pi_{i,c-1} / (mu sum_i i pi_{i,c}) - 1|, the up- and down-flow across
+    # the cut between levels c - 1 and c, from `_newton_pass`
+    job_flow = float(abs(params.mu * (np.arange(c + 1) @ masses) / params.lam - 1))
+    info = {
+        "precision_digits": dps,
+        "job_flow_gap": certify("gf job_flow_gap", job_flow, BALANCE_TOL),
+        "seam_cut_gap": certify("gf seam_cut_gap", seam_gap, BALANCE_TOL),
+    }
     tail = pt if dps is None else PoleTail(*(np.asarray(a, dtype=float) for a in (B, Y, G)))
     joint = JointDistribution(params, pi[:, :c].astype(float), tail, "gf", dict(info))
     return GfSolution(params, pi, pt, info, joint)
@@ -327,10 +318,13 @@ def solve(params: QueueParams, dps: int | None = None) -> GfSolution:
     """Solve the queue by the generating-function method, in one float64 pass.
 
     dps: run the same pass over mpmath numbers at this many digits instead
-        (boundary, tail and moments then hold mpmath numbers).
+        (boundary, tail and moments then hold mpmath numbers); anything but
+        a positive int raises InvalidConfig before any pass runs.
     """
     if dps is None:
         return _solve(params, np.longdouble(1), None)
+    if not isinstance(dps, (int, np.integer)) or isinstance(dps, bool) or dps < 1:
+        raise InvalidConfigError(f"dps must be a positive int, got {dps!r}")
     import mpmath as mp
 
     with mp.workdps(dps):

@@ -10,7 +10,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateConditionError, InternalInconsistencyError, TruncationInsufficientError
+from .errors import DegenerateConditionError, InvalidConfigError, TruncationInsufficientError, certify
 from .mmc import onidle_cost
 from .model import CostParams, QueueParams
 
@@ -50,6 +50,14 @@ class PerformanceReport:
         return [f.name for f in fields(PerformanceReport) if f.name != "phase_marginal"]
 
 
+def _check_params(dist, params: QueueParams) -> None:
+    """Raise InvalidConfig unless `params` are the ones `dist` was solved for."""
+    if params != dist.params:
+        raise InvalidConfigError(
+            f"params {params!r} are not the distribution's {dist.params!r}"
+        )
+
+
 def _setup_expectation(dist, params: QueueParams) -> float:
     """E[servers in setup] = sum min(j - i, c - i) pi_{i,j}.
 
@@ -87,18 +95,17 @@ def full_report(
 
     The two sides of the switching balance must agree to SWITCHING_TOL
     relative, or InternalInconsistency is raised, nan included.  The costs
-    follow the displayed formulas, priced at `cost_params`.
+    follow the displayed formulas, priced at `cost_params`.  `params` must
+    be the distribution's own (InvalidConfig otherwise).
     """
+    _check_params(dist, params)
     marginal = dist.phase_marginals()
     e_active = float((np.arange(params.c + 1) * marginal).sum())
     e_setup = _setup_expectation(dist, params)
     e_jobs = dist.mean_jobs()
     side_alpha, side_mu = _switch_sides(dist, params, e_setup)
-    if not abs(side_alpha - side_mu) <= SWITCHING_TOL * max(1.0, abs(side_mu)):  # nan fails too
-        raise InternalInconsistencyError(
-            f"switching balance violated: alpha side {side_alpha!r}, "
-            f"mu side {side_mu!r}"
-        )
+    gap = abs(side_alpha - side_mu) / max(1.0, abs(side_mu))
+    certify("switching balance gap", gap, SWITCHING_TOL)
     on_off = cost_params.c_active * e_active + cost_params.c_setup * e_setup
     return PerformanceReport(
         e_active=e_active,
@@ -135,8 +142,10 @@ def decomposition(dist, params: QueueParams) -> DecompositionReport:
     geometric factor is (1-rho) rho^k, so the convolution is the
     first-order recurrence conv_k = rho conv_(k-1) + (1-rho) res_k,
     O(support) and a sum of nonnegative terms.  A support past 10,000,000
-    levels raises TruncationInsufficientError before it is walked.
+    levels raises TruncationInsufficientError before it is walked, and a
+    `params` that is not the distribution's raises InvalidConfigError.
     """
+    _check_params(dist, params)
     mass_tol, cap = 1e-12, 10_000_000
     c = params.c
     rho = params.rho

@@ -11,6 +11,7 @@ the only way a server powers down.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,9 +64,15 @@ class CostParams:
             check_cost_weight(name, v)
 
 
+def _real(v) -> bool:
+    """True for a real number (an int or a float, numpy's included), False
+    for a bool, a string or anything else."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_cost_weight(name: str, v: float) -> None:
-    """Raise InvalidConfig unless the cost weight is finite and >= 0."""
-    if not 0 <= v < math.inf:  # nan fails too
+    """Raise InvalidConfig unless the cost weight is a finite number >= 0."""
+    if not (_real(v) and 0 <= v < math.inf):  # nan fails too
         raise InvalidConfigError(f"cost {name} must be finite and >= 0, got {v!r}")
 
 
@@ -77,7 +84,7 @@ def validate(params: QueueParams) -> None:
     if c < 1:
         raise InvalidParameterError(f"c must be >= 1, got {c}")
     for name, v in (("lambda", lam), ("mu", mu), ("alpha", alpha)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
             raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
         if v <= 0:
             raise InvalidParameterError(f"{name} must be > 0, got {v}")

@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from .distribution import GeometricTail, JointDistribution
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, certify
 from .gf import BALANCE_TOL, quadratic_roots
 from .model import QueueParams
 
@@ -600,11 +600,7 @@ def solve(params: QueueParams, with_g: bool = True) -> QbdSolution:
     # diagonals from row sums, R^(1) = [lam/a01, lam/mu] by construction, so
     # the gap is a few roundoffs at any c; anything larger (or nan/inf) means
     # the sweep broke.  A relative flow balance, so gf's bound applies
-    gap = _boundary_gap(params, pi[2])
-    if not gap <= BALANCE_TOL:
-        raise InternalInconsistencyError(
-            f"level-0 balance gap {gap!r} after the boundary sweep"
-        )
+    gap = certify("qbd level-0 balance gap", _boundary_gap(params, pi[2]), BALANCE_TOL)
 
     tail_inv = tail_inverse(params, r_hom)
     tail_sum = float((pi[starts[c] :] @ tail_inv).sum())  # sum_k pi_c R^k

@@ -22,7 +22,7 @@ from .errors import (
     QueueModelError,
 )
 from .measures import PerformanceReport, full_report
-from .model import CostParams, QueueParams, params_to_dict
+from .model import CostParams, QueueParams, _real, params_to_dict
 from .sim import SimConfig, simulate
 
 __all__ = [
@@ -78,8 +78,14 @@ def _point(spec: SweepSpec, x) -> tuple[QueueParams, CostParams]:
 def validate_spec(spec: SweepSpec) -> None:
     if spec.var not in SWEPT_VARS:
         raise InvalidConfigError(f"unknown sweep variable {spec.var!r}")
+    if not isinstance(spec.params, QueueParams):
+        raise InvalidConfigError(f"params must be a QueueParams, got {spec.params!r}")
+    if not isinstance(spec.costs, CostParams):
+        raise InvalidConfigError(f"costs must be a CostParams, got {spec.costs!r}")
     if len(spec.grid) == 0:
         raise InvalidConfigError("empty sweep grid")
+    if not all(_real(x) for x in spec.grid):
+        raise InvalidConfigError(f"sweep grid must hold numbers, got {spec.grid!r}")
     g = np.asarray(spec.grid, dtype=float)
     if not np.all(np.diff(g) > 0):
         raise InvalidConfigError("sweep grid must be strictly increasing")
@@ -227,18 +233,19 @@ def crossover_finder(
     The on-off power cost is nonincreasing in alpha, so the sign change is
     unique when it exists; same sign at both ends raises NoCrossing, and a
     non-finite gap anywhere raises InternalInconsistency.  The bracket must
-    satisfy 0 < lo < hi and rel_tol must be > 0 (InvalidConfig otherwise,
-    before any solve).  ITP on ln(alpha) (`_log_root`) shrinks [lo, hi] to
-    [a, b] with b - a <= rel_tol * (a + b) / 2 and returns its midpoint.
+    satisfy 0 < lo < hi and rel_tol must be > 0, all three numbers
+    (InvalidConfig otherwise, before any solve).  ITP on ln(alpha)
+    (`_log_root`) shrinks [lo, hi] to [a, b] with b - a <= rel_tol *
+    (a + b) / 2 and returns its midpoint.
     Each of its `iterations`, both ends and gap_at_root is one solve by
     `method`: 7-8 steps at the default bracket, where linear bisection on
     alpha took 30-37.
     """
-    if not 0 < lo < hi:  # nan fails too
+    if not (_real(lo) and _real(hi) and 0 < lo < hi):  # nan fails too
         raise InvalidConfigError(
             f"crossover bracket needs 0 < lo < hi, got lo={lo!r}, hi={hi!r}"
         )
-    if not rel_tol > 0:  # nan fails too
+    if not (_real(rel_tol) and rel_tol > 0):  # nan fails too
         raise InvalidConfigError(f"crossover rel_tol must be > 0, got {rel_tol!r}")
     baseline = mmc.onidle_cost(params, costs)
 

@@ -13,7 +13,7 @@ from conftest import (
 )
 from mmcsetup import gf, measures, mmc
 from mmcsetup.distribution import PoleTail
-from mmcsetup.errors import InternalInconsistencyError
+from mmcsetup.errors import InternalInconsistencyError, InvalidConfigError
 from mmcsetup.model import QueueParams
 
 P112 = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
@@ -245,6 +245,18 @@ def test_broken_pass_fails_its_balance_gaps(monkeypatch):
     monkeypatch.setattr(gf, "_roots", skewed)
     with pytest.raises(InternalInconsistencyError):
         gf.solve(QueueParams(lam=8.0, mu=1.0, alpha=0.5, c=10))
+
+
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True])
+def test_solve_refuses_a_dps_that_is_not_a_positive_int(monkeypatch, dps):
+    # such a dps once ran a pass at that precision and raised
+    # InternalInconsistency, which stands for a bug rather than bad input
+    def no_pass(*args):
+        raise AssertionError("a pass ran before dps was checked")
+
+    monkeypatch.setattr(gf, "_solve", no_pass)
+    with pytest.raises(InvalidConfigError, match=f"dps must be a positive int, got {dps!r}"):
+        gf.solve(P112, dps=dps)
 
 
 def test_float64_and_pinned_precision_passes_agree():

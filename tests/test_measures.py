@@ -100,6 +100,19 @@ def test_costs_refuse_a_bad_weight(bad):
         measures.full_report(d, p, CostParams(c_idle=bad))
 
 
+@pytest.mark.parametrize("measure", [measures.full_report, measures.decomposition])
+@pytest.mark.parametrize("lam, c", [(6.0, 10), (5.0, 12)])
+def test_measures_refuse_params_not_the_distributions(measure, lam, c):
+    # with lam 6 full_report once priced cost_onidle at 8.4 (8.0 is right)
+    # and decomposition read tv_gap 0.069 (1.1e-16); with c 12 it raised a
+    # bare IndexError
+    d = gf_solution(QueueParams(lam=5.0, mu=1.0, alpha=0.7, c=10)).distribution()
+    other = QueueParams(lam=lam, mu=1.0, alpha=0.7, c=c)
+    with pytest.raises(InvalidConfigError) as exc:
+        measure(d, other)
+    assert repr(other) in str(exc.value) and repr(d.params) in str(exc.value)
+
+
 @pytest.mark.parametrize("where", ["boundary", "tail corner"])
 def test_report_refuses_a_nan_in_the_switching_balance(where):
     # a nan on the mu side once passed the balance check as "not > tol"

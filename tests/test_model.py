@@ -43,6 +43,9 @@ def test_validate_unstable_boundary():
         dict(lam=1.0, mu=0.0, alpha=1.0, c=2),
         dict(lam=1.0, mu=1.0, alpha=-0.5, c=2),
         dict(lam=math.inf, mu=1.0, alpha=1.0, c=2),
+        dict(lam=True, mu=1.0, alpha=1.0, c=2),
+        dict(lam=1.0, mu=True, alpha=1.0, c=2),
+        dict(lam=1.0, mu=1.0, alpha=True, c=2),
     ],
 )
 def test_validate_bad_params(kwargs):
@@ -172,7 +175,7 @@ def test_config_rejects(tmp_path, text):
         resolve_params(read_config(str(path)))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "2", True])
 @pytest.mark.parametrize("name", ["c_active", "c_setup", "c_idle", "c_switch"])
 def test_cost_params_reject_bad_weights(name, bad):
     # library callers build CostParams directly, past resolve_params' check

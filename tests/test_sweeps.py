@@ -49,6 +49,24 @@ def test_spec_checks_itself_when_built():
         replace(spec(), grid=())
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(params="p"), "params must be a QueueParams, got 'p'"),
+        (dict(costs=None), "costs must be a CostParams, got None"),
+        (dict(grid=("a",)), "sweep grid must hold numbers, got ('a',)"),
+    ],
+    ids=["params", "costs", "grid"],
+)
+def test_spec_refuses_a_setting_of_the_wrong_type(kw, message):
+    # params "p" and grid ("a",) once raised a bare TypeError and ValueError;
+    # costs None built, and run_sweep then raised AttributeError outside the
+    # rows' QueueModelError catch
+    with pytest.raises(InvalidConfigError) as exc:
+        spec(**kw)
+    assert str(exc.value) == message
+
+
 def test_ratio_sweep_refuses_a_negative_grid():
     with pytest.raises(InvalidConfigError, match="cost ratio must be nonnegative"):
         spec(var="ratio", grid=(-1.0, 0.5))
@@ -189,7 +207,8 @@ def test_crossover_requires_sign_change():
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(1000.0, 1e-4), (1.0, 1.0), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0)]
+    "lo, hi",
+    [(1000.0, 1e-4), (1.0, 1.0), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), ("1", 10.0)],
 )
 def test_crossover_rejects_a_bracket_not_ascending(monkeypatch, lo, hi):
     # a reversed bracket would bisect zero times and return its midpoint as
@@ -214,7 +233,7 @@ def test_slow_setup_row_is_not_flagged(rho, alpha, c):
     assert row["method_gap"] <= sweeps.METHOD_GAP_LIMIT
 
 
-@pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1.0, "1e-6"])
 def test_crossover_rejects_bad_rel_tol_before_solving(monkeypatch, rel_tol):
     # a nan tolerance once ran no bisection step and returned the bracket
     # midpoint as the crossing
