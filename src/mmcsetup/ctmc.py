@@ -23,7 +23,7 @@ import numpy as np
 
 from .distribution import ExplicitTail, JointDistribution
 from .errors import InternalInconsistencyError, InvalidConfigError, TruncationInsufficientError, certify
-from .model import QueueParams, State, transition_rates
+from .model import QueueParams, State, _require_integer, transition_rates
 
 
 # Mass certificate of every oracle solve: the truncated chain's top levels
@@ -131,6 +131,7 @@ def solve_truncated(params: QueueParams, j_max: int) -> JointDistribution:
     TOL, i.e. the cap was too low.
     """
     c = params.c
+    _require_integer("j_max", j_max, InvalidConfigError)
     if j_max < c + 5:
         raise InvalidConfigError(f"j_max must be >= c + 5 = {c + 5}, got {j_max}")
 

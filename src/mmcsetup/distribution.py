@@ -14,7 +14,9 @@ levels and row tails of the phases in idx at once, where m counts levels
 past c, so downstream measures never care which solver produced the
 distribution.  All three hold one index contract: an empty idx gives
 (n, 0) arrays, and a phase outside 0..c, n < 0 or m < 0 raises
-InvalidStateError.  The levels they hand out are read-only.
+InvalidStateError, as does a phase, n or m that is not an integer (a
+float or a bool; numpy's integers are integers).  The levels they hand
+out are read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import InvalidStateError
-from .model import QueueParams, params_to_dict
+from .model import QueueParams, _integer, _require_integer, params_to_dict
 
 
 def falling_factorial(p, n: int):
@@ -50,10 +52,10 @@ def _grown(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _phases(idx, c: int) -> list[int]:
-    """idx as a list of ints, each in 0..c, where indexing would wrap or
-    read past the end."""
-    idx = list(map(int, idx))
-    bad = [i for i in idx if not 0 <= i <= c]
+    """idx as a list, each an integer in 0..c, where indexing would wrap,
+    read past the end or truncate."""
+    idx = list(idx)
+    bad = [i for i in idx if not (_integer(i) and 0 <= i <= c)]
     if bad:
         raise InvalidStateError(f"phase must be in 0..c = {c}, got {bad[0]}")
     return idx
@@ -66,6 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _nonnegative(what: str, v: int) -> None:
+    _require_integer(what, v, InvalidStateError)
     if v < 0:
         raise InvalidStateError(f"{what} must be >= 0, got {v}")
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .distribution import JointDistribution, PoleTail, _frozen, falling_factorial
 from .errors import InternalInconsistencyError, InvalidConfigError, certify
-from .model import QueueParams
+from .model import QueueParams, _integer
 
 # highest factorial moment order computed per row
 N_MOMENTS = 4
@@ -323,9 +323,9 @@ def solve(params: QueueParams, dps: int | None = None) -> GfSolution:
     """
     if dps is None:
         return _solve(params, np.longdouble(1), None)
-    if not isinstance(dps, (int, np.integer)) or isinstance(dps, bool) or dps < 1:
+    if not _integer(dps) or dps < 1:
         raise InvalidConfigError(f"dps must be a positive int, got {dps!r}")
     import mpmath as mp
 
     with mp.workdps(dps):
-        return _solve(params, mp.mpf(1), dps)
+        return _solve(params, mp.mpf(1), int(dps))

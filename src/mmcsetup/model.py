@@ -28,7 +28,8 @@ class QueueParams:
     """Arrival rate, per-server service rate, server count, setup rate.
 
     Checked by :func:`validate` when built (``dataclasses.replace`` too), so
-    every instance is a stable queue and no solver checks it again.
+    every instance is a stable queue and no solver checks it again.  A numpy
+    number is stored as the Python int or float it equals.
     """
 
     lam: float
@@ -51,7 +52,8 @@ class CostParams:
     c_active prices a serving server, c_setup a warming one, c_idle an idle
     but powered server (only the always-on baseline has those), and c_switch
     prices each completed off->on switch rather than a time average.  Each
-    weight must be finite and >= 0 (InvalidConfig at construction).
+    weight must be finite and >= 0 (InvalidConfig at construction); a numpy
+    weight is stored as the Python float or int it equals.
     """
 
     c_active: float = 1.0
@@ -62,12 +64,38 @@ class CostParams:
     def __post_init__(self) -> None:
         for name, v in self.__dict__.items():
             check_cost_weight(name, v)
+        _keep_plain(self)
+
+
+# The one number rule of every setting and argument.  A number is a
+# numbers.Real that is not a bool (numpy's numbers and Fraction included),
+# an integer a numbers.Integral that is not a bool, and a settings object
+# keeps a checked numpy number as the Python int or float it equals.  Each
+# test looks at type(v) first, so Python numbers take the fast path.
 
 
 def _real(v) -> bool:
-    """True for a real number (an int or a float, numpy's included), False
-    for a bool, a string or anything else."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """True for a real number, False for a bool, a string or anything else."""
+    return type(v) in (float, int) or (isinstance(v, numbers.Real) and type(v) is not bool)
+
+
+def _integer(v) -> bool:
+    """True for an integer, False for a bool, a float or anything else."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and type(v) is not bool)
+
+
+def _require_integer(name: str, v, error: type[Exception]) -> None:
+    """Raise error("<name> must be an int, got <v>") unless v is an integer."""
+    if not _integer(v):
+        raise error(f"{name} must be an int, got {v!r}")
+
+
+def _keep_plain(settings) -> None:
+    """Store each number field of a frozen settings object, once checked, as
+    the Python int or float it equals; Python numbers stay as given."""
+    for name, v in vars(settings).items():
+        if type(v) not in (float, int) and _real(v):
+            object.__setattr__(settings, name, int(v) if _integer(v) else float(v))
 
 
 def check_cost_weight(name: str, v: float) -> None:
@@ -77,17 +105,18 @@ def check_cost_weight(name: str, v: float) -> None:
 
 
 def validate(params: QueueParams) -> None:
-    """The rule QueueParams runs when built: raise InvalidParameter or Unstable."""
+    """The rule QueueParams runs when built: raise InvalidParameter or
+    Unstable, and keep numpy numbers as the Python numbers they equal."""
     lam, mu, c, alpha = params.lam, params.mu, params.c, params.alpha
-    if not isinstance(c, int) or isinstance(c, bool):
-        raise InvalidParameterError(f"c must be an int, got {c!r}")
+    _require_integer("c", c, InvalidParameterError)
     if c < 1:
         raise InvalidParameterError(f"c must be >= 1, got {c}")
     for name, v in (("lambda", lam), ("mu", mu), ("alpha", alpha)):
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+        if not (_real(v) and math.isfinite(v)):
             raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
         if v <= 0:
             raise InvalidParameterError(f"{name} must be > 0, got {v}")
+    _keep_plain(params)  # before rho, so that rho is the stored queue's
     if params.rho >= 1.0:
         raise UnstableError(params.rho)
 

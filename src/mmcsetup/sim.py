@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidConfigError
-from .model import QueueParams
+from .model import QueueParams, _integer, _keep_plain, _real, _require_integer
 
 __all__ = ["SimConfig", "SimEstimate", "ValidationReport", "simulate", "validate_against"]
 
@@ -116,18 +116,18 @@ def _check_config(cfg: SimConfig) -> None:
     if not isinstance(cfg.params, QueueParams):
         raise InvalidConfigError(f"params must be a QueueParams, got {cfg.params!r}")
     s = cfg.seed
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
+    if not _integer(s) or s < 0:
         raise InvalidConfigError(
             f"seed must be a nonnegative integer, got {s!r}"
         )
     for name in ("n_events", "n_batches", "trace_limit"):
-        v = getattr(cfg, name)
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InvalidConfigError(f"{name} must be an int, got {v!r}")
+        _require_integer(name, getattr(cfg, name), InvalidConfigError)
+    if cfg.trace_limit < 0:
+        raise InvalidConfigError(f"trace_limit must be >= 0, got {cfg.trace_limit}")
     if cfg.n_batches < 10:
         raise InvalidConfigError(f"need at least 10 batches, got {cfg.n_batches}")
     w = cfg.warmup_fraction
-    if not isinstance(w, (int, float, np.integer, np.floating)) or isinstance(w, bool):
+    if not _real(w):
         raise InvalidConfigError(f"warmup fraction must be a real number, got {w!r}")
     if not 0.0 <= w < 1.0:
         raise InvalidConfigError(
@@ -138,6 +138,7 @@ def _check_config(cfg: SimConfig) -> None:
             "an event trace needs both a trace path and a trace limit > 0, "
             f"got path {cfg.trace_path!r} and limit {cfg.trace_limit}"
         )
+    _keep_plain(cfg)  # before the batching, so that it is the run's
     if _batching(cfg)[1] < 1:
         raise InvalidConfigError(
             f"{cfg.n_events} events leave no room for {cfg.n_batches} batches "
@@ -306,12 +307,10 @@ def simulate(cfg: SimConfig) -> SimEstimate:
         hw_marginal=hw[5:],
         off_to_on_rate=rate_on,
         on_to_off_rate=rate_off,
-        # plain ints, so that to_dict stays JSON-serialisable when the
-        # settings are numpy integers
-        n_events=int(n_total),
+        n_events=n_total,
         sim_time=float(bt.sum()),
-        n_batches=int(nb),
-        seed=int(cfg.seed),
+        n_batches=nb,
+        seed=cfg.seed,
     )
 
 

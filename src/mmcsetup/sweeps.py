@@ -7,6 +7,7 @@ land in an ``error`` column and the sweep keeps going.  Output is
 deterministic: fixed column order, points in grid order, floats via repr.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 import csv
 import io
@@ -82,10 +83,10 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidConfigError(f"params must be a QueueParams, got {spec.params!r}")
     if not isinstance(spec.costs, CostParams):
         raise InvalidConfigError(f"costs must be a CostParams, got {spec.costs!r}")
+    if not (isinstance(spec.grid, (Sequence, np.ndarray)) and all(_real(x) for x in spec.grid)):
+        raise InvalidConfigError(f"sweep grid must hold numbers, got {spec.grid!r}")
     if len(spec.grid) == 0:
         raise InvalidConfigError("empty sweep grid")
-    if not all(_real(x) for x in spec.grid):
-        raise InvalidConfigError(f"sweep grid must hold numbers, got {spec.grid!r}")
     g = np.asarray(spec.grid, dtype=float)
     if not np.all(np.diff(g) > 0):
         raise InvalidConfigError("sweep grid must be strictly increasing")
@@ -93,8 +94,8 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidConfigError("c grid must be positive integers")
     if spec.var == "ratio" and g[0] < 0:
         raise InvalidConfigError("cost ratio must be nonnegative")
-    bad = [m for m in spec.methods if m not in METHODS]
-    if bad or not spec.methods:
+    methods = spec.methods
+    if not (isinstance(methods, Sequence) and methods and all(m in METHODS for m in methods)):
         raise InvalidConfigError(f"methods must be a nonempty subset of {METHODS}")
     for x in spec.grid:
         _point(spec, x)  # building a point checks it, so unstable ones fail here
@@ -247,6 +248,7 @@ def crossover_finder(
         )
     if not (_real(rel_tol) and rel_tol > 0):  # nan fails too
         raise InvalidConfigError(f"crossover rel_tol must be > 0, got {rel_tol!r}")
+    lo, hi, rel_tol = float(lo), float(hi), float(rel_tol)  # CrossoverResult echoes lo, hi
     baseline = mmc.onidle_cost(params, costs)
 
     def gap(a: float) -> float:

@@ -259,6 +259,13 @@ def test_jmax_must_clear_boundary():
         ctmc.solve_truncated(p, j_max=4)
 
 
+def test_jmax_must_be_an_int():
+    # 30.5 cleared the boundary check and then raised a bare TypeError
+    p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=2)
+    with pytest.raises(InvalidConfigError, match="j_max must be an int, got 30.5"):
+        ctmc.solve_truncated(p, 30.5)
+
+
 def test_setup_count_invariant_in_states():
     p = QueueParams(lam=1.0, mu=1.0, alpha=1.0, c=3)
     d = oracle_distribution(p)

@@ -299,17 +299,23 @@ def test_every_tail_gives_empty_rows_for_an_empty_index(n):
 
 def test_every_tail_refuses_an_index_outside_its_states():
     # rows([-1], n) once returned phase c's values, and level(-1) the last
-    # cached or stored level, or a bare IndexError on a PoleTail
+    # cached or stored level, or a bare IndexError on a PoleTail; rows([0.9])
+    # read phase 0, rows([True]) phase 1, and level(1.5) and rows([0], 2.5)
+    # raised a bare TypeError
     p = POINTS[1]
     for d in _dists(p):
         t = d.tail
-        for idx in ([-1], [p.c + 1], [0, -1]):
+        for idx in ([-1], [p.c + 1], [0, -1], [0.9], [True]):
             with pytest.raises(InvalidStateError, match=rf"phase must be in 0\.\.c = {p.c}"):
                 t.rows(idx, 3)
         with pytest.raises(InvalidStateError, match="number of levels n must be >= 0"):
             t.rows([0], -1)
+        with pytest.raises(InvalidStateError, match="number of levels n must be an int, got 2.5"):
+            t.rows([0], 2.5)
         with pytest.raises(InvalidStateError, match="tail level m must be >= 0"):
             t.level(-1)
+        with pytest.raises(InvalidStateError, match="tail level m must be an int, got 1.5"):
+            t.level(1.5)
         assert np.array_equal(t.level(0), t.rows(range(p.c + 1), 1)[0][0])
     pole = gf_solution(p).distribution().tail
     with pytest.raises(InvalidStateError, match="phase must be in"):

@@ -1,15 +1,19 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from conftest import iter_states
+from mmcsetup import gf, sim
 from mmcsetup.errors import (
     InvalidConfigError,
     InvalidParameterError,
     InvalidStateError,
     UnstableError,
 )
+from mmcsetup.measures import full_report
 from mmcsetup.model import (
     CostParams,
     QueueParams,
@@ -184,3 +188,30 @@ def test_cost_params_reject_bad_weights(name, bad):
     with pytest.raises(InvalidConfigError):
         replace(CostParams(), **{name: bad})
     assert getattr(CostParams(**{name: 0.0}), name) == 0.0
+
+
+def test_numpy_numbers_are_kept_as_python_numbers():
+    # np.int64 and np.float32 rates were refused as "not a finite number",
+    # and a np.float32 cost weight made full_report's costs single precision
+    # and its to_dict unreadable to json
+    p = QueueParams(np.int64(5), np.float32(1), np.int64(10), np.float64(0.7))
+    costs = CostParams(np.int64(1), np.float32(1.3), np.float64(0.6), np.int64(2))
+    cfg = sim.SimConfig(p, np.int64(20_000), np.float32(0.25), np.int64(3), np.int64(10))
+    for obj in (p, costs, cfg):
+        for name, v in vars(obj).items():
+            if name not in ("params", "trace_path"):
+                assert type(v) in (int, float), (name, v)
+    assert p == QueueParams(5, 1.0, 10, 0.7)
+    assert costs.c_setup == float(np.float32(1.3))
+    d = gf.solve(p).distribution()
+    report = full_report(d, p, costs)
+    for obj in (
+        params_to_dict(p),
+        asdict(costs),
+        report.to_dict(),
+        sim.simulate(cfg).to_dict(),
+        gf.solve(p, dps=np.int64(20)).info,
+    ):
+        json.dumps(obj)
+    want = full_report(d, p, CostParams(1, float(np.float32(1.3)), 0.6, 2)).cost_onoff
+    assert type(report.cost_onoff) is float and report.cost_onoff == want

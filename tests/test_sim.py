@@ -78,6 +78,7 @@ def test_config_rejections():
         (dict(warmup_fraction=1.0), "warmup fraction must be in"),
         (dict(n_events=15), "leave no room"),
         (dict(trace_limit=10), "an event trace needs both"),
+        (dict(trace_limit=-3), "trace_limit must be >= 0, got -3"),
     ],
 )
 def test_config_checks_itself_when_built(kw, message):

@@ -55,13 +55,17 @@ def test_spec_checks_itself_when_built():
         (dict(params="p"), "params must be a QueueParams, got 'p'"),
         (dict(costs=None), "costs must be a CostParams, got None"),
         (dict(grid=("a",)), "sweep grid must hold numbers, got ('a',)"),
+        (dict(grid=None), "sweep grid must hold numbers, got None"),
+        (dict(grid=5), "sweep grid must hold numbers, got 5"),
+        (dict(methods=None), f"methods must be a nonempty subset of {sweeps.METHODS}"),
     ],
-    ids=["params", "costs", "grid"],
+    ids=["params", "costs", "grid", "grid-none", "grid-number", "methods-none"],
 )
 def test_spec_refuses_a_setting_of_the_wrong_type(kw, message):
     # params "p" and grid ("a",) once raised a bare TypeError and ValueError;
     # costs None built, and run_sweep then raised AttributeError outside the
-    # rows' QueueModelError catch
+    # rows' QueueModelError catch; grid None or 5 and methods None raised a
+    # bare TypeError from len() or iteration
     with pytest.raises(InvalidConfigError) as exc:
         spec(**kw)
     assert str(exc.value) == message
