@@ -349,13 +349,14 @@ class JointDistribution:
     def level(self, j: int) -> np.ndarray:
         """Probability vector over phases i at level j (length min(j, c) + 1)."""
         c = self.params.c
-        if j < 0:
-            raise InvalidStateError(f"level must be >= 0, got {j}")
+        _nonnegative("level", j)
         if j < c:
             return self.boundary[: j + 1, j]
         return self.tail.level(j - c)
 
     def prob(self, i: int, j: int) -> float:
+        _require_integer("phase", i, InvalidStateError)
+        _require_integer("level", j, InvalidStateError)
         c = self.params.c
         if not (0 <= i <= c) or j < 0:
             return 0.0

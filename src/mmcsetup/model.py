@@ -68,15 +68,25 @@ class CostParams:
 
 
 # The one number rule of every setting and argument.  A number is a
-# numbers.Real that is not a bool (numpy's numbers and Fraction included),
-# an integer a numbers.Integral that is not a bool, and a settings object
-# keeps a checked numpy number as the Python int or float it equals.  Each
-# test looks at type(v) first, so Python numbers take the fast path.
+# numbers.Real that is not a bool (numpy's numbers and Fraction included)
+# and that a float can hold, an integer a numbers.Integral that is not a
+# bool, and a settings object keeps a checked numpy number as the Python
+# int or float it equals.  Each test looks at type(v) first, so Python
+# numbers take the fast path.
 
 
 def _real(v) -> bool:
-    """True for a real number, False for a bool, a string or anything else."""
-    return type(v) in (float, int) or (isinstance(v, numbers.Real) and type(v) is not bool)
+    """True for a real number, False for a bool, a string, a number past
+    float's range (an int of 10**400, say) or anything else."""
+    if type(v) is float:
+        return True
+    if not (type(v) is int or (isinstance(v, numbers.Real) and type(v) is not bool)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _integer(v) -> bool:
@@ -85,9 +95,12 @@ def _integer(v) -> bool:
 
 
 def _require_integer(name: str, v, error: type[Exception]) -> None:
-    """Raise error("<name> must be an int, got <v>") unless v is an integer."""
+    """Raise error("<name> must be an int, got <v>") unless v is an integer
+    that a float can hold."""
     if not _integer(v):
         raise error(f"{name} must be an int, got {v!r}")
+    if not _real(v):
+        raise error(f"{name} must be an int within float range, got {v!r}")
 
 
 def _keep_plain(settings) -> None:

@@ -16,9 +16,11 @@ first-passage matrix G = R*Qm1/lam is a column scaling of R (see g_matrix).
 
 Boundary levels get their own rectangular R^{(i)} from a backward sweep
 that inverts one upper-triangular M-matrix per level in place, by recursive
-halving, subtraction-free as well (see level_rate_matrices).  Each R^{(i)}
-is held as its packed upper triangle, all of them slices of one store
-(about 86 MB at c = 400, against 171 MB dense); the boundary G^{(n)} are
+halving above 64 phases, subtraction-free as well.  The matrix is the
+level's bracket -(Q0^{(i)} + R^{(i+1)}*Qm1^{(i+1)}) divided by lam, so its
+inverse holds R^{(i)} with no -lam pass (see level_rate_matrices).  Each
+R^{(i)} is held as its packed upper triangle, all of them slices of one
+store (about 86 MB at c = 400, against 171 MB dense); the boundary G^{(n)} are
 read off them and never stored (see g_levels).  QbdSolution.rlevels and
 QbdSolution.glevels are lazy sequences (see LevelView) that form one dense
 level per read.
@@ -296,67 +298,69 @@ def level_rate_matrices(params: QueueParams, r_hom: np.ndarray) -> LevelView:
     """Boundary matrices R^(1)..R^(c), index i of the result holding R^(i).
 
     Backward sweep: R^(i) solves X*A = -Q1^(i-1) = -lam*[I | 0] with
-    A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is -lam times
-    the first i rows of A^{-1}.  A is built in one of two reused buffers,
-    its setup rates and diagonal written through strided views of it, and
-    inverted there by _invert_lower (a recursive blocked inverse, in place).
-    The inverse stays unscaled: it is packed (LAPACK dtrttp) and scaled by
-    -lam into level i's slice of one store (see _Packed), half the dense
-    size, and the next level's A is formed from it in the other buffer as
-    (A^{-1} * -lam) * Qm1, the roundings of times_qm1 applied to R^(i).
-    The result unpacks one R^(i) per access (dtpttr; see LevelView); solve's
-    forward pass reads the packed triangles themselves (dtpmv) and unpacks
-    none.
+    A = Q0^(i) + R^(i+1)*Qm1^(i+1) upper triangular, so R^(i) is the first
+    i rows of B^{-1} for the scaled bracket B = -A/lam (R = lam*N, Latouche
+    & Ramaswami, 1999).  B is built in one of two reused buffers: the level
+    above's inverse, whose first i+1 rows are R^(i+1) (level c's: R
+    itself), times the column scales -k*mu/lam of Qm1^(i+1) in one
+    multiply plus the corner column, as in times_qm1; then the setup rates
+    -(i-k)*alpha/lam on the superdiagonal and the diagonal, through strided
+    views.  It is inverted there by _invert_lower (a recursive blocked
+    inverse, in place), and the inverse is packed as it is (LAPACK dtrttp)
+    into level i's slice of one store (see _Packed), half the dense size:
+    no -lam pass is made.
+    The result unpacks one R^(i) per access (dtpttr; see LevelView);
+    solve's forward pass reads the packed triangles themselves (dtpmv) and
+    unpacks none.
 
-    The rows of A sum to -r*mu, because R^(i+1)*Qm1^(i+1)*e =
+    The rows of B sum to k*mu/lam, because R^(i+1)*Qm1^(i+1)*e =
     Q1^(i)*G^(i+1)*e = lam*e.  Each diagonal entry is therefore formed as
-    -(r*mu + its row's off-diagonal sum), a sum of nonnegative terms
-    (Grassmann-Taksar-Heyman), and inverting this M-matrix never subtracts
-    either: the diagonal blocks of A^{-1} are <= 0 and the off-diagonal
-    entries of A >= 0, so each recursive corner -X22*L21*X11 is, entry by
-    entry, a sum of same-signed products like every dtrtri entry.
+    k*mu/lam plus its row's off-diagonal magnitudes, a sum of nonnegative
+    terms (Grassmann-Taksar-Heyman), and inverting this M-matrix never
+    subtracts either: the diagonal blocks of B^{-1} are >= 0 and the
+    off-diagonal entries of B <= 0, so each recursive corner -X22*L21*X11
+    is, entry by entry, a sum of same-signed products like every dtrtri
+    entry.
     """
     from scipy.linalg.blas import dtrmm
     from scipy.linalg.lapack import dtrtri, dtrttp
 
-    lam, mu, alpha, c = params.lam, params.mu, params.alpha, params.c
+    lam, c = params.lam, params.c
     packed = _Packed(c)
     store = packed.store
     work = np.empty((2, (c + 1) ** 2))
-    rates = mu * np.arange(c + 1)
-    setup = np.arange(c, 0, -1) * alpha  # level i's are the last i
-    x = None  # the level above's A^{-1}
+    rows = params.mu * np.arange(c + 2) / lam  # B's row sums, k*mu/lam
+    cols = -rows  # the column scales of Qm1 / -lam
+    setup = np.arange(c, 0, -1) * params.alpha / -lam  # level i's are the last i
+    floor = 1e-14 / lam  # a pivot of A above -1e-14
+    x = r_hom  # the level above's B^{-1}, its first rows R^(i+1)
     for i in range(c, 0, -1):
         n = i + 1
         flat = work[i % 2, : n * n]
-        a = flat.reshape(n, n)
-        if x is None:
-            times_qm1(params, r_hom, n, out=a)
-        else:
-            # times_qm1(params, R^(i+1), n) with R^(i+1) = -lam * x[:n]
-            np.multiply(x[:n, :n], -lam, out=a)
-            a *= rates[:n]
-            a[:, n - 1] += (x[:n, n] * -lam) * rates[n]
+        b = flat.reshape(n, n)
+        np.multiply(x[:n, :n], cols[:n], out=b)
+        if i < c:  # a departure from the all-busy corner shuts a server
+            b[:, n - 1] += x[:n, n] * cols[n]
         # the setup rates of Q0^(i) go on the superdiagonal; the diagonal is
         # zeroed, then formed from the row sums.  The diagonal is computed
         # out of place: numpy 2.4's in-place np.negative on a view with a
         # stride of 8 elements has returned wrong values.
         flat[1 :: n + 1] += setup[c - i :]
         flat[:: n + 1] = 0.0
-        diag = -(rates[:n] + a.sum(axis=1))
-        # every pivot is a negated sum of nonnegative terms; a pivot above
-        # -1e-14 (zero, positive or nan) means the sweep broke
-        if not diag.max() <= -1e-14:
+        diag = np.subtract(rows[:n], np.add.reduce(b, axis=1))
+        # every pivot is a sum of nonnegative terms; a pivot below the floor
+        # (zero, negative or nan) means the sweep broke
+        if not np.minimum.reduce(diag) >= floor:
             raise InternalInconsistencyError(
                 f"singular diagonal in boundary solve at level {i}"
             )
         flat[:: n + 1] = diag
         # the transpose of a C-order upper triangle is a Fortran lower one
-        _invert_lower(dtrtri, dtrmm, a.T)
-        tri, _ = dtrttp(a.T, uplo="L")
+        _invert_lower(dtrtri, dtrmm, b.T)
+        tri, _ = dtrttp(b.T, uplo="L")
         start = i * (i + 1) * (i + 2) // 6 - 1  # level i's slice (_Packed.tri)
-        np.multiply(tri, -lam, out=store[start : start + tri.size])
-        x = a
+        store[start : start + tri.size] = tri
+        x = b
     return LevelView(packed, range(c + 1))
 
 
@@ -376,7 +380,7 @@ def g_levels(params: QueueParams, rlevels: Sequence) -> LevelView:
     N = (-Q0^(n) - R^(n+1)*Qm1^(n+1))^{-1}.  The first n rows of N are
     R^(n)/lam, and its last row is e_n/(n*mu) because the last row of
     -Q0^(n) - R^(n+1)*Qm1^(n+1) is n*mu*e_n (its row sum, which
-    level_rate_matrices puts on the diagonal exactly).  So
+    level_rate_matrices puts on the diagonal, over lam).  So
     G^(n) = [R^(n)*Qm1^(n)/lam ; e_{n-1}], a column scaling of R^(n) plus
     the corner column, and every entry is a sum of nonnegative terms.
     rlevels is any sequence of dense R^(n); each G^(n) is formed from

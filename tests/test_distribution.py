@@ -317,6 +317,16 @@ def test_every_tail_refuses_an_index_outside_its_states():
         with pytest.raises(InvalidStateError, match="tail level m must be an int, got 1.5"):
             t.level(1.5)
         assert np.array_equal(t.level(0), t.rows(range(p.c + 1), 1)[0][0])
+        # the distribution checks j (and i) before it splits at level c:
+        # level(1.5) and prob(0.5, 3) once raised a bare IndexError,
+        # level(True) returned a (2, 1, 10) array, and level(c + 2.5) named m
+        for j in (1.5, True, p.c + 2.5):
+            with pytest.raises(InvalidStateError, match=f"level must be an int, got {j}"):
+                d.level(j)
+        with pytest.raises(InvalidStateError, match="phase must be an int, got 0.5"):
+            d.prob(0.5, 3)
+        with pytest.raises(InvalidStateError, match="level must be an int, got 3.0"):
+            d.prob(1, 3.0)
     pole = gf_solution(p).distribution().tail
     with pytest.raises(InvalidStateError, match="phase must be in"):
         pole.row_tail(-1, 0)

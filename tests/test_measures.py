@@ -91,9 +91,10 @@ def test_costs_with_switching_price():
     )
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, pytest.param(10**400, id="int-past-float")])
 def test_costs_refuse_a_bad_weight(bad):
-    # full_report(d, p, CostParams(c_idle=nan)) once returned cost_onidle nan
+    # full_report(d, p, CostParams(c_idle=nan)) once returned cost_onidle nan,
+    # and an int no float can hold was accepted, then raised OverflowError
     p = QueueParams(lam=2.0, mu=1.0, alpha=1.0, c=4)
     d = gf_solution(p).distribution()
     with pytest.raises(InvalidConfigError, match="c_idle"):

@@ -50,6 +50,11 @@ def test_validate_unstable_boundary():
         dict(lam=True, mu=1.0, alpha=1.0, c=2),
         dict(lam=1.0, mu=True, alpha=1.0, c=2),
         dict(lam=1.0, mu=1.0, alpha=True, c=2),
+        # ints no float can hold once raised a bare OverflowError
+        dict(lam=10**400, mu=1.0, alpha=1.0, c=2),
+        dict(lam=1.0, mu=10**400, alpha=1.0, c=2),
+        dict(lam=1.0, mu=1.0, alpha=10**400, c=2),
+        dict(lam=1.0, mu=1.0, alpha=1.0, c=10**400),
     ],
 )
 def test_validate_bad_params(kwargs):
@@ -65,6 +70,12 @@ def test_validate_bad_params(kwargs):
         (dict(lam=math.nan), "lambda must be a finite number, got nan"),
         (dict(mu=0.0), "mu must be > 0, got 0.0"),
         (dict(alpha=-0.5), "alpha must be > 0, got -0.5"),
+        pytest.param(
+            dict(c=10**400), f"c must be an int within float range, got {10**400}", id="c-past-float"
+        ),
+        pytest.param(
+            dict(lam=10**400), f"lambda must be a finite number, got {10**400}", id="lam-past-float"
+        ),
     ],
 )
 def test_params_check_themselves_when_built(kwargs, message):
@@ -179,7 +190,7 @@ def test_config_rejects(tmp_path, text):
         resolve_params(read_config(str(path)))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "2", True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "2", True, pytest.param(10**400, id="int-past-float")])
 @pytest.mark.parametrize("name", ["c_active", "c_setup", "c_idle", "c_switch"])
 def test_cost_params_reject_bad_weights(name, bad):
     # library callers build CostParams directly, past resolve_params' check

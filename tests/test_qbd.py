@@ -477,9 +477,31 @@ def reference_level_rate_matrices(p, r_hom):
     return out
 
 
-def sweep_and_reference(p):
+def reference_scaled_level_rate_matrices(p, r_hom):
+    """The sweep's scaled bracket B = -A/lam, formed densely per level with
+    the same roundings and inverted whole by one LAPACK dtrtri call: the
+    first i rows of B^{-1} are R^(i), read as the next level's R^(i+1)."""
+    out = [None] * (p.c + 1)
+    rows = p.mu * np.arange(p.c + 2) / p.lam
+    x = r_hom
+    for i in range(p.c, 0, -1):
+        n = i + 1
+        b = x[:n, :n] * -rows[:n]
+        if i < p.c:
+            b[:, i] += x[:n, n] * -rows[n]
+        b += np.diag(np.arange(i, 0, -1) * p.alpha / -p.lam, 1)
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, rows[:n] - b.sum(axis=1))
+        inv_t, info = dtrtri(b.T, lower=1, overwrite_c=1)
+        assert info == 0
+        x = inv_t.T
+        out[i] = x[:i]
+    return out
+
+
+def sweep_and_reference(p, reference=reference_level_rate_matrices):
     r_hom = qbd.rate_matrix(p)
-    return qbd.level_rate_matrices(p, r_hom), reference_level_rate_matrices(p, r_hom)
+    return qbd.level_rate_matrices(p, r_hom), reference(p, r_hom)
 
 
 @pytest.mark.parametrize(
@@ -499,11 +521,35 @@ def test_level_rate_matrices_match_reference(p):
 @pytest.mark.parametrize("p", [rq(0.5, 0.7, 63), P112], ids=["c63", "P112"])
 def test_level_rate_matrices_leaf_is_bit_identical(p):
     # every level has at most 64 phases: one dtrtri call, same bracket bits
-    new, ref = sweep_and_reference(p)
+    new, ref = sweep_and_reference(p, reference_scaled_level_rate_matrices)
     g_new, g_ref = qbd.g_levels(p, new), qbd.g_levels(p, ref)
     for i in range(1, p.c + 1):
         assert np.array_equal(new[i], ref[i]), i
         assert np.array_equal(g_new[i], g_ref[i]), i
+
+
+@pytest.mark.parametrize(
+    "rho, alpha, c",
+    [
+        (0.5, 0.7, 60),
+        (0.95, 1e-4, 40),
+        (0.3, 1e-8, 40),
+        (0.999, 1e-5, 40),
+        (0.5, 0.5, 40),
+        (0.5, 1e3, 40),
+    ],
+    ids=["moderate", "slow", "slowest", "heavy", "confluent", "fast"],
+)
+def test_boundary_matches_40_digit_gf(rho, alpha, c):
+    # every boundary state j < c against the closed form at 40 digits, per
+    # state relative; (0.5, 0.5) sits on the confluent line alpha = mu(1 - rho),
+    # and (0.5, 1e3) has setup far faster than service
+    p = rq(rho, alpha, c)
+    got = qbd.solve(p, with_g=False).distribution().boundary
+    want = gf.solve(p, dps=40).boundary[:, :c].astype(float)
+    big = want > 1e-290
+    assert np.count_nonzero(big) > c
+    assert np.max(np.abs(got[big] - want[big]) / want[big]) <= 1e-14
 
 
 def test_i_minus_r_is_inverted_once(monkeypatch):

@@ -79,6 +79,7 @@ def test_config_rejections():
         (dict(n_events=15), "leave no room"),
         (dict(trace_limit=10), "an event trace needs both"),
         (dict(trace_limit=-3), "trace_limit must be >= 0, got -3"),
+        (dict(n_events=10**400), "n_events must be an int within float range"),
     ],
 )
 def test_config_checks_itself_when_built(kw, message):

@@ -58,8 +58,9 @@ def test_spec_checks_itself_when_built():
         (dict(grid=None), "sweep grid must hold numbers, got None"),
         (dict(grid=5), "sweep grid must hold numbers, got 5"),
         (dict(methods=None), f"methods must be a nonempty subset of {sweeps.METHODS}"),
+        (dict(grid=(0.1, 10**400)), f"sweep grid must hold numbers, got (0.1, {10**400})"),
     ],
-    ids=["params", "costs", "grid", "grid-none", "grid-number", "methods-none"],
+    ids=["params", "costs", "grid", "grid-none", "grid-number", "methods-none", "grid-past-float"],
 )
 def test_spec_refuses_a_setting_of_the_wrong_type(kw, message):
     # params "p" and grid ("a",) once raised a bare TypeError and ValueError;
@@ -212,7 +213,16 @@ def test_crossover_requires_sign_change():
 
 @pytest.mark.parametrize(
     "lo, hi",
-    [(1000.0, 1e-4), (1.0, 1.0), (0.0, 10.0), (-1.0, 10.0), (float("nan"), 10.0), ("1", 10.0)],
+    [
+        (1000.0, 1e-4),
+        (1.0, 1.0),
+        (0.0, 10.0),
+        (-1.0, 10.0),
+        (float("nan"), 10.0),
+        ("1", 10.0),
+        # an int no float can hold once raised OverflowError
+        pytest.param(1e-4, 10**400, id="hi-past-float"),
+    ],
 )
 def test_crossover_rejects_a_bracket_not_ascending(monkeypatch, lo, hi):
     # a reversed bracket would bisect zero times and return its midpoint as
